@@ -5,7 +5,9 @@
 //  * typed-churn events/s on the same workload (EventPayload hot path),
 //    with observability off AND with a KernelProbe attached,
 //  * heap allocations per event on all paths (global new/delete counter),
-//  * one Figure 1 point end-to-end (events/s, wall-clock, trace hash).
+//  * one Figure 1 point end-to-end (events/s, wall-clock, trace hash),
+//  * the observed Figure 1 point at L and 2L (median of 3 each): the
+//    doubling ratio must stay <= 2.5x, i.e. observed runs scale linearly.
 //
 // Output: a BENCH_kernel.json blob on the path given by --out= (default
 // ./BENCH_kernel.json). The CI perf-smoke job archives it per commit so
@@ -15,6 +17,8 @@
 // --baseline=<json> the observability-off speedup must additionally stay
 // within 2% of the committed bench/kernel_baseline.json ratio (a ratio,
 // not an absolute events/s, so the gate is machine-independent).
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -59,6 +63,8 @@ using namespace mobichk;
 constexpr u64 kChurnEvents = 200'000;
 constexpr int kChurnFanout = 16;
 constexpr int kRepeats = 5;
+constexpr int kObservedRepeats = 3;
+constexpr f64 kMaxDoublingRatio = 2.5;
 
 struct Measurement {
   f64 events_per_second = 0.0;
@@ -227,6 +233,32 @@ int run(int argc, char** argv) {
     std::printf("  wrote %s\n", profile_trace_path.c_str());
   }
 
+  // Observed-run scaling: the Fig.1 point with a RunObserver attached
+  // (online recovery-line tracking plus its Z-cycle finalize) at L and
+  // 2L. A linear pipeline takes about twice the time for twice the run;
+  // the gate below fails above 2.5x, which a quadratic stage exceeds.
+  const auto observed_wall = [&cfg](f64 length) {
+    std::array<f64, kObservedRepeats> walls{};
+    for (f64& wall : walls) {
+      sim::SimConfig c = cfg;
+      c.sim_length = length;
+      obs::RunObserver watcher;
+      sim::ExperimentOptions o;
+      o.observer = &watcher;
+      const auto t = std::chrono::steady_clock::now();
+      (void)sim::run_experiment(c, o);
+      wall = seconds_since(t);
+    }
+    std::sort(walls.begin(), walls.end());
+    return walls[kObservedRepeats / 2];
+  };
+  const f64 observed_short = observed_wall(50'000.0);
+  const f64 observed_long = observed_wall(100'000.0);
+  const f64 doubling_ratio = observed_long / observed_short;
+  std::printf("  observed fig1: L=50000 %.3fs, L=100000 %.3fs (median of %d): %.2fx for 2x "
+              "the run\n",
+              observed_short, observed_long, kObservedRepeats, doubling_ratio);
+
   // One large-n point (10^4 hosts, short horizon, sparse TP piggybacks):
   // the city-scale smoke. Records throughput plus the encoded vs
   // dense-equivalent control-byte split so scaling regressions land in
@@ -316,6 +348,9 @@ int run(int argc, char** argv) {
   std::fprintf(out, "  \"fig1_prof_dispatch_seconds\": %.4f,\n", prof_dispatch_seconds);
   std::fprintf(out, "  \"fig1_prof_overhead_ratio\": %.3f,\n",
                fig1_wall > 0.0 ? prof_wall / fig1_wall : 0.0);
+  std::fprintf(out, "  \"obs_l50k_wall_seconds\": %.4f,\n", observed_short);
+  std::fprintf(out, "  \"obs_l100k_wall_seconds\": %.4f,\n", observed_long);
+  std::fprintf(out, "  \"obs_doubling_ratio\": %.3f,\n", doubling_ratio);
   std::fprintf(out, "  \"scale_hosts\": %u,\n", scale_cfg.network.n_hosts);
   std::fprintf(out, "  \"scale_events\": %llu,\n",
                static_cast<unsigned long long>(scale.events_executed));
@@ -388,6 +423,13 @@ int run(int argc, char** argv) {
   }
   std::printf("profile gate: hash pinned, dispatch counts reconcile across all %zu kinds\n",
               obs::ProfLane::kMaxEventKinds);
+  if (doubling_ratio > kMaxDoublingRatio) {
+    std::fprintf(stderr, "FAIL: observed run 2x longer took %.2fx the time (bar %.1fx)\n",
+                 doubling_ratio, kMaxDoublingRatio);
+    return 1;
+  }
+  std::printf("doubling gate: observed run %.2fx <= %.1fx for 2x the run\n", doubling_ratio,
+              kMaxDoublingRatio);
   // Sharded gates: bit-identity is unconditional; the throughput bar only
   // applies where 4 shards can actually run in parallel.
   if (shard_par.trace_hash != shard_seq.trace_hash ||

@@ -1,7 +1,6 @@
 #include "obs/causal.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <stdexcept>
 
 namespace mobichk::obs {
@@ -83,7 +82,7 @@ void RecoveryLineTracker::on_send(u32 host, u64 msg_id) {
 void RecoveryLineTracker::on_deliver(u32 host, u64 msg_id) {
   const auto it = in_flight_.find(msg_id);
   if (it == in_flight_.end()) return;  // foreign message (manual scripts)
-  const MsgInfo& info = it->second;
+  MsgInfo& info = it->second;
   HostState& h = hosts_.at(host);
   const u32 di = h.sns.empty() ? 0 : static_cast<u32>(h.sns.size() - 1);
   edges_.push_back(Edge{info.src, info.send_interval, host, di});
@@ -91,9 +90,16 @@ void RecoveryLineTracker::on_deliver(u32 host, u64 msg_id) {
     // The forced checkpoint's probe event precedes the deliver event, so
     // a SEND phase here means the protocol broke Russell's discipline.
     if (h.phase_send) ++phase_violations_;
-    for (u32 j = 0; j < n_; ++j) {
-      if (j == host) continue;
-      if (info.dep[j] > h.req[j]) h.req[j] = info.dep[j];
+    // Merge the carried requirement once, then drop it: a duplicate copy
+    // carries the same vector and the merge is an idempotent max. The
+    // entry itself stays for chain_at_send lookups by later copies.
+    if (!info.dep.empty()) {
+      for (u32 j = 0; j < n_; ++j) {
+        if (j == host) continue;
+        if (info.dep[j] > h.req[j]) h.req[j] = info.dep[j];
+      }
+      info.dep.clear();
+      info.dep.shrink_to_fit();
     }
   }
 }
@@ -177,37 +183,64 @@ usize RecoveryLineTracker::node_id(u32 host, u64 interval) const {
   return node_base_[host] + static_cast<usize>(interval);
 }
 
-std::vector<bool> RecoveryLineTracker::message_reach(u32 host, u64 interval) const {
-  std::vector<bool> visited(node_total_, false);
-  std::vector<bool> msg_entry(node_total_, false);
-  std::deque<usize> queue;
-  const usize start = node_id(host, interval);
-  visited[start] = true;
-  queue.push_back(start);
-  while (!queue.empty()) {
-    const usize u = queue.front();
-    queue.pop_front();
-    for (const u32 v : message_adj_[u]) {
-      msg_entry[v] = true;
-      if (!visited[v]) {
-        visited[v] = true;
-        queue.push_back(v);
+namespace {
+
+/// Strongly connected components of a CSR digraph (out-edges of node u
+/// are targets[offsets[u] .. offsets[u+1])), by Tarjan's algorithm with an
+/// explicit call stack: one host's successor chain alone can be 10^5+
+/// nodes deep, far beyond what native recursion survives. Returns a
+/// component id per node; O(V + E) time and memory.
+std::vector<u32> strongly_connected_components(const std::vector<u32>& offsets,
+                                               const std::vector<u32>& targets) {
+  constexpr u32 kUnset = ~u32{0};
+  const u32 n = static_cast<u32>(offsets.size() - 1);
+  std::vector<u32> order(n, kUnset);  // discovery index
+  std::vector<u32> low(n, 0);
+  std::vector<u32> comp(n, kUnset);   // set when the node leaves the stack
+  std::vector<u32> stack;
+  struct Frame {
+    u32 node, next_edge;
+  };
+  std::vector<Frame> calls;
+  u32 discovered = 0, components = 0;
+  for (u32 root = 0; root < n; ++root) {
+    if (order[root] != kUnset) continue;
+    order[root] = low[root] = discovered++;
+    stack.push_back(root);
+    calls.push_back(Frame{root, offsets[root]});
+    while (!calls.empty()) {
+      const u32 u = calls.back().node;
+      if (calls.back().next_edge < offsets[u + 1]) {
+        const u32 v = targets[calls.back().next_edge++];
+        if (order[v] == kUnset) {
+          order[v] = low[v] = discovered++;
+          stack.push_back(v);
+          calls.push_back(Frame{v, offsets[v]});
+        } else if (comp[v] == kUnset) {  // visited and still on the stack
+          low[u] = std::min(low[u], order[v]);
+        }
+        continue;
       }
-    }
-    const usize next = u + 1;
-    if (next < node_total_) {
-      const auto it = std::upper_bound(node_base_.begin(), node_base_.end(), u);
-      const usize host_of_u = static_cast<usize>(it - node_base_.begin()) - 1;
-      const usize host_end =
-          host_of_u + 1 < node_base_.size() ? node_base_[host_of_u + 1] : node_total_;
-      if (next < host_end && !visited[next]) {
-        visited[next] = true;
-        queue.push_back(next);
+      calls.pop_back();
+      if (!calls.empty()) {
+        const u32 parent = calls.back().node;
+        low[parent] = std::min(low[parent], low[u]);
+      }
+      if (low[u] == order[u]) {
+        u32 w = kUnset;
+        do {
+          w = stack.back();
+          stack.pop_back();
+          comp[w] = components;
+        } while (w != u);
+        ++components;
       }
     }
   }
-  return msg_entry;
+  return comp;
 }
+
+}  // namespace
 
 void RecoveryLineTracker::finalize() {
   if (finalized_) return;
@@ -216,27 +249,49 @@ void RecoveryLineTracker::finalize() {
   // one node per (host, checkpoint ordinal); interval x is opened by
   // checkpoint x.
   node_base_.assign(n_, 0);
-  node_total_ = 0;
+  usize total = 0;
   for (u32 h = 0; h < n_; ++h) {
-    node_base_[h] = node_total_;
-    node_total_ += hosts_[h].sns.size();
+    node_base_[h] = total;
+    total += hosts_[h].sns.size();
   }
-  message_adj_.assign(node_total_, {});
+  // CSR adjacency: every message edge (src,si) -> (dst,di) plus the
+  // successor edge (h,y) -> (h,y+1).
+  std::vector<u32> offsets(total + 1, 0);
+  for (u32 h = 0; h < n_; ++h) {
+    for (u64 y = 0; y + 1 < hosts_[h].sns.size(); ++y) ++offsets[node_id(h, y) + 1];
+  }
+  const auto in_range = [this](const Edge& e) {
+    return e.si < hosts_[e.src].sns.size() && e.di < hosts_[e.dst].sns.size();
+  };
   for (const Edge& e : edges_) {
-    if (e.si >= hosts_[e.src].sns.size() || e.di >= hosts_[e.dst].sns.size()) continue;
-    message_adj_[node_id(e.src, e.si)].push_back(static_cast<u32>(node_id(e.dst, e.di)));
+    if (in_range(e)) ++offsets[node_id(e.src, e.si) + 1];
   }
-  z_cycle_.assign(node_total_, 0);
+  for (usize u = 0; u < total; ++u) offsets[u + 1] += offsets[u];
+  std::vector<u32> targets(offsets[total]);
+  std::vector<u32> cursor(offsets.begin(), offsets.end() - 1);
+  for (u32 h = 0; h < n_; ++h) {
+    for (u64 y = 0; y + 1 < hosts_[h].sns.size(); ++y) {
+      const usize u = node_id(h, y);
+      targets[cursor[u]++] = static_cast<u32>(u + 1);
+    }
+  }
+  for (const Edge& e : edges_) {
+    if (!in_range(e)) continue;
+    targets[cursor[node_id(e.src, e.si)]++] = static_cast<u32>(node_id(e.dst, e.di));
+  }
+  // C(h,x), x >= 1, lies on a Z-cycle iff (h,x-1) and (h,x) share an SCC:
+  // a Z-cycle is a path from (h,x) to some (h,y), y < x, and (h,y) climbs
+  // back to (h,x) through (h,x-1) by successor edges; conversely a path
+  // from (h,x) back to (h,x-1) ends with a message edge into some (h,y),
+  // y < x, once its trailing successor edges are peeled off.
+  const std::vector<u32> comp = strongly_connected_components(offsets, targets);
+  z_cycle_.assign(total, 0);
   useless_ = 0;
   for (u32 h = 0; h < n_; ++h) {
     for (u64 x = 1; x < hosts_[h].sns.size(); ++x) {
-      const std::vector<bool> entry = message_reach(h, x);
-      for (u64 y = 0; y < x; ++y) {
-        if (entry[node_id(h, y)]) {
-          z_cycle_[node_id(h, x)] = 1;
-          ++useless_;
-          break;
-        }
+      if (comp[node_id(h, x - 1)] == comp[node_id(h, x)]) {
+        z_cycle_[node_id(h, x)] = 1;
+        ++useless_;
       }
     }
   }

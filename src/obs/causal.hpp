@@ -65,7 +65,10 @@ class RecoveryLineTracker {
 
   /// Runs the online Z-cycle analysis over everything seen so far and
   /// publishes the final gauges. Idempotent per run; call after the
-  /// simulation ends.
+  /// simulation ends. One strongly-connected-component pass over the
+  /// interval graph (message edges plus successor edges (h,y)->(h,y+1)),
+  /// O(V + E): checkpoint (h,x), x >= 1, is on a Z-cycle iff nodes
+  /// (h,x-1) and (h,x) share a component.
   void finalize();
 
   // -- queries ----------------------------------------------------------
@@ -119,7 +122,7 @@ class RecoveryLineTracker {
     u32 src = 0;
     u32 send_interval = 0;   ///< Sender's open interval ordinal at send.
     u32 chain_at_send = 0;   ///< Sender's forced-chain depth at send.
-    std::vector<u32> dep;    ///< TP: requirement vector carried by the message.
+    std::vector<u32> dep;    ///< TP: carried requirement; emptied at first delivery.
   };
   /// One interval-graph message edge: (src, si) -> (dst, di).
   struct Edge {
@@ -128,9 +131,6 @@ class RecoveryLineTracker {
 
   void advance_committed();
   usize node_id(u32 host, u64 interval) const;
-  /// Intervals reachable from (host, interval) via a message edge
-  /// (the Z-cycle terminal condition needs message-entered nodes only).
-  std::vector<bool> message_reach(u32 host, u64 interval) const;
 
   TrackerMode mode_;
   u32 n_;
@@ -144,8 +144,6 @@ class RecoveryLineTracker {
   bool finalized_ = false;
   // Finalize-time graph layout (parallel to IntervalGraph's node space).
   std::vector<usize> node_base_;
-  usize node_total_ = 0;
-  std::vector<std::vector<u32>> message_adj_;
   std::vector<u8> z_cycle_;  ///< Per node: on a Z-cycle (after finalize).
   // Metrics (null until resolve_metrics).
   Gauge* line_index_g_ = nullptr;

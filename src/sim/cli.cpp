@@ -154,6 +154,7 @@ void FlagSet::print_help(std::ostream& os) const {
     std::string left = "  --" + f.name;
     const char* type = flag_type_name(f.type);
     if (type[0] != '\0') left += "=<" + std::string(type) + ">";
+    left += "  ";  // a long flag still gets a separator before its help
     os << std::left << std::setw(28) << left << f.help;
     if (!f.default_text.empty()) os << " (default: " << f.default_text << ")";
     os << "\n";

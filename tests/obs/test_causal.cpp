@@ -120,6 +120,57 @@ TEST(CausalReconciliation, OnlineTrackerMatchesOfflineOraclesOnEveryQueueKind) {
   }
 }
 
+// The Z-cycle half of the reconciliation over many seeds, on a clean
+// channel and on a duplicating one the transport does not deduplicate,
+// with protocols that do produce useless checkpoints: every positive AND
+// negative verdict of the tracker's SCC pass must match the offline
+// interval graph's per-checkpoint BFS.
+TEST(CausalReconciliation, ZCycleVerdictsMatchIntervalGraphAcrossSeedsAndChannels) {
+  const std::vector<ProtocolKind> protocols = {ProtocolKind::kLazyBcs, ProtocolKind::kCoordinated,
+                                               ProtocolKind::kTp, ProtocolKind::kBcs,
+                                               ProtocolKind::kQbc};
+  u64 total_useless = 0;
+  for (const bool duplicating : {false, true}) {
+    for (u64 seed = 100; seed < 140; ++seed) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + (duplicating ? " duplicating" : " clean"));
+      sim::SimConfig cfg = small_cfg(seed);
+      cfg.sim_length = 2'000.0;
+      cfg.t_switch = 60.0;
+      if (duplicating) {
+        cfg.network.duplicate_prob = 0.2;
+        cfg.network.transport_dedup = false;
+      }
+      obs::RunObserver observer;
+      sim::ExperimentOptions opts;
+      opts.protocols = protocols;
+      opts.observer = &observer;
+      sim::Experiment exp(cfg, opts);
+      exp.run();
+
+      const core::MessageLog& messages = exp.harness().message_log();
+      for (usize slot = 0; slot < protocols.size(); ++slot) {
+        SCOPED_TRACE(core::protocol_kind_name(protocols[slot]));
+        const obs::RecoveryLineTracker* tracker = observer.causal()->tracker(slot);
+        ASSERT_NE(tracker, nullptr);
+        const core::CheckpointLog& log = exp.log(slot);
+        const core::IntervalGraph graph(log, messages);
+        for (u32 h = 0; h < log.n_hosts(); ++h) {
+          ASSERT_EQ(tracker->checkpoints(h), log.of(h).size()) << "host " << h;
+          for (u64 x = 1; x < log.of(h).size(); ++x) {
+            EXPECT_EQ(tracker->on_z_cycle(h, x), graph.on_z_cycle(h, x))
+                << "checkpoint host " << h << " #" << x;
+          }
+        }
+        const u64 useless = graph.useless_count();
+        EXPECT_EQ(tracker->useless_count(), useless);
+        total_useless += useless;
+      }
+    }
+  }
+  // The verdicts compared above include positive ones.
+  EXPECT_GT(total_useless, 0u);
+}
+
 TEST(CausalMetrics, RecoveryLineFamiliesAreExportedAndReconcileWithRunStats) {
   const sim::SimConfig cfg = small_cfg(11);
   obs::RunObserver observer;
@@ -445,6 +496,88 @@ TEST(TrackerEdgeCases, ConstructionAndQueriesGuardTheirDomains) {
   // Unknown deliveries (no recorded send) are ignored, not invented.
   index.on_deliver(0, 42);
   EXPECT_EQ(index.max_forced_chain(), 0u);
+}
+
+// -- scripted Z-cycle analysis -------------------------------------------
+//
+// The tracker fed straight from probe-event calls, no simulation: each
+// event lands in the host's open interval (checkpoint count minus one).
+
+/// The IntervalGraph.ClassicZCycle pattern on two hosts: m2 leaves host
+/// 1's interval 1 and reaches host 0 before C_{0,1}; m1 leaves host 0
+/// after C_{0,1} and reaches host 1 in interval 1.
+void script_textbook_pattern(obs::RecoveryLineTracker& t) {
+  t.on_checkpoint(0, 0, obs::CkptKind::kInitial, 0);
+  t.on_checkpoint(1, 0, obs::CkptKind::kInitial, 0);
+  t.on_checkpoint(1, 1, obs::CkptKind::kBasic, 0);
+  t.on_send(1, 2);     // m2 from (1,1)
+  t.on_deliver(0, 2);  //    into (0,0)
+  t.on_checkpoint(0, 1, obs::CkptKind::kBasic, 0);
+  t.on_send(0, 1);     // m1 from (0,1)
+  t.on_deliver(1, 1);  //    into (1,1)
+}
+
+TEST(TrackerZCycle, TextbookTwoMessagePatternMakesOnlyTheBracketedCheckpointUseless) {
+  obs::RecoveryLineTracker t(obs::TrackerMode::kIndexFirstAtLeast, 2);
+  script_textbook_pattern(t);
+  t.finalize();
+  EXPECT_TRUE(t.on_z_cycle(0, 1));
+  EXPECT_FALSE(t.on_z_cycle(1, 1));
+  EXPECT_FALSE(t.on_z_cycle(0, 0));  // initial checkpoints are never useless
+  EXPECT_EQ(t.useless_count(), 1u);
+}
+
+TEST(TrackerZCycle, ZigzagThroughThreeHosts) {
+  // (0,1) -a-> (1,0) -b-> (2,0) -c-> (0,0). Host 1 sends b before it
+  // receives a, so the cycle is a zigzag, not a causal chain.
+  obs::RecoveryLineTracker t(obs::TrackerMode::kIndexFirstAtLeast, 3);
+  for (u32 h = 0; h < 3; ++h) t.on_checkpoint(h, 0, obs::CkptKind::kInitial, 0);
+  t.on_send(2, 3);  // c
+  t.on_deliver(0, 3);
+  t.on_checkpoint(0, 1, obs::CkptKind::kBasic, 0);
+  t.on_send(1, 2);  // b
+  t.on_send(0, 1);  // a
+  t.on_deliver(1, 1);
+  t.on_deliver(2, 2);
+  t.on_checkpoint(1, 1, obs::CkptKind::kBasic, 0);
+  t.on_checkpoint(2, 1, obs::CkptKind::kBasic, 0);
+  t.finalize();
+  EXPECT_TRUE(t.on_z_cycle(0, 1));
+  EXPECT_FALSE(t.on_z_cycle(1, 1));
+  EXPECT_FALSE(t.on_z_cycle(2, 1));
+  EXPECT_EQ(t.useless_count(), 1u);
+}
+
+TEST(TrackerZCycle, DeepChainClosedByOneZigzagIsWalkedIteratively) {
+  // Host 0 takes 2*10^5 checkpoints; one message pair through host 1
+  // links its last interval back to its first. Every checkpoint of host 0
+  // after the initial one lies on that cycle. A recursive SCC walk would
+  // need a native stack frame per interval here.
+  constexpr u64 kCheckpoints = 200'000;
+  obs::RecoveryLineTracker t(obs::TrackerMode::kIndexFirstAtLeast, 2);
+  t.on_checkpoint(0, 0, obs::CkptKind::kInitial, 0);
+  t.on_checkpoint(1, 0, obs::CkptKind::kInitial, 0);
+  t.on_send(1, 1);
+  t.on_deliver(0, 1);  // into (0,0)
+  for (u64 x = 1; x < kCheckpoints; ++x) t.on_checkpoint(0, x, obs::CkptKind::kBasic, 0);
+  t.on_send(0, 2);  // from (0, kCheckpoints-1)
+  t.on_deliver(1, 2);
+  t.finalize();
+  EXPECT_EQ(t.useless_count(), kCheckpoints - 1);
+  for (u64 x = 1; x < kCheckpoints; ++x) ASSERT_TRUE(t.on_z_cycle(0, x)) << x;
+}
+
+TEST(TrackerZCycle, FinalizeTwiceKeepsVerdictsAndCounters) {
+  obs::MetricRegistry registry;
+  obs::RecoveryLineTracker t(obs::TrackerMode::kIndexFirstAtLeast, 2);
+  t.resolve_metrics(registry, "rl.0.X");
+  script_textbook_pattern(t);
+  t.finalize();
+  t.finalize();
+  EXPECT_EQ(t.useless_count(), 1u);
+  EXPECT_TRUE(t.on_z_cycle(0, 1));
+  EXPECT_FALSE(t.on_z_cycle(1, 1));
+  EXPECT_EQ(registry.find_counter("rl.0.X.useless_checkpoints")->value(), 1u);
 }
 
 }  // namespace

@@ -193,5 +193,21 @@ TEST(FlagSet, HelpPageListsEveryFlagAndDefault) {
   EXPECT_EQ(page.find("--csv=<"), std::string::npos);
 }
 
+TEST(FlagSet, HelpSeparatesLongFlagsFromTheirHelpText) {
+  FlagSet fs("long [flags]");
+  fs.add("storage-bandwidth", FlagType::kNumber, "", "per-MSS stable-storage bandwidth")
+      .add("seeds", FlagType::kUInt, "3", "replication count");
+  std::ostringstream os;
+  fs.print_help(os);
+  const std::string page = os.str();
+  // "  --storage-bandwidth=<number>" is 30 characters, past the column.
+  EXPECT_NE(page.find("--storage-bandwidth=<number>  per-MSS"), std::string::npos) << page;
+  // Short flags still pad to the 28-column help text.
+  const std::string seeds_left = "  --seeds=<uint>";
+  EXPECT_NE(page.find(seeds_left + std::string(28 - seeds_left.size(), ' ') + "replication count"),
+            std::string::npos)
+      << page;
+}
+
 }  // namespace
 }  // namespace mobichk::sim

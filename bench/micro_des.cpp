@@ -77,28 +77,8 @@ void BM_UniformIndexExcluding(benchmark::State& state) {
 }
 BENCHMARK(BM_UniformIndexExcluding);
 
-void BM_SimulatorEventChurn(benchmark::State& state, des::QueueKind kind) {
-  for (auto _ : state) {
-    des::Simulator sim(kind);
-    des::RngStream rng(1, "bench.churn");
-    u64 fired = 0;
-    std::function<void()> tick = [&] {
-      ++fired;
-      if (fired < 50'000) sim.schedule_after(rng.uniform01(), tick);
-    };
-    for (int i = 0; i < 16; ++i) sim.schedule_after(rng.uniform01(), tick);
-    sim.run();
-    benchmark::DoNotOptimize(fired);
-  }
-  state.SetItemsProcessed(static_cast<i64>(state.iterations()) * 50'000);
-}
-BENCHMARK_CAPTURE(BM_SimulatorEventChurn, BinaryHeap, des::QueueKind::kBinaryHeap)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_SimulatorEventChurn, Calendar, des::QueueKind::kCalendar)
-    ->Unit(benchmark::kMillisecond);
-
-/// Self-rescheduling EventTarget: the typed-payload equivalent of the
-/// closure churn above, exercising the allocation-free hot path.
+/// Self-rescheduling EventTarget: 50k-event churn through the
+/// allocation-free typed-payload hot path.
 struct ChurnTarget final : des::EventTarget {
   des::Simulator* sim = nullptr;
   des::RngStream* rng = nullptr;

@@ -299,18 +299,7 @@ sim::ExperimentConfig effective_config(const sim::ArgParser& args) {
   cfg.mobility.heterogeneity = args.get_f64("h", cfg.mobility.heterogeneity);
 
   if (args.has("crash-mode")) {
-    const std::string crash = args.get_string("crash-mode", "none");
-    if (crash == "none") {
-      cfg.faults.mode = sim::CrashMode::kNone;
-    } else if (crash == "host") {
-      cfg.faults.mode = sim::CrashMode::kMhCrash;
-    } else if (crash == "correlated") {
-      cfg.faults.mode = sim::CrashMode::kCorrelated;
-    } else if (crash == "cell") {
-      cfg.faults.mode = sim::CrashMode::kCellOutage;
-    } else {
-      throw std::invalid_argument("unknown --crash-mode: " + crash);
-    }
+    cfg.faults.mode = sim::crash_mode_from_name(args.get_string("crash-mode", "none"));
   }
   cfg.faults.first_crash_at = args.get_f64("crash-time", cfg.faults.first_crash_at);
   cfg.faults.crash_interval = args.get_f64("crash-interval", cfg.faults.crash_interval);

@@ -2,36 +2,28 @@
 //
 // The hot path of a run is the event queue: every message leg, mobility
 // timer, workload operation and protocol control transfer is one queue
-// entry. Representing those as type-erased std::function closures costs a
-// heap allocation per event (almost every capture list exceeds the
-// small-buffer optimisation) plus an indirect call through the wrapper.
-// Instead, an event is a small POD `EventPayload` — a tagged union of the
+// entry. An event is a small POD `EventPayload` — a tagged union of the
 // domain's recurring event shapes — dispatched through one virtual call on
 // a long-lived `EventTarget` (the network, a driver, a protocol). The
 // payload is stored inline in the queue entry, so scheduling an event
-// allocates nothing.
+// allocates nothing and every queue move is a plain memory copy.
 //
-// A generic closure kind remains as the escape hatch for tests, analysis
-// probes and one-off experiment hooks; it pays the old allocation cost but
-// rides the same (time, seq) ordering, so mixing the two representations
-// cannot perturb a trace.
+// The kind list below is the one event-kind table of the repo: the kernel
+// buckets dispatch by it, and the probe and profiler layers build their
+// `des.dispatch.<name>` / `prof.dispatch.<name>.*` catalogs from
+// `event_kind_name()`. It is header-only so those layers can read it
+// without linking the kernel.
 #pragma once
-
-#include <functional>
 
 #include "des/types.hpp"
 
 namespace mobichk::des {
 
-/// Callback executed when a closure-kind event fires (the escape hatch).
-using EventFn = std::function<void()>;
-
 /// Discriminator of the typed payload union. The domain's recurring event
 /// shapes are baked in (like TraceKind) so the kernel stays allocation-free
-/// for every production scheduling site.
+/// for every scheduling site.
 enum class EventKind : u8 {
-  kClosure = 0,         ///< Generic escape hatch; the entry's `fn` runs.
-  kMessageHop,          ///< A message leg (uplink, wired hop, downlink) completes.
+  kMessageHop = 0,      ///< A message leg (uplink, wired hop, downlink) completes.
   kHandoff,             ///< Mobility residence timer: a cell switch is due.
   kConnectivity,        ///< Mobility timer: a disconnect or reconnect is due.
   kWorkloadOp,          ///< Workload: a host's next send/receive operation is due.
@@ -40,6 +32,19 @@ enum class EventKind : u8 {
   kRecover,             ///< A crashed host finishes rollback + replay and resumes.
 };
 
+/// Number of EventKind enumerators; sizes every per-kind array.
+inline constexpr usize kEventKindCount = static_cast<usize>(EventKind::kRecover) + 1;
+
+/// Stable metric-name segment of event kind `k`, indexed by the
+/// underlying value. Pre: k < kEventKindCount.
+constexpr const char* event_kind_name(usize k) noexcept {
+  constexpr const char* kNames[kEventKindCount] = {
+      "message_hop", "handoff", "connectivity", "workload_op",
+      "checkpoint_transfer", "crash", "recover",
+  };
+  return kNames[k];
+}
+
 class EventTarget;
 
 /// The typed payload stored inline in every queue entry. `sub`, `flags`,
@@ -47,8 +52,8 @@ class EventTarget;
 /// message slots, epochs, rounds, counts); the receiving EventTarget owns
 /// their interpretation per kind.
 struct EventPayload {
-  EventTarget* target = nullptr;  ///< Dispatch sink; null only for kClosure.
-  EventKind kind = EventKind::kClosure;
+  EventTarget* target = nullptr;  ///< Dispatch sink; never null once scheduled.
+  EventKind kind = EventKind::kMessageHop;
   u8 sub = 0;      ///< Sub-discriminator within the target (e.g. which leg).
   u16 flags = 0;   ///< Flag bits (e.g. targeted / duplicate delivery).
   u32 a = 0;       ///< First operand (host id, MSS id, parked-message slot).
@@ -57,8 +62,7 @@ struct EventPayload {
 };
 
 /// Sink of typed events. Implemented by the long-lived simulation actors
-/// (Network, WorkloadDriver, MobilityDriver, scheduling protocols); one
-/// virtual call replaces one heap-allocated closure per event.
+/// (Network, WorkloadDriver, MobilityDriver, scheduling protocols).
 class EventTarget {
  public:
   virtual void on_event(const EventPayload& payload) = 0;

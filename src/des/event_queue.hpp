@@ -22,6 +22,7 @@
 #include <limits>
 #include <memory>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "des/event.hpp"
@@ -48,13 +49,17 @@ struct EventEntry {
   u64 seq = 0;  ///< Global scheduling order; breaks time ties deterministically.
   u32 slot = 0; ///< Filled by the queue at push; cancellation bookkeeping.
   EventPayload payload;  ///< Inline typed payload (no per-event allocation).
-  EventFn fn;            ///< Engaged only when payload.kind == kClosure.
 
   friend bool operator<(const EventEntry& a, const EventEntry& b) noexcept {
     if (a.time != b.time) return a.time < b.time;
     return a.seq < b.seq;
   }
 };
+
+// Every push, heap sift, bucket insert and pop copies entries: keep them
+// small PODs so those moves stay plain memcpys.
+static_assert(std::is_trivially_copyable_v<EventEntry>, "EventEntry must stay a POD");
+static_assert(sizeof(EventEntry) <= 56, "EventEntry grew past 56 bytes");
 
 /// Generation-stamped slot registry shared by the queue implementations.
 ///

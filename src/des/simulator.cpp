@@ -2,42 +2,30 @@
 
 #include <cassert>
 #include <stdexcept>
-#include <utility>
 
 namespace mobichk::des {
 
 Simulator::Simulator(QueueKind queue_kind) : queue_(make_event_queue(queue_kind)) {}
 
-EventHandle Simulator::enqueue(Time t, EventEntry entry) {
+EventHandle Simulator::schedule_at(Time t, const EventPayload& payload) {
+  assert(payload.target != nullptr && "typed payload needs a target");
   if (t < now_) throw std::invalid_argument("Simulator::schedule_at: time is in the past");
+  EventEntry entry;
   entry.time = t;
   entry.seq = next_seq_++;
+  entry.payload = payload;
   EventHandle handle;
   if (prof_ != nullptr) {
     const u64 t0 = obs::prof_now_ns();
-    handle = queue_->push(std::move(entry));
+    handle = queue_->push(entry);
     prof_->queue_push.add(obs::prof_now_ns() - t0);
   } else {
-    handle = queue_->push(std::move(entry));
+    handle = queue_->push(entry);
   }
   ++invariants_.scheduled;
   if (queue_->size() > invariants_.max_pending) invariants_.max_pending = queue_->size();
   if (probe_ != nullptr) probe_->pushes->add();
   return handle;
-}
-
-EventHandle Simulator::schedule_at(Time t, const EventPayload& payload) {
-  assert(payload.kind != EventKind::kClosure && "typed payload must not be kClosure");
-  assert(payload.target != nullptr && "typed payload needs a target");
-  EventEntry entry;
-  entry.payload = payload;
-  return enqueue(t, std::move(entry));
-}
-
-EventHandle Simulator::schedule_at(Time t, EventFn fn) {
-  EventEntry entry;
-  entry.fn = std::move(fn);
-  return enqueue(t, std::move(entry));
 }
 
 void Simulator::cancel(EventHandle handle) {
@@ -70,16 +58,15 @@ void Simulator::advance_to(const EventEntry& e) noexcept {
 
 void Simulator::pop_and_fire_timed() {
   const u64 t0 = obs::prof_now_ns();
-  EventEntry e = queue_->pop();
+  const EventEntry e = queue_->pop();
   const u64 t1 = obs::prof_now_ns();
   prof_->queue_pop.add(t1 - t0);
   advance_to(e);
   if (probe_ != nullptr) observe_pop(e);
-  const usize k = static_cast<usize>(e.payload.kind);
   fire(e);
   // Dispatch time covers the handler body (and the negligible clock
   // advance); queue maintenance is accounted separately above.
-  prof_->dispatch[k < obs::ProfLane::kMaxEventKinds ? k : 0].add(obs::prof_now_ns() - t1);
+  prof_->dispatch[static_cast<usize>(e.payload.kind)].add(obs::prof_now_ns() - t1);
   ++prof_->events;
   ++executed_;
   ++invariants_.executed;
@@ -88,14 +75,12 @@ void Simulator::pop_and_fire_timed() {
 u64 Simulator::run_until(Time t_end) {
   assert(t_end >= now_);
   u64 count = 0;
-  stop_requested_ = false;
   while (!queue_->empty()) {
     // peek_time (not pop/push-back): re-pushing would file the entry under
     // a fresh slot and silently invalidate every outstanding handle to it.
     if (queue_->peek_time() > t_end) break;
     pop_and_fire();
     ++count;
-    if (stop_requested_) return count;
   }
   now_ = t_end;
   return count;
@@ -119,11 +104,9 @@ void Simulator::step_one() {
 
 u64 Simulator::run() {
   u64 count = 0;
-  stop_requested_ = false;
   while (!queue_->empty()) {
     pop_and_fire();
     ++count;
-    if (stop_requested_) break;
   }
   return count;
 }

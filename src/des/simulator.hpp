@@ -1,9 +1,9 @@
 // The discrete-event simulation engine.
 //
 // A Simulator owns a virtual clock and a pending-event set; entities
-// schedule typed event payloads (or closure escape hatches) to run at
-// future virtual times. Execution is strictly deterministic: events fire
-// in (time, scheduling-sequence) order, whatever their representation.
+// schedule typed event payloads to run at future virtual times. Execution
+// is strictly deterministic: events fire in (time, scheduling-sequence)
+// order.
 #pragma once
 
 #include <memory>
@@ -57,21 +57,13 @@ class Simulator {
   Time now() const noexcept { return now_; }
 
   /// Schedules a typed payload at absolute time `t` (must be >= now()).
-  /// This is the allocation-free hot path: the payload is stored inline
-  /// in the queue entry.
+  /// The payload is stored inline in the queue entry; nothing allocates.
   EventHandle schedule_at(Time t, const EventPayload& payload);
 
   /// Schedules a typed payload after a delay of `dt` (must be >= 0).
   EventHandle schedule_after(Time dt, const EventPayload& payload) {
     return schedule_at(now_ + dt, payload);
   }
-
-  /// Schedules closure `fn` at absolute time `t` — the escape hatch for
-  /// tests, probes and one-off hooks; pays a per-event allocation.
-  EventHandle schedule_at(Time t, EventFn fn);
-
-  /// Schedules closure `fn` after a delay of `dt` (must be >= 0).
-  EventHandle schedule_after(Time dt, EventFn fn) { return schedule_at(now_ + dt, std::move(fn)); }
 
   /// Cancels a previously scheduled event; no-op if it already fired.
   void cancel(EventHandle handle);
@@ -103,12 +95,8 @@ class Simulator {
     if (t > now_) now_ = t;
   }
 
-  /// Runs until the event set is empty (or stop() is called).
+  /// Runs until the event set is empty.
   u64 run();
-
-  /// Requests the current run() / run_until() to return after the event
-  /// being executed completes.
-  void stop() noexcept { stop_requested_ = true; }
 
   /// Total events executed since construction.
   u64 events_executed() const noexcept { return executed_; }
@@ -144,27 +132,16 @@ class Simulator {
   ShardedSimulator* sharded() const noexcept { return sharded_; }
 
  private:
-  /// Assigns the next sequence number and pushes the finished entry.
-  EventHandle enqueue(Time t, EventEntry entry);
-
   /// Advances the clock to a popped event's time, with invariant checks.
   void advance_to(const EventEntry& e) noexcept;
 
-  /// Dispatches one popped event: typed payloads go through their
-  /// EventTarget, closures through fn.
-  static void fire(EventEntry& e) {
-    if (e.payload.kind == EventKind::kClosure) {
-      e.fn();
-    } else {
-      e.payload.target->on_event(e.payload);
-    }
-  }
+  /// Dispatches one popped event through its EventTarget.
+  static void fire(const EventEntry& e) { e.payload.target->on_event(e.payload); }
 
   /// Counts a popped event on the probe, bucketed by payload kind.
   void observe_pop(const EventEntry& e) noexcept {
     probe_->pops->add();
-    const usize k = static_cast<usize>(e.payload.kind);
-    if (k < obs::KernelProbe::kMaxEventKinds) probe_->dispatched[k]->add();
+    probe_->dispatched[static_cast<usize>(e.payload.kind)]->add();
   }
 
   /// The shared body of every run loop: pop the minimum event, advance
@@ -175,7 +152,7 @@ class Simulator {
       pop_and_fire_timed();
       return;
     }
-    EventEntry e = queue_->pop();
+    const EventEntry e = queue_->pop();
     advance_to(e);
     if (probe_ != nullptr) observe_pop(e);
     fire(e);
@@ -194,7 +171,6 @@ class Simulator {
   Time now_ = 0.0;
   u64 next_seq_ = 1;
   u64 executed_ = 0;
-  bool stop_requested_ = false;
   SimInvariants invariants_;
 #ifndef NDEBUG
   std::unordered_set<u64> fired_seqs_;  ///< Double-pop detection (debug builds).

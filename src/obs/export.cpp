@@ -210,8 +210,8 @@ void emit_host_track(std::ostream& os, const Profiler& prof, bool& first) {
     const ProfLane& l = prof.lane_ref(lane);
     const i32 totals_tid = tid + 100;
     f64 cursor = 0.0;
-    for (usize k = 0; k < ProfLane::kMaxEventKinds; ++k) {
-      emit_total_slice(os, first, totals_tid, std::string("dispatch: ") + prof_kind_name(k),
+    for (usize k = 0; k < des::kEventKindCount; ++k) {
+      emit_total_slice(os, first, totals_tid, std::string("dispatch: ") + des::event_kind_name(k),
                        l.dispatch[k], cursor);
     }
     emit_total_slice(os, first, totals_tid, "queue: push", l.queue_push, cursor);

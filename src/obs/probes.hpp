@@ -10,17 +10,15 @@
 // touches the registry or a string.
 #pragma once
 
+#include "des/event.hpp"
 #include "obs/metrics.hpp"
 
 namespace mobichk::obs {
 
 /// DES kernel: per-kind dispatch counts plus queue traffic. The
-/// dispatched array is indexed by des::EventKind's underlying value;
-/// all 8 slots are in use since kCrash/kRecover landed.
+/// dispatched array is indexed by des::EventKind's underlying value.
 struct KernelProbe {
-  static constexpr usize kMaxEventKinds = 8;
-
-  Counter* dispatched[kMaxEventKinds] = {};
+  Counter* dispatched[des::kEventKindCount] = {};
   Counter* pushes = nullptr;
   Counter* pops = nullptr;
   Counter* cancels = nullptr;

@@ -8,13 +8,6 @@ namespace {
 
 thread_local ProfLane* tls_prof_lane = nullptr;
 
-// Phase names must track des::EventKind's enumerators, mirroring the
-// des.dispatch.* counters in probes.cpp so the two catalogs line up.
-constexpr const char* kKindNames[ProfLane::kMaxEventKinds] = {
-    "closure",  "message_hop", "handoff", "connectivity",
-    "workload_op", "checkpoint_transfer", "crash", "recover",
-};
-
 void push_phase(std::vector<MetricSample>& out, const std::string& name, const PhaseAccum& acc) {
   out.push_back(MetricSample{name + ".seconds", acc.seconds()});
   out.push_back(MetricSample{name + ".count", static_cast<f64>(acc.count)});
@@ -24,8 +17,6 @@ void push_phase(std::vector<MetricSample>& out, const std::string& name, const P
 
 void set_prof_tls_lane(ProfLane* lane) noexcept { tls_prof_lane = lane; }
 ProfLane* prof_tls_lane() noexcept { return tls_prof_lane; }
-
-const char* prof_kind_name(usize kind) noexcept { return kKindNames[kind]; }
 
 Profiler::Profiler() : t0_ns_(prof_now_ns()) { ensure_lanes(1); }
 
@@ -77,14 +68,11 @@ std::vector<MetricSample> Profiler::snapshot() const {
   // Lane-summed phase totals first (the "where did the time go" table).
   ProfLane sum;
   for (const auto& l : lanes_) {
-    for (usize k = 0; k < ProfLane::kMaxEventKinds; ++k) {
-      sum.dispatch[k].ns += l->dispatch[k].ns;
-      sum.dispatch[k].count += l->dispatch[k].count;
-    }
     auto merge = [](PhaseAccum& into, const PhaseAccum& from) {
       into.ns += from.ns;
       into.count += from.count;
     };
+    for (usize k = 0; k < des::kEventKindCount; ++k) merge(sum.dispatch[k], l->dispatch[k]);
     merge(sum.queue_push, l->queue_push);
     merge(sum.queue_pop, l->queue_pop);
     merge(sum.queue_cancel, l->queue_cancel);
@@ -101,8 +89,8 @@ std::vector<MetricSample> Profiler::snapshot() const {
     sum.slices_dropped += l->slices_dropped;
   }
 
-  for (usize k = 0; k < ProfLane::kMaxEventKinds; ++k) {
-    push_phase(out, std::string("prof.dispatch.") + kKindNames[k], sum.dispatch[k]);
+  for (usize k = 0; k < des::kEventKindCount; ++k) {
+    push_phase(out, std::string("prof.dispatch.") + des::event_kind_name(k), sum.dispatch[k]);
   }
   push_phase(out, "prof.queue.push", sum.queue_push);
   push_phase(out, "prof.queue.pop", sum.queue_pop);

@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "des/types.hpp"
+#include "des/event.hpp"
 #include "obs/metrics.hpp"
 
 namespace mobichk::obs {
@@ -84,14 +84,13 @@ struct ProfSlice {
 /// thread at a time (coordinator between windows, the owning shard thread
 /// inside them), so plain words suffice.
 struct alignas(64) ProfLane {
-  static constexpr usize kMaxEventKinds = 8;  ///< mirrors KernelProbe
   static constexpr usize kMaxProtoSlots = 8;
   /// Journal cap per lane: a 50k-window run stays well under this; past
   /// it the totals keep accumulating and only slices are dropped.
   static constexpr usize kMaxSlices = 1u << 18;
 
   // -- DES kernel ---------------------------------------------------------
-  PhaseAccum dispatch[kMaxEventKinds];  ///< fire() bucketed by EventKind
+  PhaseAccum dispatch[des::kEventKindCount];  ///< fire() bucketed by EventKind
   PhaseAccum queue_push;
   PhaseAccum queue_pop;
   PhaseAccum queue_cancel;
@@ -174,9 +173,5 @@ class Profiler {
 /// every window with this; sequential runs never touch it).
 void set_prof_tls_lane(ProfLane* lane) noexcept;
 ProfLane* prof_tls_lane() noexcept;
-
-/// Name of dispatch bucket `kind` (tracks des::EventKind, same order as
-/// the des.dispatch.* counters). Pre: kind < ProfLane::kMaxEventKinds.
-const char* prof_kind_name(usize kind) noexcept;
 
 }  // namespace mobichk::obs

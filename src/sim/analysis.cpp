@@ -1,13 +1,40 @@
 #include "sim/analysis.hpp"
 
 #include <cmath>
-#include <functional>
 #include <stdexcept>
 
+#include "des/event.hpp"
 #include "des/stats.hpp"
 #include "des/warmup.hpp"
 
 namespace mobichk::sim {
+
+namespace {
+
+/// Sampling chain: one event per window reads each protocol's log, then
+/// reschedules its own payload while the next window fits the horizon.
+struct WindowSampler final : des::EventTarget {
+  Experiment& exp;
+  const SteadyStateSpec& spec;
+  std::vector<std::vector<f64>> series;  ///< Per-slot checkpoints per window.
+  std::vector<u64> last_count;
+
+  WindowSampler(Experiment& experiment, const SteadyStateSpec& steady, usize slots)
+      : exp(experiment), spec(steady), series(slots), last_count(slots, 0) {}
+
+  void on_event(const des::EventPayload& p) override {
+    for (usize s = 0; s < series.size(); ++s) {
+      const u64 now_count = exp.log(s).n_tot();
+      series[s].push_back(static_cast<f64>(now_count - last_count[s]));
+      last_count[s] = now_count;
+    }
+    if (exp.simulator().now() + spec.window <= spec.cfg.sim_length) {
+      exp.simulator().schedule_after(spec.window, p);
+    }
+  }
+};
+
+}  // namespace
 
 void SteadyStateSpec::validate() const {
   cfg.validate();
@@ -26,22 +53,15 @@ std::vector<SteadyStateEstimate> estimate_steady_state(const SteadyStateSpec& sp
   Experiment exp(spec.cfg, opts);
 
   const usize slots = spec.protocols.size();
-  std::vector<std::vector<f64>> series(slots);
-  std::vector<u64> last_count(slots, 0);
-
-  // Sampling chain: one event per window, reading each protocol's log.
-  std::function<void()> tick = [&] {
-    for (usize s = 0; s < slots; ++s) {
-      const u64 now_count = exp.log(s).n_tot();
-      series[s].push_back(static_cast<f64>(now_count - last_count[s]));
-      last_count[s] = now_count;
-    }
-    if (exp.simulator().now() + spec.window <= spec.cfg.sim_length) {
-      exp.simulator().schedule_after(spec.window, tick);
-    }
-  };
+  WindowSampler sampler(exp, spec, slots);
+  // The kind is only a label: no observer is attached, so it reaches no
+  // dispatch metric.
+  des::EventPayload tick;
+  tick.target = &sampler;
+  tick.kind = des::EventKind::kWorkloadOp;
   exp.simulator().schedule_at(spec.window, tick);
   exp.run();
+  const std::vector<std::vector<f64>>& series = sampler.series;
 
   std::vector<SteadyStateEstimate> out;
   out.reserve(slots);

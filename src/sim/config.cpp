@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace mobichk::sim {
 
@@ -14,6 +15,14 @@ const char* mobility_model_name(MobilityModelKind kind) noexcept {
   return "?";
 }
 
+MobilityModelKind mobility_model_from_name(std::string_view name) {
+  for (const auto kind : {MobilityModelKind::kPaperUniform, MobilityModelKind::kRingNeighbor,
+                          MobilityModelKind::kParetoResidence}) {
+    if (name == mobility_model_name(kind)) return kind;
+  }
+  throw std::invalid_argument("unknown mobility model: " + std::string(name));
+}
+
 const char* crash_mode_name(CrashMode mode) noexcept {
   switch (mode) {
     case CrashMode::kNone: return "none";
@@ -22,6 +31,14 @@ const char* crash_mode_name(CrashMode mode) noexcept {
     case CrashMode::kCellOutage: return "cell";
   }
   return "?";
+}
+
+CrashMode crash_mode_from_name(std::string_view name) {
+  for (const auto mode : {CrashMode::kNone, CrashMode::kMhCrash, CrashMode::kCorrelated,
+                          CrashMode::kCellOutage}) {
+    if (name == crash_mode_name(mode)) return mode;
+  }
+  throw std::invalid_argument("unknown crash mode: " + std::string(name));
 }
 
 void FaultConfig::validate(u32 n_hosts, u32 n_mss) const {

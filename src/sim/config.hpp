@@ -3,6 +3,8 @@
 // latency, storage accounting).
 #pragma once
 
+#include <string_view>
+
 #include "core/recovery_time.hpp"
 #include "des/types.hpp"
 #include "net/network.hpp"
@@ -26,6 +28,10 @@ enum class MobilityModelKind : u8 {
 
 const char* mobility_model_name(MobilityModelKind kind) noexcept;
 
+/// Inverse of mobility_model_name; throws std::invalid_argument on an
+/// unknown name.
+MobilityModelKind mobility_model_from_name(std::string_view name);
+
 /// Which failure pattern the crash engine injects (ROADMAP: executed
 /// recovery — the paper's §6 future work).
 enum class CrashMode : u8 {
@@ -36,6 +42,10 @@ enum class CrashMode : u8 {
 };
 
 const char* crash_mode_name(CrashMode mode) noexcept;
+
+/// Inverse of crash_mode_name; throws std::invalid_argument on an unknown
+/// name.
+CrashMode crash_mode_from_name(std::string_view name);
 
 /// Crash-scenario parameters. Failures perturb the trace, so (like
 /// ckpt_latency) executed recovery is meaningful in single-protocol runs;

@@ -5,27 +5,53 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "sim/report.hpp"
-
 namespace mobichk::sim {
 
 namespace {
 
-MobilityModelKind mobility_model_parse(const std::string& name) {
-  for (const auto kind :
-       {MobilityModelKind::kPaperUniform, MobilityModelKind::kRingNeighbor,
-        MobilityModelKind::kParetoResidence}) {
-    if (name == mobility_model_name(kind)) return kind;
-  }
-  throw std::invalid_argument("unknown mobility model: " + name);
+// The data-plane sub-object ("{...}") carries every knob except
+// `enabled`: presence of the object is the enable flag.
+void write_data_plane_fields(JsonWriter& w, const storage::DataPlaneConfig& cfg) {
+  w.begin_object();
+  w.field("full_state_bytes", cfg.full_state_bytes)
+      .field("dirty_rate", cfg.dirty_rate)
+      .field("incremental", cfg.incremental)
+      .field("model", storage::stable_storage_kind_name(cfg.model))
+      .field("storage_bandwidth", cfg.storage_bandwidth)
+      .field("wireless_bandwidth", cfg.wireless_bandwidth)
+      .field("wired_bandwidth", cfg.wired_bandwidth)
+      .field("migration", storage::migration_strategy_name(cfg.migration))
+      .field("precopy_rounds", static_cast<u64>(cfg.precopy_rounds))
+      .field("precopy_stop_fraction", cfg.precopy_stop_fraction);
+  w.end_object();
 }
 
-CrashMode crash_mode_parse(const std::string& name) {
-  for (const auto mode : {CrashMode::kNone, CrashMode::kMhCrash, CrashMode::kCorrelated,
-                          CrashMode::kCellOutage}) {
-    if (name == crash_mode_name(mode)) return mode;
+storage::DataPlaneConfig data_plane_config_from_json(const JsonValue& json) {
+  storage::DataPlaneConfig cfg;
+  cfg.enabled = true;
+  if (const JsonValue* v = json.find("full_state_bytes")) cfg.full_state_bytes = v->as_u64();
+  if (const JsonValue* v = json.find("dirty_rate")) cfg.dirty_rate = v->as_f64();
+  if (const JsonValue* v = json.find("incremental")) cfg.incremental = v->as_bool();
+  if (const JsonValue* v = json.find("model")) {
+    if (!storage::parse_stable_storage_kind(v->as_string(), cfg.model)) {
+      throw std::invalid_argument("unknown stable-storage model: " + v->as_string());
+    }
   }
-  throw std::invalid_argument("unknown crash mode: " + name);
+  if (const JsonValue* v = json.find("storage_bandwidth")) cfg.storage_bandwidth = v->as_f64();
+  if (const JsonValue* v = json.find("wireless_bandwidth")) cfg.wireless_bandwidth = v->as_f64();
+  if (const JsonValue* v = json.find("wired_bandwidth")) cfg.wired_bandwidth = v->as_f64();
+  if (const JsonValue* v = json.find("migration")) {
+    if (!storage::parse_migration_strategy(v->as_string(), cfg.migration)) {
+      throw std::invalid_argument("unknown migration strategy: " + v->as_string());
+    }
+  }
+  if (const JsonValue* v = json.find("precopy_rounds")) {
+    cfg.precopy_rounds = static_cast<u32>(v->as_u64());
+  }
+  if (const JsonValue* v = json.find("precopy_stop_fraction")) {
+    cfg.precopy_stop_fraction = v->as_f64();
+  }
+  return cfg;
 }
 
 net::MssTopologyKind topology_parse(const std::string& name) {
@@ -156,14 +182,14 @@ ExperimentConfig experiment_config_from_json(const JsonValue& json) {
     }
   }
   if (const JsonValue* mob = json.find("mobility")) {
-    if (const JsonValue* v = mob->find("model")) cfg.mobility.model = mobility_model_parse(v->as_string());
+    if (const JsonValue* v = mob->find("model")) cfg.mobility.model = mobility_model_from_name(v->as_string());
     if (const JsonValue* v = mob->find("t_switch")) cfg.mobility.t_switch = v->as_f64();
     if (const JsonValue* v = mob->find("p_switch")) cfg.mobility.p_switch = v->as_f64();
     if (const JsonValue* v = mob->find("disconnect_mean")) cfg.mobility.disconnect_mean = v->as_f64();
     if (const JsonValue* v = mob->find("heterogeneity")) cfg.mobility.heterogeneity = v->as_f64();
   }
   if (const JsonValue* flt = json.find("faults")) {
-    if (const JsonValue* v = flt->find("mode")) cfg.faults.mode = crash_mode_parse(v->as_string());
+    if (const JsonValue* v = flt->find("mode")) cfg.faults.mode = crash_mode_from_name(v->as_string());
     if (const JsonValue* v = flt->find("first_crash_at")) cfg.faults.first_crash_at = v->as_f64();
     if (const JsonValue* v = flt->find("crash_interval")) cfg.faults.crash_interval = v->as_f64();
     if (const JsonValue* v = flt->find("max_crashes")) {

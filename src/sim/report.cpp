@@ -238,71 +238,6 @@ void write_json(std::ostream& os, const FigureSpec& spec) {
   os << '\n';
 }
 
-void write_json(std::ostream& os, const ExperimentOptions& opts) {
-  JsonWriter w(os);
-  w.begin_object();
-  w.key("protocols").begin_array();
-  for (const auto kind : opts.protocols) w.value(core::protocol_kind_name(kind));
-  w.end_array();
-  w.field("with_storage", opts.with_storage)
-      .field("verify_consistency", opts.verify_consistency)
-      .field("verify_max_lines", static_cast<u64>(opts.verify_max_lines))
-      .field("queue_kind", des::queue_kind_name(opts.queue_kind))
-      .field("collect_trace_hash", opts.collect_trace_hash);
-  if (opts.shards > 1) w.field("shards", static_cast<u64>(opts.shards));
-  // Serialized only when enabled, so plane-off documents stay
-  // byte-identical to earlier versions.
-  if (opts.data_plane.enabled) {
-    w.key("data_plane");
-    write_data_plane_fields(w, opts.data_plane);
-  }
-  w.end_object();
-  os << '\n';
-}
-
-void write_data_plane_fields(JsonWriter& w, const storage::DataPlaneConfig& cfg) {
-  w.begin_object();
-  w.field("full_state_bytes", cfg.full_state_bytes)
-      .field("dirty_rate", cfg.dirty_rate)
-      .field("incremental", cfg.incremental)
-      .field("model", storage::stable_storage_kind_name(cfg.model))
-      .field("storage_bandwidth", cfg.storage_bandwidth)
-      .field("wireless_bandwidth", cfg.wireless_bandwidth)
-      .field("wired_bandwidth", cfg.wired_bandwidth)
-      .field("migration", storage::migration_strategy_name(cfg.migration))
-      .field("precopy_rounds", static_cast<u64>(cfg.precopy_rounds))
-      .field("precopy_stop_fraction", cfg.precopy_stop_fraction);
-  w.end_object();
-}
-
-storage::DataPlaneConfig data_plane_config_from_json(const JsonValue& json) {
-  storage::DataPlaneConfig cfg;
-  cfg.enabled = true;
-  if (const JsonValue* v = json.find("full_state_bytes")) cfg.full_state_bytes = v->as_u64();
-  if (const JsonValue* v = json.find("dirty_rate")) cfg.dirty_rate = v->as_f64();
-  if (const JsonValue* v = json.find("incremental")) cfg.incremental = v->as_bool();
-  if (const JsonValue* v = json.find("model")) {
-    if (!storage::parse_stable_storage_kind(v->as_string(), cfg.model)) {
-      throw std::invalid_argument("unknown stable-storage model: " + v->as_string());
-    }
-  }
-  if (const JsonValue* v = json.find("storage_bandwidth")) cfg.storage_bandwidth = v->as_f64();
-  if (const JsonValue* v = json.find("wireless_bandwidth")) cfg.wireless_bandwidth = v->as_f64();
-  if (const JsonValue* v = json.find("wired_bandwidth")) cfg.wired_bandwidth = v->as_f64();
-  if (const JsonValue* v = json.find("migration")) {
-    if (!storage::parse_migration_strategy(v->as_string(), cfg.migration)) {
-      throw std::invalid_argument("unknown migration strategy: " + v->as_string());
-    }
-  }
-  if (const JsonValue* v = json.find("precopy_rounds")) {
-    cfg.precopy_rounds = static_cast<u32>(v->as_u64());
-  }
-  if (const JsonValue* v = json.find("precopy_stop_fraction")) {
-    cfg.precopy_stop_fraction = v->as_f64();
-  }
-  return cfg;
-}
-
 namespace {
 
 std::vector<core::ProtocolKind> protocols_from_json(const JsonValue& json) {
@@ -311,15 +246,6 @@ std::vector<core::ProtocolKind> protocols_from_json(const JsonValue& json) {
     kinds.push_back(core::protocol_kind_from_name(name.as_string()));
   }
   return kinds;
-}
-
-MobilityModelKind mobility_model_from_name(const std::string& name) {
-  for (const auto kind :
-       {MobilityModelKind::kPaperUniform, MobilityModelKind::kRingNeighbor,
-        MobilityModelKind::kParetoResidence}) {
-    if (name == mobility_model_name(kind)) return kind;
-  }
-  throw std::invalid_argument("unknown mobility model: " + name);
 }
 
 }  // namespace
@@ -351,23 +277,6 @@ FigureSpec figure_spec_from_json(const JsonValue& json) {
     }
   }
   return spec;
-}
-
-ExperimentOptions experiment_options_from_json(const JsonValue& json) {
-  ExperimentOptions opts;
-  if (const JsonValue* v = json.find("protocols")) opts.protocols = protocols_from_json(*v);
-  if (const JsonValue* v = json.find("with_storage")) opts.with_storage = v->as_bool();
-  if (const JsonValue* v = json.find("verify_consistency")) opts.verify_consistency = v->as_bool();
-  if (const JsonValue* v = json.find("verify_max_lines")) opts.verify_max_lines = v->as_u64();
-  if (const JsonValue* v = json.find("queue_kind")) {
-    opts.queue_kind = des::queue_kind_from_name(v->as_string());
-  }
-  if (const JsonValue* v = json.find("collect_trace_hash")) opts.collect_trace_hash = v->as_bool();
-  if (const JsonValue* v = json.find("shards")) opts.shards = static_cast<u32>(v->as_u64());
-  if (const JsonValue* dp = json.find("data_plane")) {
-    opts.data_plane = data_plane_config_from_json(*dp);
-  }
-  return opts;
 }
 
 RunResult run_result_from_json(const JsonValue& json) {

@@ -23,10 +23,6 @@ void write_json(std::ostream& os, const FigureResult& result);
 /// figure_spec_from_json.
 void write_json(std::ostream& os, const FigureSpec& spec);
 
-/// Experiment options (protocol set, storage/verification switches,
-/// queue kind). Round-trips through experiment_options_from_json.
-void write_json(std::ostream& os, const ExperimentOptions& opts);
-
 /// Sweep cost ledger, standalone (the same object is embedded in the
 /// FigureResult JSON under "ledger"). Round-trips through
 /// sweep_ledger_from_json.
@@ -35,18 +31,6 @@ void write_json(std::ostream& os, const SweepLedger& ledger);
 /// Inverse of write_json(FigureSpec): absent members keep their spec
 /// defaults; malformed members throw std::invalid_argument.
 FigureSpec figure_spec_from_json(const JsonValue& json);
-
-/// Inverse of write_json(ExperimentOptions).
-ExperimentOptions experiment_options_from_json(const JsonValue& json);
-
-/// Writes the data-plane sub-object ("{...}") shared by ExperimentOptions
-/// and ExperimentConfig documents. The object carries every knob except
-/// `enabled` — presence of the object is the enable flag.
-void write_data_plane_fields(JsonWriter& w, const storage::DataPlaneConfig& cfg);
-
-/// Inverse of write_data_plane_fields: returns a config with
-/// enabled = true and absent members at their defaults.
-storage::DataPlaneConfig data_plane_config_from_json(const JsonValue& json);
 
 /// Inverse of write_json(RunResult). Reconstructs everything the writer
 /// emits: config echo, network stats (delivery latency collapses to its

@@ -93,7 +93,7 @@ TEST(Prof, GoldenHashUnchangedProfiledOrNotEveryQueueKindAndShardCount) {
           // profiler bucketed each exactly once.
           EXPECT_EQ(profiler.events_total(), r.events_executed) << label;
           u64 dispatch_total = 0;
-          for (usize k = 0; k < obs::ProfLane::kMaxEventKinds; ++k) {
+          for (usize k = 0; k < des::kEventKindCount; ++k) {
             dispatch_total += profiler.dispatch_count(k);
           }
           EXPECT_EQ(dispatch_total, r.events_executed) << label;

@@ -141,6 +141,7 @@ TEST(ExperimentConfigJson, PresenceOfTheBlockIsTheEnableSwitch) {
 
 TEST(ExperimentConfigJson, UnknownEnumNamesThrow) {
   EXPECT_THROW(parse(R"({"network": {"topology": "torus"}})"), std::invalid_argument);
+  EXPECT_THROW(parse(R"({"run": {"queue_kind": "skiplist"}})"), std::invalid_argument);
   EXPECT_THROW(parse(R"({"mobility": {"model": "brownian"}})"), std::invalid_argument);
   EXPECT_THROW(parse(R"({"faults": {"mode": "byzantine"}})"), std::invalid_argument);
   EXPECT_THROW(parse(R"({"data_plane": {"model": "ramdisk"}})"), std::invalid_argument);

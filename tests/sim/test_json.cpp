@@ -261,27 +261,6 @@ TEST(JsonRoundTrip, FigureSpecDefaultsSurviveEmptyObject) {
   EXPECT_EQ(back.seed_base, defaults.seed_base);
 }
 
-TEST(JsonRoundTrip, ExperimentOptionsAllFields) {
-  ExperimentOptions opts;
-  opts.protocols = {core::ProtocolKind::kBcs};
-  opts.with_storage = true;
-  opts.verify_consistency = true;
-  opts.verify_max_lines = 123;
-  opts.queue_kind = des::QueueKind::kCalendar;
-  opts.collect_trace_hash = true;
-
-  std::ostringstream os;
-  write_json(os, opts);
-  const ExperimentOptions back = experiment_options_from_json(json_parse(os.str()));
-
-  EXPECT_EQ(back.protocols, opts.protocols);
-  EXPECT_EQ(back.with_storage, opts.with_storage);
-  EXPECT_EQ(back.verify_consistency, opts.verify_consistency);
-  EXPECT_EQ(back.verify_max_lines, opts.verify_max_lines);
-  EXPECT_EQ(back.queue_kind, opts.queue_kind);
-  EXPECT_EQ(back.collect_trace_hash, opts.collect_trace_hash);
-}
-
 TEST(JsonParse, ExactU64AboveDoublePrecision) {
   // Trace hashes are full-width u64s; 0xd165928ffbf08bb4 > 2^53, so a
   // parse that squeezes numbers through a double corrupts the low bits.
@@ -397,8 +376,6 @@ TEST(JsonRoundTrip, SweepLedgerFromFigureResultDocument) {
 
 TEST(JsonRoundTrip, RejectsUnknownEnumNames) {
   EXPECT_THROW(figure_spec_from_json(json_parse(R"({"base": {"mobility_model": "warp"}})")),
-               std::invalid_argument);
-  EXPECT_THROW(experiment_options_from_json(json_parse(R"({"queue_kind": "skiplist"})")),
                std::invalid_argument);
   EXPECT_THROW(figure_spec_from_json(json_parse(R"({"protocols": ["NOPE"]})")),
                std::invalid_argument);

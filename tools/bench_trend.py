@@ -13,21 +13,20 @@ on:
   * per group, every numeric key becomes one table row with the value per
     snapshot plus the relative change from first to last;
   * if --baseline=FILE is given (the committed bench/kernel_baseline.json),
-    the newest kernel_smoke snapshot's typed_speedup is gated against the
-    baseline ratio at --tolerance (default 2%), mirroring kernel_smoke's
-    own --baseline gate so the check also runs where only the artifacts
-    are at hand.
+    the newest kernel_smoke snapshot's obs_on_off_ratio must stay at or
+    above the floor the baseline records under the same key, mirroring
+    kernel_smoke's own --baseline gate so the check also runs where only
+    the artifacts are at hand.
 
 Exit status: 0 clean, 1 on a gated regression (or unreadable input).
-Usage: tools/bench_trend.py [--baseline=FILE] [--tolerance=0.02]
-                            [--order=mtime|argv] FILE [FILE ...]
+Usage: tools/bench_trend.py [--baseline=FILE] [--order=mtime|argv] FILE [FILE ...]
 """
 
 import json
 import os
 import sys
 
-GATE_KEY = "typed_speedup"
+GATE_KEY = "obs_on_off_ratio"
 
 
 def load(path):
@@ -80,11 +79,11 @@ def print_group(name, entries):
         print(row)
 
 
-def gate(groups, baseline_path, tolerance):
-    """Newest kernel_smoke snapshot vs the committed baseline ratio."""
+def gate(groups, baseline_path):
+    """Newest kernel_smoke snapshot vs the floor in the committed baseline."""
     baseline = load(baseline_path)
-    want = baseline.get(GATE_KEY)
-    if not isinstance(want, (int, float)):
+    floor = baseline.get(GATE_KEY)
+    if not isinstance(floor, (int, float)):
         raise ValueError(f"baseline {baseline_path} has no numeric {GATE_KEY!r}")
     entries = groups.get("kernel_smoke")
     if not entries:
@@ -95,12 +94,8 @@ def gate(groups, baseline_path, tolerance):
     if not isinstance(got, (int, float)):
         print(f"bench_trend: FAIL: {label} has no {GATE_KEY!r}", file=sys.stderr)
         return 1
-    floor = want * (1.0 - tolerance)
     verdict = "ok" if got >= floor else "REGRESSION"
-    print(
-        f"\nbench_trend: gate {GATE_KEY}: {got:.3f} vs baseline {want:.3f} "
-        f"(floor {floor:.3f} at {tolerance:.0%} tolerance) -> {verdict}"
-    )
+    print(f"\nbench_trend: gate {GATE_KEY}: {got:.3f} vs floor {floor:.3f} -> {verdict}")
     if got < floor:
         print(
             f"bench_trend: FAIL: {label}: {GATE_KEY} {got:.3f} dropped below "
@@ -114,13 +109,10 @@ def gate(groups, baseline_path, tolerance):
 def main(argv):
     paths = [a for a in argv[1:] if not a.startswith("--")]
     baseline_path = None
-    tolerance = 0.02
     order = "mtime"
     for a in argv[1:]:
         if a.startswith("--baseline="):
             baseline_path = a.split("=", 1)[1]
-        elif a.startswith("--tolerance="):
-            tolerance = float(a.split("=", 1)[1])
         elif a.startswith("--order="):
             order = a.split("=", 1)[1]
     if not paths or order not in ("mtime", "argv"):
@@ -144,7 +136,7 @@ def main(argv):
         print_group(name, groups[name])
     if baseline_path is not None:
         try:
-            return gate(groups, baseline_path, tolerance)
+            return gate(groups, baseline_path)
         except (OSError, ValueError, json.JSONDecodeError) as e:
             print(f"bench_trend: {baseline_path}: {e}", file=sys.stderr)
             return 1

@@ -17,7 +17,6 @@ int main(int argc, char** argv) {
   sim::ExperimentOptions opts;
   opts.protocols = {core::ProtocolKind::kTp, core::ProtocolKind::kBcs, core::ProtocolKind::kQbc,
                     core::ProtocolKind::kCoordinated};
-  opts.with_storage = true;
   const sim::EnergyConfig ecfg;
 
   std::printf("ENER — checkpointing energy (J) per protocol, P_switch=0.8, H=0%%\n");

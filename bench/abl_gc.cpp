@@ -24,8 +24,6 @@ int main(int argc, char** argv) {
   opts.protocols = {core::ProtocolKind::kBcs, core::ProtocolKind::kQbc,
                     core::ProtocolKind::kLazyBcs};
   opts.params.lazy_bcs_laziness = 8;
-  opts.with_storage = true;
-  opts.storage.track_history = true;  // enables byte-level GC accounting
   sim::Experiment exp(cfg, opts);
   exp.run();
 
@@ -40,7 +38,7 @@ int main(int argc, char** argv) {
     const auto timeline = core::gc_occupancy_timeline(log, rule, cfg.sim_length, 50);
     u64 peak = 0;
     for (const auto& s : timeline) peak = std::max(peak, s.live_with_gc);
-    const u64 reclaim = core::gc_reclaimable_bytes(gc, *exp.harness().storage(slot));
+    const u64 reclaim = core::gc_reclaimable_bytes(gc, log, opts.data_plane);
     std::printf("%-10s %12llu %14llu %14llu %12llu %14llu %14.1f\n",
                 core::protocol_kind_name(opts.protocols[slot]),
                 static_cast<unsigned long long>(log.total()),

@@ -28,10 +28,9 @@ int main(int argc, char** argv) {
 
     sim::ExperimentOptions incr;
     incr.protocols = {core::ProtocolKind::kQbc};
-    incr.with_storage = true;
-    incr.storage.incremental = true;
+    incr.data_plane.incremental = true;
     sim::ExperimentOptions full = incr;
-    full.storage.incremental = false;
+    full.data_plane.incremental = false;
 
     const auto ri = sim::run_experiment(cfg, incr).protocols[0];
     const auto rf = sim::run_experiment(cfg, full).protocols[0];

@@ -34,9 +34,8 @@ int main(int argc, char** argv) {
   cfg.p_send = 0.4;
 
   sim::ExperimentOptions opts;
-  opts.with_storage = true;
-  opts.storage.full_state_bytes = 4u << 20;  // 4 MiB terminal state
-  opts.storage.dirty_rate = 0.002;           // slowly mutating order book
+  opts.data_plane.full_state_bytes = 4u << 20;  // 4 MiB terminal state
+  opts.data_plane.dirty_rate = 0.002;           // slowly mutating order book
   opts.verify_consistency = true;
 
   const sim::RunResult r = sim::run_experiment(cfg, opts);

@@ -5,7 +5,8 @@
 //                                 observability layer and export it
 //   mobichk_cli figure  [flags]   a T_switch sweep (any figure's config)
 //   mobichk_cli recover [flags]   failure injection + recovery-time report
-//   mobichk_cli trace   [flags]   dump the run's event trace (--out file)
+//   mobichk_cli trace   [flags]   dump the run's event trace (--out file);
+//                                 refuses --crash-mode and --data-plane
 //   mobichk_cli explain [flags]   re-run observed and explain causality:
 //                                 --ckpt <proto>:<host>:<idx> prints the
 //                                 send/forced-checkpoint chain behind a
@@ -106,7 +107,7 @@ void add_config_flags(sim::FlagSet& fs) {
       .add("data-plane", sim::FlagType::kBool, "",
            "enable the checkpoint data plane (sizes, storage queues, migration)")
       .add("state-bytes", sim::FlagType::kUInt, std::to_string(dp.full_state_bytes),
-           "full process-image size S in bytes")
+           "full process-image size S in bytes (also sizes every protocol's storage_* stats)")
       .add("dirty-rate", sim::FlagType::kNumber, fmt_num(dp.dirty_rate),
            "state-dirtying rate omega (incremental checkpoint sizing)")
       .add("storage-model", sim::FlagType::kString, "contention",
@@ -358,7 +359,6 @@ int cmd_run(const sim::ArgParser& args) {
   if (args.get_flag("audit-determinism")) return cmd_audit(args);
   const sim::ExperimentConfig ec = effective_config(args);
   sim::ExperimentOptions opts = ec.to_options();
-  opts.with_storage = true;
   opts.verify_consistency = args.get_flag("verify");
   const std::string metrics_path = args.get_string("metrics", "");
   const std::string trace_path = args.get_string("chrome-trace", "");
@@ -498,8 +498,8 @@ int cmd_explain(const sim::ArgParser& args) {
     return 2;
   }
   const sim::ExperimentConfig ec = effective_config(args);
-  sim::ExperimentOptions opts;
-  opts.protocols = ec.protocols;
+  sim::ExperimentOptions opts = ec.to_options();
+  opts.shards = 1;  // observers are sequential-only; the replay below shards
   obs::RunObserver observer;
   opts.observer = &observer;
   obs::Profiler profiler;
@@ -532,15 +532,12 @@ int cmd_explain(const sim::ArgParser& args) {
                                 static_cast<i32>(target.slot), static_cast<i32>(target.host),
                                 target.ordinal, args.get_u64("depth", 16));
   }
-  if (const u32 shards = ec.run.shards; shards > 1 && (msg_id != 0 || have_target)) {
+  if (ec.run.shards > 1 && (msg_id != 0 || have_target)) {
     // Observed runs are sequential-only, so the shard/window annotation
     // comes from a second, unobserved sharded replay of the same config
     // with the barrier-window log enabled. The replay is bit-identical to
     // the observed run, so its windows map 1:1 onto the timeline's times.
-    sim::ExperimentOptions sopts;
-    sopts.protocols = opts.protocols;
-    sopts.shards = shards;
-    sim::Experiment sexp(ec.to_sim_config(), sopts);
+    sim::Experiment sexp(ec.to_sim_config(), ec.to_options());
     sexp.sharded()->enable_window_log(true);
     sexp.run();
     std::vector<u32> owners(sexp.network().n_hosts());
@@ -619,12 +616,24 @@ struct TraceMerger final : des::ShardHooks {
 
 int cmd_trace(const sim::ArgParser& args) {
   const sim::ExperimentConfig ec = effective_config(args);
+  // The hand-composed stack below has no crash engine and no data plane;
+  // refuse configs that need them rather than trace a different run.
+  if (ec.faults.enabled()) {
+    std::fprintf(stderr, "trace: --crash-mode is not supported (no crash engine in the trace "
+                         "stack); use run or explain\n");
+    return 2;
+  }
+  if (ec.data_plane.enabled) {
+    std::fprintf(stderr, "trace: --data-plane is not supported (no data plane in the trace "
+                         "stack); use run\n");
+    return 2;
+  }
   sim::SimConfig cfg = ec.to_sim_config();
   // Collect the full trace with a vector sink wired through the stack.
   // With --shards the stack is composed by hand exactly as Experiment
   // does it: a ShardTraceMux in front of the sink, dst-owner routing in
   // the network, journaled MessageLog merges at every barrier.
-  des::Simulator simulator;
+  des::Simulator simulator(ec.run.queue_kind);
   des::VectorSink sink;
   const u32 shards = std::min(ec.run.shards, cfg.network.n_mss);
   std::unique_ptr<des::ShardedSimulator> sharded;
@@ -632,8 +641,8 @@ int cmd_trace(const sim::ArgParser& args) {
   des::TraceSink* front = &sink;
   if (shards > 1) {
     const f64 lookahead = std::min(cfg.network.wireless_latency, cfg.network.wired_latency);
-    sharded = std::make_unique<des::ShardedSimulator>(simulator, shards,
-                                                      des::QueueKind::kBinaryHeap, lookahead);
+    sharded = std::make_unique<des::ShardedSimulator>(simulator, shards, ec.run.queue_kind,
+                                                      lookahead);
     simulator.set_sharded(sharded.get());
     mux = std::make_unique<des::ShardTraceMux>(shards, &sink);
     front = mux.get();

@@ -24,7 +24,6 @@ int main(int argc, char** argv) {
   cfg.seed = args.get_u64("seed", 1);
 
   sim::ExperimentOptions opts;
-  opts.with_storage = true;
   opts.verify_consistency = args.get_flag("verify");
 
   const sim::RunResult result = sim::run_experiment(cfg, opts);

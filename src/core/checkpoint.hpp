@@ -45,7 +45,6 @@ struct CheckpointRecord {
   des::Time time = 0.0;
   net::MssId location = 0;  ///< MSS whose stable storage holds it.
   u64 event_pos = 0;        ///< Host events with position <= event_pos precede it.
-  u64 bytes = 0;            ///< Upload size (0 when no byte model is attached).
   bool replaced_predecessor = false;  ///< QBC equivalence rule fired (same sn as predecessor).
 
   /// TP dense mode: transitive dependency vectors recorded with the

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "storage/data_plane.hpp"
+
 namespace mobichk::core {
 
 const CheckpointRecord& CheckpointLog::append(CheckpointRecord rec) {
@@ -65,6 +67,28 @@ u64 CheckpointLog::max_sn() const {
   u64 m = 0;
   for (net::HostId h = 0; h < n_hosts(); ++h) m = std::max(m, max_sn(h));
   return m;
+}
+
+u64 upload_bytes(const CheckpointRecord* prev, const CheckpointRecord& rec,
+                 const storage::DataPlaneConfig& sizing) {
+  if (prev == nullptr || !sizing.incremental) return sizing.full_state_bytes;
+  return storage::dirtied_bytes(sizing.full_state_bytes, sizing.dirty_rate, rec.time - prev->time);
+}
+
+StorageTraffic storage_traffic(const CheckpointLog& log, const storage::DataPlaneConfig& sizing) {
+  StorageTraffic traffic;
+  for (net::HostId h = 0; h < log.n_hosts(); ++h) {
+    const CheckpointRecord* prev = nullptr;
+    for (const CheckpointRecord& rec : log.of(h)) {
+      traffic.wireless_bytes += upload_bytes(prev, rec, sizing);
+      if (sizing.incremental && prev != nullptr && prev->location != rec.location) {
+        traffic.wired_bytes += sizing.full_state_bytes;
+        ++traffic.transfers;
+      }
+      prev = &rec;
+    }
+  }
+  return traffic;
 }
 
 }  // namespace mobichk::core

@@ -1,5 +1,6 @@
 // Per-protocol record of every checkpoint taken during a run, with the
-// queries the recovery-line builders need.
+// queries the recovery-line builders need and the stable-storage pricing
+// of paper §2.2.
 #pragma once
 
 #include <vector>
@@ -8,6 +9,10 @@
 #include "des/relaxed_counter.hpp"
 #include "des/types.hpp"
 #include "net/ids.hpp"
+
+namespace mobichk::storage {
+struct DataPlaneConfig;
+}
 
 namespace mobichk::core {
 
@@ -72,5 +77,29 @@ class CheckpointLog {
   des::RelaxedCounter basic_;
   des::RelaxedCounter forced_;
 };
+
+// -- stable-storage pricing (paper §2.2) ----------------------------------
+//
+// Every checkpoint is uploaded over the wireless link to the MSS it names
+// (`location`). Only `sizing`'s full_state_bytes (S), dirty_rate (omega)
+// and incremental knobs apply, whether or not the data plane runs.
+
+/// Upload size of `rec`: S for a host's first checkpoint (`prev` null) or
+/// in full mode; otherwise the state dirtied since `prev`, the host's
+/// previous record.
+u64 upload_bytes(const CheckpointRecord* prev, const CheckpointRecord& rec,
+                 const storage::DataPlaneConfig& sizing);
+
+/// Checkpoint-storage traffic implied by a whole log.
+struct StorageTraffic {
+  u64 wireless_bytes = 0;  ///< MH -> MSS uploads.
+  u64 wired_bytes = 0;     ///< MSS -> MSS base-checkpoint fetches.
+  u64 transfers = 0;       ///< Fetch operations.
+};
+
+/// Prices every record from its predecessor. In incremental mode a record
+/// stored at another MSS than its predecessor first makes its MSS fetch
+/// the base checkpoint (S bytes) over the wired network.
+StorageTraffic storage_traffic(const CheckpointLog& log, const storage::DataPlaneConfig& sizing);
 
 }  // namespace mobichk::core

@@ -75,11 +75,14 @@ GcAnalysis analyze_gc(const CheckpointLog& log, IndexLineRule rule, u32 n_mss) {
   return out;
 }
 
-u64 gc_reclaimable_bytes(const GcAnalysis& gc, const StorageModel& storage) {
+u64 gc_reclaimable_bytes(const GcAnalysis& gc, const CheckpointLog& log,
+                         const storage::DataPlaneConfig& sizing) {
   u64 bytes = 0;
   for (net::HostId h = 0; h < gc.collectible_per_host.size(); ++h) {
-    const auto& history = storage.upload_history(h);
-    for (u64 x = 0; x < gc.collectible_per_host[h]; ++x) bytes += history.at(x);
+    const auto& records = log.of(h);
+    for (u64 x = 0; x < gc.collectible_per_host[h]; ++x) {
+      bytes += upload_bytes(x == 0 ? nullptr : &records.at(x - 1), records.at(x), sizing);
+    }
   }
   return bytes;
 }

@@ -16,7 +16,6 @@
 
 #include "core/checkpoint_log.hpp"
 #include "core/recovery.hpp"
-#include "core/storage.hpp"
 #include "des/types.hpp"
 
 namespace mobichk::core {
@@ -47,9 +46,10 @@ struct OccupancySample {
   u64 live_with_gc = 0;     ///< Checkpoints a continuous GC would retain.
 };
 
-/// Bytes a GC pass reclaims, per the stable-line analysis. Requires a
-/// StorageModel built with track_history.
-u64 gc_reclaimable_bytes(const GcAnalysis& gc, const StorageModel& storage);
+/// Upload bytes a GC pass reclaims, per the stable-line analysis: the
+/// collectible records of `log` priced under `sizing` (see upload_bytes).
+u64 gc_reclaimable_bytes(const GcAnalysis& gc, const CheckpointLog& log,
+                         const storage::DataPlaneConfig& sizing);
 
 /// Replays the run at `samples` evenly spaced instants and reports how
 /// many checkpoints stable storage holds with and without continuous GC.

@@ -22,22 +22,16 @@ ProtocolHarness::ProtocolHarness(net::Network& net, des::TraceSink* sink)
   net_.set_handler(this);
 }
 
-usize ProtocolHarness::add_protocol(std::unique_ptr<CheckpointProtocol> protocol,
-                                    const StorageConfig* storage) {
+usize ProtocolHarness::add_protocol(std::unique_ptr<CheckpointProtocol> protocol) {
   if (protocol == nullptr) throw std::invalid_argument("add_protocol: null protocol");
-  auto slot = std::make_unique<Slot>(
-      Slot{std::move(protocol), CheckpointLog(net_.n_hosts()), nullptr, 0});
-  if (storage != nullptr) {
-    slot->storage = std::make_unique<StorageModel>(net_.n_hosts(), net_.n_mss(), *storage);
-  }
-  slots_.push_back(std::move(slot));
+  slots_.push_back(
+      std::make_unique<Slot>(Slot{std::move(protocol), CheckpointLog(net_.n_hosts())}));
   Slot& stored = *slots_.back();
   ProtocolContext ctx;
   ctx.n_hosts = net_.n_hosts();
   ctx.sim = &net_.sim();
   ctx.net = &net_;
   ctx.log = &stored.log;
-  ctx.storage = stored.storage.get();
   // Only the physical run (slot 0) drives the data plane; paired
   // observer slots would double-count bytes that never hit a wire.
   ctx.data_plane = slots_.size() == 1 ? data_plane_ : nullptr;

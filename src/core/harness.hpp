@@ -4,8 +4,8 @@
 // The paper evaluates protocols with instantaneous checkpoint insertion
 // (§5.1), so a protocol never perturbs the event timeline. That makes it
 // sound — and statistically ideal — to run every protocol against the
-// same trace: each protocol keeps its own per-host state, its own
-// CheckpointLog / StorageModel, and produces its own piggyback for every
+// same trace: each protocol keeps its own per-host state and its own
+// CheckpointLog, and produces its own piggyback for every
 // message (the harness routes each protocol its own control information
 // at receive time). Slot 0 is the "primary" protocol whose piggyback
 // physically rides on the wire (and is counted by NetworkStats); the
@@ -23,7 +23,6 @@
 #include "core/checkpoint_log.hpp"
 #include "core/message_log.hpp"
 #include "core/protocol.hpp"
-#include "core/storage.hpp"
 #include "net/handler.hpp"
 #include "net/network.hpp"
 
@@ -35,16 +34,12 @@ class ProtocolHarness final : public net::HostEventHandler {
   ProtocolHarness(net::Network& net, des::TraceSink* sink = nullptr);
 
   /// Registers a protocol (before net.start()). Returns its slot index.
-  /// When `storage` is non-null, the slot accounts checkpoint-storage
-  /// traffic under that configuration.
-  usize add_protocol(std::unique_ptr<CheckpointProtocol> protocol,
-                     const StorageConfig* storage = nullptr);
+  usize add_protocol(std::unique_ptr<CheckpointProtocol> protocol);
 
   usize protocol_count() const noexcept { return slots_.size(); }
   CheckpointProtocol& protocol(usize slot) { return *slots_.at(slot)->protocol; }
   const CheckpointProtocol& protocol(usize slot) const { return *slots_.at(slot)->protocol; }
   const CheckpointLog& log(usize slot) const { return slots_.at(slot)->log; }
-  const StorageModel* storage(usize slot) const { return slots_.at(slot)->storage.get(); }
   /// Control-information bytes protocol `slot` put (or would have put) on
   /// the wire over the whole run, as actually encoded (sparse piggybacks
   /// count their delta encoding, not the dense vectors they replace).
@@ -74,7 +69,7 @@ class ProtocolHarness final : public net::HostEventHandler {
   void set_profiler(obs::Profiler* prof) noexcept { prof_ = prof; }
 
   /// Attaches the checkpoint data plane (nullptr = off). Must be called
-  /// before add_protocol: slot 0 — the physical run — prices its
+  /// before add_protocol: slot 0 — the physical run — uploads its
   /// checkpoints through it, and every cell switch becomes a handoff
   /// (checkpoint-migration) hook.
   void set_data_plane(storage::DataPlane* data_plane) noexcept { data_plane_ = data_plane; }
@@ -110,7 +105,6 @@ class ProtocolHarness final : public net::HostEventHandler {
   struct Slot {
     std::unique_ptr<CheckpointProtocol> protocol;
     CheckpointLog log;
-    std::unique_ptr<StorageModel> storage;
     u64 pb_bytes = 0;
     u64 pb_dense_bytes = 0;
   };
@@ -148,8 +142,8 @@ class ProtocolHarness final : public net::HostEventHandler {
   obs::Timeline* timeline_ = nullptr;
   obs::Profiler* prof_ = nullptr;
   storage::DataPlane* data_plane_ = nullptr;
-  /// Heap-allocated: protocols hold pointers into their slot's log and
-  /// storage, which must stay stable as more slots are added.
+  /// Heap-allocated: protocols hold pointers into their slot's log,
+  /// which must stay stable as more slots are added.
   std::vector<std::unique_ptr<Slot>> slots_;
   MessageLog msg_log_;
   /// msg id -> pool index; the pool entry holds one piggyback per slot,

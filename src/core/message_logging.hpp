@@ -15,7 +15,7 @@
 //  * logging_rollback(): the rollback result under logging (failed host
 //    only), directly comparable with rollback_to_consistent() /
 //    index_rollback();
-//  * LogStorageModel: bytes the MSS logs hold, with and without GC.
+//  * log_storage_stats(): bytes the MSS logs hold, with and without GC.
 #pragma once
 
 #include <vector>

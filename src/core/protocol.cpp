@@ -63,13 +63,12 @@ const CheckpointRecord& CheckpointProtocol::finish_checkpoint(CheckpointRecord r
   rec.location = host.mss();
   rec.event_pos = host.event_pos();
   rec.replaced_predecessor = replaced;
-  if (ctx_.storage != nullptr) {
-    rec.bytes = ctx_.storage->record_checkpoint(host.id(), host.mss(), ctx_.now());
-  }
   if (ctx_.data_plane != nullptr) {
-    const u64 priced =
-        ctx_.data_plane->on_checkpoint(host.id(), host.mss(), ctx_.now(), static_cast<u8>(kind));
-    if (rec.bytes == 0) rec.bytes = priced;
+    const std::vector<CheckpointRecord>& prior = ctx_.log->of(rec.host);
+    const u64 bytes =
+        upload_bytes(prior.empty() ? nullptr : &prior.back(), rec, ctx_.data_plane->config());
+    ctx_.data_plane->on_checkpoint(host.id(), host.mss(), ctx_.now(), static_cast<u8>(kind),
+                                   bytes);
   }
   const CheckpointRecord& stored = ctx_.log->append(std::move(rec));
   if (ctx_.sink != nullptr) {

@@ -4,15 +4,14 @@
 // taken, and declares what control information rides on each application
 // message. Protocols are written so that several can observe the *same*
 // run side by side (paired evaluation): each keeps its own per-host state
-// and writes to its own CheckpointLog / StorageModel, and each produces
-// its own piggyback for every message (routed to it by ProtocolHarness).
+// and writes to its own CheckpointLog, and each produces its own
+// piggyback for every message (routed to it by ProtocolHarness).
 #pragma once
 
 #include <memory>
 #include <string>
 
 #include "core/checkpoint_log.hpp"
-#include "core/storage.hpp"
 #include "des/sharded.hpp"
 #include "des/simulator.hpp"
 #include "des/trace.hpp"
@@ -36,10 +35,10 @@ struct ProtocolContext {
   des::Simulator* sim = nullptr;
   net::Network* net = nullptr;          ///< Topology access (may be null in unit tests).
   CheckpointLog* log = nullptr;         ///< Required.
-  StorageModel* storage = nullptr;      ///< Optional byte accounting.
   /// Optional checkpoint data plane (set on slot 0 only: the physical
-  /// run's checkpoints get sizes, service queues and transfer events;
-  /// paired-observer slots stay accounting-free).
+  /// run's checkpoints are uploaded through its service queues and
+  /// transfer events; paired-observer slots are priced after the run
+  /// from their logs).
   storage::DataPlane* data_plane = nullptr;
   des::TraceSink* sink = nullptr;       ///< Optional checkpoint tracing.
   obs::Timeline* timeline = nullptr;    ///< Optional checkpoint-timeline probe.

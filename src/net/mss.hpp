@@ -3,9 +3,9 @@
 // In this substrate the MSS's visible responsibilities are (i) buffering
 // application messages addressed to disconnected hosts until they
 // reconnect, and (ii) serving as the stable-storage site for checkpoints
-// (the storage model itself lives in core/storage.hpp and is keyed by
-// MssId). Routing decisions are made by Network using the location
-// directory.
+// (each CheckpointRecord names its MSS; core::storage_traffic prices the
+// uploads and storage::DataPlane serves them). Routing decisions are made
+// by Network using the location directory.
 //
 // The buffered messages themselves live in the HostArena (keyed by the
 // host they are held for and tagged with this MSS), so shard-parallel

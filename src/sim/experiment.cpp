@@ -11,6 +11,9 @@ namespace mobichk::sim {
 
 namespace {
 
+/// Cap on recovery lines the consistency oracle samples per protocol.
+constexpr usize kVerifyMaxLines = 64;
+
 /// The online recovery-line semantics each protocol class admits.
 obs::TrackerMode tracker_mode_for(core::ProtocolKind kind) {
   switch (kind) {
@@ -38,6 +41,8 @@ Experiment::Experiment(SimConfig cfg, ExperimentOptions opts)
   if (opts_.protocols.empty()) {
     throw std::invalid_argument("ExperimentOptions: need at least one protocol");
   }
+  // The sizing prices storage_* on every run, plane on or off.
+  opts_.data_plane.validate();
   if (opts_.shards > 1) shards_ = std::min(opts_.shards, cfg_.network.n_mss);
   if (shards_ > 1 && opts_.observer != nullptr) {
     throw std::invalid_argument(
@@ -87,8 +92,7 @@ Experiment::Experiment(SimConfig cfg, ExperimentOptions opts)
   core::ProtocolParams params = opts_.params;
   params.uncoordinated_seed = cfg_.seed;
   for (const auto kind : opts_.protocols) {
-    harness_->add_protocol(core::make_protocol(kind, params),
-                           opts_.with_storage ? &opts_.storage : nullptr);
+    harness_->add_protocol(core::make_protocol(kind, params));
   }
   if (opts_.profiler != nullptr) {
     std::vector<std::string> slot_names;
@@ -190,11 +194,10 @@ void Experiment::run() {
     stats.piggyback_bytes = harness_->piggyback_bytes(slot);
     stats.piggyback_dense_bytes = harness_->piggyback_dense_bytes(slot);
     stats.control_messages = harness_->protocol(slot).control_messages();
-    if (const core::StorageModel* storage = harness_->storage(slot)) {
-      stats.storage_wireless_bytes = storage->wireless_bytes();
-      stats.storage_wired_bytes = storage->wired_transfer_bytes();
-      stats.storage_transfers = storage->transfers();
-    }
+    const core::StorageTraffic traffic = core::storage_traffic(log, opts_.data_plane);
+    stats.storage_wireless_bytes = traffic.wireless_bytes;
+    stats.storage_wired_bytes = traffic.wired_bytes;
+    stats.storage_transfers = traffic.transfers;
     if (opts_.verify_consistency) verify_slot(slot, stats);
     result_.protocols.push_back(std::move(stats));
   }
@@ -269,7 +272,7 @@ void Experiment::verify_slot(usize slot, ProtocolRunStats& stats) {
 
   if (kind == core::ProtocolKind::kTp) {
     // Sample checkpoints as anchors, newest first per host.
-    usize budget = opts_.verify_max_lines;
+    usize budget = kVerifyMaxLines;
     for (net::HostId h = 0; h < log.n_hosts() && budget > 0; ++h) {
       const auto& records = log.of(h);
       for (auto it = records.rbegin(); it != records.rend() && budget > 0; ++it, --budget) {
@@ -284,7 +287,7 @@ void Experiment::verify_slot(usize slot, ProtocolRunStats& stats) {
   // Index-based: sample indices evenly across [0, max_sn].
   const u64 max_index = log.max_sn();
   const auto rule = core::recovery_rule_for(kind);
-  const u64 step = std::max<u64>(1, (max_index + 1) / opts_.verify_max_lines);
+  const u64 step = std::max<u64>(1, (max_index + 1) / kVerifyMaxLines);
   for (u64 m = 0; m <= max_index; m += step) {
     const auto cut = core::index_recovery_line(log, m, rule, current);
     ++stats.lines_checked;

@@ -30,17 +30,14 @@ struct ExperimentOptions {
                                             core::ProtocolKind::kQbc};
   core::ProtocolParams params;
 
-  bool with_storage = false;          ///< Account checkpoint-storage traffic.
-  core::StorageConfig storage;
-
-  /// Checkpoint data plane (sizes, stable-storage service queues,
-  /// migration on handoff, recovery-byte fetch). Off by default: the run
-  /// then has no DataPlane object at all, keeping traces bit-identical
-  /// and the hot path allocation-free.
+  /// Checkpoint data plane (stable-storage service queues, migration on
+  /// handoff, recovery-byte fetch). Off by default: the run then has no
+  /// DataPlane object at all, keeping traces bit-identical and the hot
+  /// path allocation-free. Its sizing (full_state_bytes, dirty_rate,
+  /// incremental) prices every slot's storage_* stats either way.
   storage::DataPlaneConfig data_plane;
 
   bool verify_consistency = false;    ///< Run the orphan oracle after the run.
-  usize verify_max_lines = 64;        ///< Cap on recovery lines sampled per protocol.
 
   des::QueueKind queue_kind = des::QueueKind::kBinaryHeap;
   bool collect_trace_hash = false;    ///< Fold the run's trace into a hash (replay tests).
@@ -78,6 +75,8 @@ struct ProtocolRunStats {
   u64 piggyback_bytes = 0;     ///< Control info this protocol puts on the wire (encoded).
   u64 piggyback_dense_bytes = 0;  ///< Dense-equivalent control info cost.
   u64 control_messages = 0;    ///< Dedicated control messages (coordinated only).
+  /// Checkpoint-storage traffic (paper §2.2), priced from the log with
+  /// ExperimentOptions::data_plane's sizing (core::storage_traffic).
   u64 storage_wireless_bytes = 0;
   u64 storage_wired_bytes = 0;
   u64 storage_transfers = 0;

@@ -9,10 +9,13 @@ namespace mobichk::sim {
 
 namespace {
 
-// The data-plane sub-object ("{...}") carries every knob except
-// `enabled`: presence of the object is the enable flag.
+// The data-plane sub-object ("{...}"): presence of the object is the
+// enable flag, so an enabled plane writes every knob but `enabled`. A
+// disabled plane with non-default sizing (which still prices storage_*)
+// writes `"enabled": false` in front of the knobs.
 void write_data_plane_fields(JsonWriter& w, const storage::DataPlaneConfig& cfg) {
   w.begin_object();
+  if (!cfg.enabled) w.field("enabled", false);
   w.field("full_state_bytes", cfg.full_state_bytes)
       .field("dirty_rate", cfg.dirty_rate)
       .field("incremental", cfg.incremental)
@@ -29,6 +32,7 @@ void write_data_plane_fields(JsonWriter& w, const storage::DataPlaneConfig& cfg)
 storage::DataPlaneConfig data_plane_config_from_json(const JsonValue& json) {
   storage::DataPlaneConfig cfg;
   cfg.enabled = true;
+  if (const JsonValue* v = json.find("enabled")) cfg.enabled = v->as_bool();
   if (const JsonValue* v = json.find("full_state_bytes")) cfg.full_state_bytes = v->as_u64();
   if (const JsonValue* v = json.find("dirty_rate")) cfg.dirty_rate = v->as_f64();
   if (const JsonValue* v = json.find("incremental")) cfg.incremental = v->as_bool();
@@ -131,9 +135,9 @@ void write_json(std::ostream& os, const ExperimentConfig& cfg) {
       .field("disconnect_mean", cfg.mobility.disconnect_mean)
       .field("heterogeneity", cfg.mobility.heterogeneity);
   w.end_object();
-  // Crash-free configs carry no faults object (and plane-off configs no
-  // data_plane object): presence is the enable switch, and documents for
-  // the common case stay small.
+  // Crash-free configs carry no faults object (and default plane-off
+  // configs no data_plane object): presence is the enable switch, and
+  // documents for the common case stay small.
   if (cfg.faults.enabled()) {
     w.key("faults").begin_object();
     w.field("mode", crash_mode_name(cfg.faults.mode))
@@ -144,7 +148,7 @@ void write_json(std::ostream& os, const ExperimentConfig& cfg) {
         .field("correlated", cfg.faults.correlated);
     w.end_object();
   }
-  if (cfg.data_plane.enabled) {
+  if (cfg.data_plane.enabled || cfg.data_plane != storage::DataPlaneConfig{}) {
     w.key("data_plane");
     write_data_plane_fields(w, cfg.data_plane);
   }

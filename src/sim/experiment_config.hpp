@@ -78,7 +78,8 @@ struct ExperimentConfig {
   Workload workload;
   Mobility mobility;
   Faults faults;
-  /// Checkpoint data plane (serialized only when enabled).
+  /// Checkpoint data plane (serialized when enabled or when any knob
+  /// differs from its default).
   storage::DataPlaneConfig data_plane;
   /// Protocol set; slot 0's piggyback rides the wire.
   std::vector<core::ProtocolKind> protocols{core::ProtocolKind::kTp, core::ProtocolKind::kBcs,

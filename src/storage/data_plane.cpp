@@ -49,6 +49,11 @@ void DataPlaneConfig::validate() const {
   }
 }
 
+u64 dirtied_bytes(u64 full_state_bytes, f64 dirty_rate, f64 dt) noexcept {
+  return static_cast<u64>(
+      std::ceil(static_cast<f64>(full_state_bytes) * (1.0 - std::exp(-dirty_rate * dt))));
+}
+
 DataPlane::DataPlane(des::Simulator& main, const net::MssTopology& topology, DataPlaneConfig cfg,
                      u32 n_hosts, f64 wireless_latency, f64 wired_latency)
     : main_(main),
@@ -56,40 +61,23 @@ DataPlane::DataPlane(des::Simulator& main, const net::MssTopology& topology, Dat
       cfg_(cfg),
       wireless_latency_(wireless_latency),
       wired_latency_(wired_latency),
-      hosts_(n_hosts) {
+      placement_(n_hosts, net::kNoMss) {
   cfg_.validate();
   storage_ = make_stable_storage(cfg_.model, topology.n_mss(), cfg_.storage_bandwidth);
 }
 
-u64 DataPlane::price_checkpoint(net::HostId host, des::Time now) {
-  HostState& hs = hosts_.at(host);
-  u64 upload = cfg_.full_state_bytes;
-  if (cfg_.incremental && hs.has_checkpoint) {
-    // Same dirtying model as core::StorageModel, so the two byte
-    // accounts agree when both are enabled.
-    const f64 dt = now - hs.last_time;
-    const f64 dirty_fraction = 1.0 - std::exp(-cfg_.dirty_rate * dt);
-    upload = static_cast<u64>(
-        std::ceil(static_cast<f64>(cfg_.full_state_bytes) * dirty_fraction));
-  }
-  hs.has_checkpoint = true;
-  hs.last_time = now;
-  return upload;
-}
-
-u64 DataPlane::on_checkpoint(net::HostId host, net::MssId mss, des::Time now, u8 ckpt_kind) {
+void DataPlane::on_checkpoint(net::HostId host, net::MssId mss, des::Time now, u8 ckpt_kind,
+                              u64 bytes) {
   obs::ProfScope prof_scope(prof_ != nullptr ? &prof_->lane().storage : nullptr);
-  const u64 upload = price_checkpoint(host, now);
   PendingOp op;
   op.t = now;
   op.host = host;
   op.from = mss;
   op.to = mss;
-  op.bytes = upload;
+  op.bytes = bytes;
   op.kind = 0;
   op.ckpt_kind = ckpt_kind;
   enqueue_or_process(op);
-  return upload;
 }
 
 void DataPlane::on_handoff(net::HostId host, net::MssId from, net::MssId to, des::Time now) {
@@ -146,31 +134,32 @@ void DataPlane::process(const PendingOp& op) {
 }
 
 void DataPlane::process_checkpoint(const PendingOp& op) {
-  HostState& hs = hosts_.at(op.host);
+  net::MssId& placement = placement_.at(op.host);
   ++stats_.checkpoints;
   stats_.upload_bytes += op.bytes;
   stats_.full_bytes += cfg_.full_state_bytes;
-  if (hs.placement == net::kNoMss) hs.placement = op.from;  // first image lands here
+  if (placement == net::kNoMss) placement = op.from;  // first image lands here
   const des::Time arrive =
       op.t + wireless_latency_ + static_cast<f64>(op.bytes) / cfg_.wireless_bandwidth;
   const ServiceResult r = storage_->write(op.from, op.bytes, arrive);
   stats_.queue_delay += r.queue_delay;
   stats_.transfer_time += r.done - op.t;
   schedule_completion(kSubUpload, op.host, op.from, op.bytes, op.t, r.done);
-  sample_locality(hs, op.from);
+  sample_locality(op.host, op.from);
 }
 
 void DataPlane::process_handoff(const PendingOp& op) {
-  HostState& hs = hosts_.at(op.host);
-  if (cfg_.migration != MigrationStrategy::kNone && hs.placement != net::kNoMss &&
-      hs.placement != op.to) {
-    migrate(hs, op.host, op.to, op.t);
+  const net::MssId placement = placement_.at(op.host);
+  if (cfg_.migration != MigrationStrategy::kNone && placement != net::kNoMss &&
+      placement != op.to) {
+    migrate(op.host, op.to, op.t);
   }
-  sample_locality(hs, op.to);
+  sample_locality(op.host, op.to);
 }
 
-void DataPlane::migrate(HostState& hs, net::HostId host, net::MssId to, des::Time now) {
-  const u32 hops = topology_.hops(hs.placement, to);
+void DataPlane::migrate(net::HostId host, net::MssId to, des::Time now) {
+  net::MssId& placement = placement_.at(host);
+  const u32 hops = topology_.hops(placement, to);
   const f64 lat = static_cast<f64>(hops) * wired_latency_;
   const f64 state = static_cast<f64>(cfg_.full_state_bytes);
   f64 copy_time = 0.0;
@@ -194,8 +183,7 @@ void DataPlane::migrate(HostState& hs, net::HostId host, net::MssId to, des::Tim
       copy_time += t_r;
       total += round;
       ++rounds;
-      residual = static_cast<u64>(
-          std::ceil(state * (1.0 - std::exp(-cfg_.dirty_rate * t_r))));
+      residual = dirtied_bytes(cfg_.full_state_bytes, cfg_.dirty_rate, t_r);
       if (residual > cfg_.full_state_bytes) residual = cfg_.full_state_bytes;
       if (rounds >= cfg_.precopy_rounds ||
           static_cast<f64>(residual) <= cfg_.precopy_stop_fraction * state) {
@@ -208,7 +196,7 @@ void DataPlane::migrate(HostState& hs, net::HostId host, net::MssId to, des::Tim
   }
   // The image leaves the source device and lands on the destination's;
   // both admissions contend with concurrent checkpoint uploads there.
-  const ServiceResult src = storage_->read(hs.placement, total, now);
+  const ServiceResult src = storage_->read(placement, total, now);
   const ServiceResult dst = storage_->write(to, total, now + copy_time + stall);
   stats_.queue_delay += src.queue_delay + dst.queue_delay;
   ++stats_.migrations;
@@ -216,23 +204,24 @@ void DataPlane::migrate(HostState& hs, net::HostId host, net::MssId to, des::Tim
   stats_.migration_copy_time += copy_time;
   stats_.migration_stall += stall;
   if (network_ != nullptr) network_->account_bulk_wired(hops, total);
-  hs.placement = to;
+  placement = to;
   schedule_completion(kSubMigration, host, to, total, now, dst.done);
 }
 
-void DataPlane::sample_locality(const HostState& hs, net::MssId host_at) {
-  if (hs.placement == net::kNoMss) return;
+void DataPlane::sample_locality(net::HostId host, net::MssId host_at) {
+  const net::MssId placement = placement_.at(host);
+  if (placement == net::kNoMss) return;
   ++stats_.locality_samples;
-  stats_.locality_hops += topology_.hops(host_at, hs.placement);
+  stats_.locality_hops += topology_.hops(host_at, placement);
 }
 
 des::Time DataPlane::recovery_fetch(net::HostId host, net::MssId at_mss, des::Time now) {
   obs::ProfScope prof_scope(prof_ != nullptr ? &prof_->lane().storage : nullptr);
-  HostState& hs = hosts_.at(host);
-  if (hs.placement == net::kNoMss) return 0.0;
+  const net::MssId placement = placement_.at(host);
+  if (placement == net::kNoMss) return 0.0;
   const u64 bytes = cfg_.full_state_bytes;
-  const u32 hops = topology_.hops(at_mss, hs.placement);
-  const ServiceResult r = storage_->read(hs.placement, bytes, now);
+  const u32 hops = topology_.hops(at_mss, placement);
+  const ServiceResult r = storage_->read(placement, bytes, now);
   f64 extra = r.done - now;
   if (hops > 0) {
     // The image is remote: pay the wired legs on top of the device read.
@@ -245,7 +234,7 @@ des::Time DataPlane::recovery_fetch(net::HostId host, net::MssId at_mss, des::Ti
   stats_.fetch_hops += hops;
   stats_.fetch_time += extra;
   stats_.queue_delay += r.queue_delay;
-  schedule_completion(kSubFetch, host, hs.placement, bytes, now, now + extra);
+  schedule_completion(kSubFetch, host, placement, bytes, now, now + extra);
   return extra;
 }
 

@@ -6,8 +6,11 @@
 //
 //  1. Size — full snapshots of S bytes, or dirty-delta incremental
 //     checkpoints of S * (1 - exp(-omega * dt)) bytes, driven by the time
-//     elapsed since the host's previous checkpoint (the same dirtying
-//     model as core::StorageModel, so byte accounting agrees).
+//     elapsed since the host's previous checkpoint. The caller prices each
+//     checkpoint from the host's previous record in the checkpoint log
+//     (core::upload_bytes) and hands the plane its bytes, so the plane
+//     and the per-protocol storage totals share one account;
+//     dirtied_bytes() below is the one copy of the dirtying law.
 //  2. Service — uploads cross the wireless link and then queue on the
 //     current MSS's StableStorage device; completion becomes a real
 //     EventKind::kCheckpointTransfer event on the main simulator queue
@@ -27,9 +30,8 @@
 // its image across `hops` wired legs and through the storage read queue,
 // so actual recovery time grows with locality and contention.
 //
-// Shard discipline: per-host size state is owner-shard-local (mutated
-// inline, like core::StorageModel's HostState); everything order-
-// sensitive — FIFO admission, placement moves, aggregate stats, event
+// Shard discipline: the plane keeps no per-host size state; everything
+// it does — FIFO admission, placement moves, aggregate stats, event
 // scheduling — is journaled per shard during windows and processed at
 // the barrier in merged (time, shard, index) order, which reproduces the
 // sequential processing order bit-identically. Completion times always
@@ -82,7 +84,13 @@ struct DataPlaneConfig {
   f64 precopy_stop_fraction = 0.05;  ///< Stop early once dirty <= fraction * S.
 
   void validate() const;
+  bool operator==(const DataPlaneConfig&) const = default;
 };
+
+/// The dirtying law (paper §2.2): bytes of an S-byte image dirtied over
+/// `dt` tu at rate omega, ceil(S * (1 - exp(-omega * dt))). Incremental
+/// checkpoint uploads and the pre-copy residual both size with it.
+u64 dirtied_bytes(u64 full_state_bytes, f64 dirty_rate, f64 dt) noexcept;
 
 /// Aggregate data-plane accounting for one run. All fields are summed in
 /// deterministic processing order (coordinator/sequential only).
@@ -130,10 +138,9 @@ class DataPlane final : public des::EventTarget {
   /// entry point accumulates into prof.storage on the executing lane.
   void set_profiler(obs::Profiler* prof) noexcept { prof_ = prof; }
 
-  /// Prices one physical checkpoint of `host` taken at its current MSS.
-  /// Returns the upload size in bytes (stamped on the CheckpointRecord).
-  /// Shard-safe: size state is host-local, the rest is journaled.
-  u64 on_checkpoint(net::HostId host, net::MssId mss, des::Time now, u8 ckpt_kind);
+  /// Uploads one physical checkpoint of `host`, `bytes` long, to its
+  /// current MSS. Shard-safe: the op is journaled.
+  void on_checkpoint(net::HostId host, net::MssId mss, des::Time now, u8 ckpt_kind, u64 bytes);
 
   /// Handoff hook: maybe migrates the host's recovery bytes. Shard-safe.
   void on_handoff(net::HostId host, net::MssId from, net::MssId to, des::Time now);
@@ -156,7 +163,7 @@ class DataPlane final : public des::EventTarget {
   const StableStorage& stable_storage() const noexcept { return *storage_; }
   /// Where `host`'s recovery bytes currently live (kNoMss before its
   /// first checkpoint).
-  net::MssId placement(net::HostId host) const { return hosts_.at(host).placement; }
+  net::MssId placement(net::HostId host) const { return placement_.at(host); }
   const DataPlaneConfig& config() const noexcept { return cfg_; }
 
   /// Transfer sub-kinds (EventPayload::sub and trace `b` operand).
@@ -165,12 +172,6 @@ class DataPlane final : public des::EventTarget {
   static constexpr u8 kSubFetch = 2;
 
  private:
-  struct HostState {
-    bool has_checkpoint = false;
-    des::Time last_time = 0.0;          ///< Time of the previous checkpoint.
-    net::MssId placement = net::kNoMss;  ///< Where the recovery image lives.
-  };
-
   /// Journaled op: kind 0 = checkpoint (from = current MSS, bytes = upload
   /// size), kind 1 = handoff (from -> to).
   struct PendingOp {
@@ -198,16 +199,12 @@ class DataPlane final : public des::EventTarget {
     u8 sub = 0;
   };
 
-  /// Computes the upload size and advances the host's dirty clock.
-  /// Host-local; safe inside a shard window.
-  u64 price_checkpoint(net::HostId host, des::Time now);
-
   void enqueue_or_process(const PendingOp& op);
   void process(const PendingOp& op);
   void process_checkpoint(const PendingOp& op);
   void process_handoff(const PendingOp& op);
-  void migrate(HostState& hs, net::HostId host, net::MssId to, des::Time now);
-  void sample_locality(const HostState& hs, net::MssId host_at);
+  void migrate(net::HostId host, net::MssId to, des::Time now);
+  void sample_locality(net::HostId host, net::MssId host_at);
   /// Schedules the kCheckpointTransfer completion for a transfer that
   /// started at `start` and completes at `done`.
   void schedule_completion(u8 sub, net::HostId host, net::MssId mss, u64 bytes,
@@ -223,7 +220,7 @@ class DataPlane final : public des::EventTarget {
   obs::Profiler* prof_ = nullptr;
   net::Network* network_ = nullptr;
   std::unique_ptr<StableStorage> storage_;
-  std::vector<HostState> hosts_;
+  std::vector<net::MssId> placement_;  ///< Per host: where its recovery image lives.
   std::vector<Slice> slices_;
   std::vector<Transfer> pending_;
   std::vector<u32> free_;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "storage/data_plane.hpp"
+
 namespace mobichk::core {
 namespace {
 
@@ -116,43 +118,34 @@ TEST(GcOccupancy, WithGcNeverExceedsWithout) {
 }
 
 TEST(GcBytes, ReclaimableBytesSumTheDeadUploads) {
-  StorageConfig scfg;
-  scfg.full_state_bytes = 1000;
-  scfg.dirty_rate = 1e9;  // every delta is effectively a full upload
-  scfg.track_history = true;
-  StorageModel storage(2, 1, scfg);
+  storage::DataPlaneConfig sizing;
+  sizing.full_state_bytes = 1000;
+  sizing.dirty_rate = 1e9;  // every delta is effectively a full upload
   CheckpointLog log(2);
   log.append(make(0, 0, 0, 0, 0.0));
-  storage.record_checkpoint(0, 0, 0.0);
   log.append(make(1, 0, 0, 0, 0.0));
-  storage.record_checkpoint(1, 0, 0.0);
   log.append(make(0, 1, 5, 0, 10.0));
-  storage.record_checkpoint(0, 0, 10.0);
   log.append(make(1, 1, 5, 0, 12.0));
-  storage.record_checkpoint(1, 0, 12.0);
   const GcAnalysis gc = analyze_gc(log, IndexLineRule::kFirstAtLeast, 1);
   // Stable index 1: each host's ordinal-0 checkpoint (1000 B) is dead.
-  EXPECT_EQ(gc_reclaimable_bytes(gc, storage), 2000u);
-}
-
-TEST(GcBytes, HistoryRequiresTracking) {
-  StorageModel storage(1, 1, StorageConfig{});
-  EXPECT_THROW(storage.upload_history(0), std::logic_error);
+  EXPECT_EQ(gc_reclaimable_bytes(gc, log, sizing), 2000u);
 }
 
 TEST(GcBytes, HistoryRecordsPerCheckpointSizes) {
-  StorageConfig scfg;
-  scfg.full_state_bytes = 1000;
-  scfg.dirty_rate = 0.01;
-  scfg.track_history = true;
-  StorageModel storage(1, 2, scfg);
-  storage.record_checkpoint(0, 0, 0.0);
-  storage.record_checkpoint(0, 0, 10.0);
-  const auto& history = storage.upload_history(0);
-  ASSERT_EQ(history.size(), 2u);
-  EXPECT_EQ(history[0], 1000u);
-  EXPECT_LT(history[1], 1000u);  // incremental delta
-  EXPECT_EQ(history[0] + history[1], storage.wireless_bytes());
+  // The log is the upload history: each record prices from its
+  // predecessor, and the per-record sizes sum to the run's upload total.
+  storage::DataPlaneConfig sizing;
+  sizing.full_state_bytes = 1000;
+  sizing.dirty_rate = 0.01;
+  CheckpointLog log(1);
+  log.append(make(0, 0, 0, 0, 0.0));
+  log.append(make(0, 1, 5, 0, 10.0));
+  const auto& records = log.of(0);
+  const u64 first = upload_bytes(nullptr, records[0], sizing);
+  const u64 second = upload_bytes(&records[0], records[1], sizing);
+  EXPECT_EQ(first, 1000u);
+  EXPECT_LT(second, 1000u);  // incremental delta
+  EXPECT_EQ(first + second, storage_traffic(log, sizing).wireless_bytes);
 }
 
 }  // namespace

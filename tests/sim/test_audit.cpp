@@ -49,8 +49,7 @@ TEST(AuditDeterminism, CoversDisconnectionsAndStorage) {
   SimConfig cfg = small_config(7);
   cfg.heterogeneity = 0.5;
   ExperimentOptions opts;
-  opts.with_storage = true;
-  opts.storage.full_state_bytes = 1000;
+  opts.data_plane.full_state_bytes = 1000;
   const AuditReport report = audit_determinism(cfg, opts);
   EXPECT_TRUE(report.deterministic());
 }

@@ -55,7 +55,6 @@ TEST(Energy, ProtocolsRankAsExpectedOnARealRun) {
   cfg.p_switch = 0.8;
   cfg.seed = 5;
   ExperimentOptions opts;
-  opts.with_storage = true;
   // The 10x control-byte pin below is the paper-literal dense TP cost;
   // the sparse default would ship less than that.
   opts.params.tp_encoding = core::TpEncoding::kDense;

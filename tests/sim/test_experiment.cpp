@@ -95,15 +95,39 @@ TEST(Experiment, PairedObserversMatchSoloRuns) {
 }
 
 TEST(Experiment, StorageAccountingActivates) {
+  // Every run prices its checkpoint logs; the plane need not be on.
   ExperimentOptions opts;
-  opts.with_storage = true;
-  opts.storage.full_state_bytes = 1000;
+  opts.data_plane.full_state_bytes = 1000;
   const RunResult r = run_experiment(small_config(), opts);
   for (const auto& p : r.protocols) {
     EXPECT_GT(p.storage_wireless_bytes, 0u) << p.name;
   }
   // TP checkpoints more, so it must upload more checkpoint data.
   EXPECT_GT(r.by_name("TP").storage_wireless_bytes, r.by_name("BCS").storage_wireless_bytes);
+}
+
+TEST(Experiment, SlotZeroStorageEqualsTheDataPlaneUploads) {
+  // One storage model: slot 0's log walk and the plane's uploads price
+  // the same checkpoints with the same sizing, so the accounts agree.
+  ExperimentOptions opts;
+  opts.protocols = {core::ProtocolKind::kBcs, core::ProtocolKind::kTp};
+  opts.data_plane.enabled = true;
+  opts.data_plane.full_state_bytes = 4096;
+  opts.data_plane.dirty_rate = 0.002;
+  const RunResult r = run_experiment(small_config(3), opts);
+  ASSERT_TRUE(r.data_plane_enabled);
+  EXPECT_EQ(r.protocols[0].total, r.data_plane.checkpoints);
+  EXPECT_EQ(r.protocols[0].storage_wireless_bytes, r.data_plane.upload_bytes);
+  EXPECT_GT(r.protocols[0].storage_wired_bytes, 0u);
+}
+
+TEST(Experiment, ZeroStateSizeIsRejectedWithThePlaneOff) {
+  // The sizing prices storage_* on every run, so it is validated on
+  // every run.
+  ExperimentOptions opts;
+  opts.data_plane.full_state_bytes = 0;
+  ASSERT_FALSE(opts.data_plane.enabled);
+  EXPECT_THROW(Experiment(small_config(), opts), std::invalid_argument);
 }
 
 TEST(Experiment, ConsistencyOracleFindsNoOrphans) {

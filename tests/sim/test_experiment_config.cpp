@@ -139,6 +139,23 @@ TEST(ExperimentConfigJson, PresenceOfTheBlockIsTheEnableSwitch) {
   EXPECT_TRUE(cfg.faults.enabled());
 }
 
+TEST(ExperimentConfigJson, SizingOnlyDocumentRoundTripsWithThePlaneOff) {
+  // The sizing prices storage_* even with the plane off, so a non-default
+  // sizing must survive the dump; the object then says "enabled": false.
+  ExperimentConfig cfg;
+  cfg.data_plane.full_state_bytes = 4096;
+  cfg.data_plane.dirty_rate = 0.002;
+  const std::string first = to_json(cfg);
+  EXPECT_NE(first.find("\"enabled\": false"), std::string::npos);
+  const ExperimentConfig back = parse(first);
+  EXPECT_EQ(to_json(back), first);
+  EXPECT_FALSE(back.data_plane.enabled);
+  EXPECT_EQ(back.data_plane.full_state_bytes, 4096u);
+  EXPECT_DOUBLE_EQ(back.data_plane.dirty_rate, 0.002);
+  // Plane-on documents keep the parent shape: no enabled member.
+  EXPECT_EQ(to_json(fully_populated()).find("\"enabled\""), std::string::npos);
+}
+
 TEST(ExperimentConfigJson, UnknownEnumNamesThrow) {
   EXPECT_THROW(parse(R"({"network": {"topology": "torus"}})"), std::invalid_argument);
   EXPECT_THROW(parse(R"({"run": {"queue_kind": "skiplist"}})"), std::invalid_argument);

@@ -57,6 +57,8 @@ void expect_identical(const RunResult& seq, const RunResult& par, const std::str
     EXPECT_EQ(a.piggyback_dense_bytes, b.piggyback_dense_bytes) << label << " " << a.name;
     EXPECT_EQ(a.control_messages, b.control_messages) << label << " " << a.name;
     EXPECT_EQ(a.storage_wireless_bytes, b.storage_wireless_bytes) << label << " " << a.name;
+    EXPECT_EQ(a.storage_wired_bytes, b.storage_wired_bytes) << label << " " << a.name;
+    EXPECT_EQ(a.storage_transfers, b.storage_transfers) << label << " " << a.name;
   }
   // Recovery stories: same crashes, same rollback, same replay.
   EXPECT_EQ(seq.recovery.crashes_executed, par.recovery.crashes_executed) << label;

@@ -7,6 +7,7 @@
 
 #include <cmath>
 
+#include "core/checkpoint_log.hpp"
 #include "des/simulator.hpp"
 #include "net/topology.hpp"
 #include "sim/experiment.hpp"
@@ -50,6 +51,9 @@ TEST(DataPlaneConfigTest, ValidateRejectsBadKnobs) {
   cfg.full_state_bytes = 0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg = enabled_config();
+  cfg.dirty_rate = -1.0;
+  EXPECT_THROW(cfg.validate(), std::invalid_argument);
+  cfg = enabled_config();
   cfg.storage_bandwidth = 0.0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg = enabled_config();
@@ -57,18 +61,30 @@ TEST(DataPlaneConfigTest, ValidateRejectsBadKnobs) {
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
 }
 
+/// A checkpoint record of host 0 at MSS 0, taken at `time`.
+core::CheckpointRecord record_at(des::Time time) {
+  core::CheckpointRecord rec;
+  rec.time = time;
+  return rec;
+}
+
 TEST(DataPlanePricing, FirstCheckpointIsFullThenDirtyDelta) {
   DataPlaneConfig cfg = enabled_config();
   cfg.model = StableStorageKind::kInfinite;
   PlaneFixture f(cfg);
-  const u64 first = f.plane.on_checkpoint(0, 0, 10.0, 0);
-  EXPECT_EQ(first, cfg.full_state_bytes);  // nothing to diff against
   const f64 dt = 25.0;
-  const u64 second = f.plane.on_checkpoint(0, 0, 10.0 + dt, 0);
+  const core::CheckpointRecord r0 = record_at(10.0);
+  const core::CheckpointRecord r1 = record_at(10.0 + dt);
+  const u64 first = core::upload_bytes(nullptr, r0, cfg);
+  EXPECT_EQ(first, cfg.full_state_bytes);  // nothing to diff against
+  const u64 second = core::upload_bytes(&r0, r1, cfg);
   const u64 want = static_cast<u64>(std::ceil(static_cast<f64>(cfg.full_state_bytes) *
                                               (1.0 - std::exp(-cfg.dirty_rate * dt))));
   EXPECT_EQ(second, want);
+  EXPECT_EQ(second, dirtied_bytes(cfg.full_state_bytes, cfg.dirty_rate, dt));
   EXPECT_LT(second, first);
+  f.plane.on_checkpoint(0, 0, r0.time, 0, first);
+  f.plane.on_checkpoint(0, 0, r1.time, 0, second);
   EXPECT_EQ(f.plane.stats().checkpoints, 2u);
   EXPECT_EQ(f.plane.stats().upload_bytes, first + second);
   EXPECT_EQ(f.plane.stats().full_bytes, 2 * cfg.full_state_bytes);
@@ -79,8 +95,12 @@ TEST(DataPlanePricing, DenseModeUploadsTheFullImageEveryTime) {
   cfg.incremental = false;
   cfg.model = StableStorageKind::kInfinite;
   PlaneFixture f(cfg);
-  EXPECT_EQ(f.plane.on_checkpoint(0, 0, 10.0, 0), cfg.full_state_bytes);
-  EXPECT_EQ(f.plane.on_checkpoint(0, 0, 11.0, 0), cfg.full_state_bytes);
+  const core::CheckpointRecord r0 = record_at(10.0);
+  const core::CheckpointRecord r1 = record_at(11.0);
+  EXPECT_EQ(core::upload_bytes(nullptr, r0, cfg), cfg.full_state_bytes);
+  EXPECT_EQ(core::upload_bytes(&r0, r1, cfg), cfg.full_state_bytes);
+  f.plane.on_checkpoint(0, 0, r0.time, 0, core::upload_bytes(nullptr, r0, cfg));
+  f.plane.on_checkpoint(0, 0, r1.time, 0, core::upload_bytes(&r0, r1, cfg));
   // The dense-equivalent account equals the actual upload account: the
   // differential the abl/figure benches report is exactly this gap.
   EXPECT_EQ(f.plane.stats().upload_bytes, f.plane.stats().full_bytes);
@@ -92,7 +112,7 @@ TEST(DataPlanePlacement, FirstImageLandsAtTheWritingMssAndFreezesUnderNone) {
   cfg.model = StableStorageKind::kInfinite;
   PlaneFixture f(cfg);
   EXPECT_EQ(f.plane.placement(0), net::kNoMss);
-  (void)f.plane.on_checkpoint(0, 1, 5.0, 0);
+  f.plane.on_checkpoint(0, 1, 5.0, 0, cfg.full_state_bytes);
   EXPECT_EQ(f.plane.placement(0), 1u);
   // The host drifts down the line; the image stays put and every handoff
   // samples a growing hop distance.
@@ -113,7 +133,7 @@ TEST(DataPlaneMigration, PreCopyStallIsTheFinalStopAndCopyOnly) {
   cfg.migration = MigrationStrategy::kPreCopy;
   cfg.dirty_rate = 0.0;  // nothing re-dirties: one round copies everything
   PlaneFixture f(cfg);
-  (void)f.plane.on_checkpoint(0, 0, 5.0, 0);
+  f.plane.on_checkpoint(0, 0, 5.0, 0, cfg.full_state_bytes);
   f.plane.on_handoff(0, 0, 1, 10.0);  // 1 wired hop on the line
   const DataPlaneStats& s = f.plane.stats();
   EXPECT_EQ(s.migrations, 1u);
@@ -131,7 +151,7 @@ TEST(DataPlaneMigration, PostCopyFlipsPlacementAndBackFills) {
   cfg.model = StableStorageKind::kInfinite;
   cfg.migration = MigrationStrategy::kPostCopy;
   PlaneFixture f(cfg);
-  (void)f.plane.on_checkpoint(0, 0, 5.0, 0);
+  f.plane.on_checkpoint(0, 0, 5.0, 0, cfg.full_state_bytes);
   f.plane.on_handoff(0, 0, 2, 10.0);  // 2 wired hops on the line
   const DataPlaneStats& s = f.plane.stats();
   const f64 lat = 2.0 * kWiredLat;
@@ -152,7 +172,7 @@ TEST(DataPlaneMigration, PreCopyRoundsShrinkGeometricallyUnderDirtying) {
   // must be strictly below one full-image copy (the point of pre-copy).
   cfg.dirty_rate = 0.3;
   PlaneFixture f(cfg);
-  (void)f.plane.on_checkpoint(0, 0, 5.0, 0);
+  f.plane.on_checkpoint(0, 0, 5.0, 0, cfg.full_state_bytes);
   f.plane.on_handoff(0, 0, 1, 10.0);
   const DataPlaneStats& s = f.plane.stats();
   EXPECT_GT(s.migration_bytes, cfg.full_state_bytes);
@@ -166,7 +186,7 @@ TEST(DataPlaneFetch, LocalImageOnIdleDiskIsFree) {
   cfg.model = StableStorageKind::kInfinite;
   PlaneFixture f(cfg);
   EXPECT_DOUBLE_EQ(f.plane.recovery_fetch(0, 3, 100.0), 0.0);  // no image yet
-  (void)f.plane.on_checkpoint(0, 2, 5.0, 0);
+  f.plane.on_checkpoint(0, 2, 5.0, 0, cfg.full_state_bytes);
   EXPECT_DOUBLE_EQ(f.plane.recovery_fetch(0, 2, 100.0), 0.0);
 }
 
@@ -175,7 +195,7 @@ TEST(DataPlaneFetch, BillGrowsWithHopDistance) {
   cfg.model = StableStorageKind::kInfinite;
   cfg.migration = MigrationStrategy::kNone;
   PlaneFixture f(cfg);
-  (void)f.plane.on_checkpoint(0, 0, 5.0, 0);
+  f.plane.on_checkpoint(0, 0, 5.0, 0, cfg.full_state_bytes);
   const f64 wire = static_cast<f64>(cfg.full_state_bytes) / cfg.wired_bandwidth;
   const f64 near = f.plane.recovery_fetch(0, 1, 100.0);
   const f64 far = f.plane.recovery_fetch(0, 4, 200.0);
@@ -190,7 +210,7 @@ TEST(DataPlaneFetch, BusyDiskDelaysTheRead) {
   DataPlaneConfig cfg = enabled_config();
   cfg.model = StableStorageKind::kContention;
   PlaneFixture f(cfg);
-  (void)f.plane.on_checkpoint(0, 0, 5.0, 0);  // occupies the device of MSS 0
+  f.plane.on_checkpoint(0, 0, 5.0, 0, cfg.full_state_bytes);  // occupies the device of MSS 0
   const f64 read_service = static_cast<f64>(cfg.full_state_bytes) / cfg.storage_bandwidth;
   // Fetch immediately after the upload was admitted: the read queues
   // behind it, so the bill exceeds the pure device-read time.

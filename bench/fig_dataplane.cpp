@@ -67,21 +67,22 @@ void print_panel(const Panel& panel, const char* x_name, const char* metric_name
   }
 }
 
-/// Shared sweep shape: one protocol (the plane prices only slot 0), the
-/// data plane on, small cells so migrations actually cross MSS borders.
+/// Shared sweep shape: title, horizon and the CLI's replication flags.
 sim::FigureSpec base_spec(const std::string& title, f64 length, const sim::ArgParser& args) {
   sim::FigureSpec spec;
   spec.title = title;
   spec.base.sim_length = length;
-  spec.protocols = {core::ProtocolKind::kBcs};
   sim::apply_cli_flags(spec, args);
   return spec;
 }
 
-storage::DataPlaneConfig plane_defaults() {
-  storage::DataPlaneConfig dp;
-  dp.enabled = true;
-  return dp;
+/// Shared run options: one protocol (the plane prices only slot 0) and the
+/// data plane on.
+sim::ExperimentOptions plane_options() {
+  sim::ExperimentOptions opts;
+  opts.protocols = {core::ProtocolKind::kBcs};
+  opts.data_plane.enabled = true;
+  return opts;
 }
 
 }  // namespace
@@ -128,8 +129,7 @@ int main(int argc, char** argv) {
                  ? 0.0
                  : r.data_plane.migration_stall / static_cast<f64>(r.data_plane.migrations);
     };
-    sim::ExperimentOptions opts;
-    opts.data_plane = plane_defaults();
+    sim::ExperimentOptions opts = plane_options();
     opts.data_plane.migration = strategy;
     panels.push_back(panel_from(std::string("stall_vs_tswitch_") + name,
                                 sim::run_figure(spec, opts, threads), t_switch_values));
@@ -142,8 +142,7 @@ int main(int argc, char** argv) {
     sim::FigureSpec spec = base_spec("locality vs T_switch (no migration)", length, args);
     spec.t_switch_values = t_switch_values;
     spec.metric = [](const sim::RunResult& r, usize) { return r.data_plane.mean_locality(); };
-    sim::ExperimentOptions opts;
-    opts.data_plane = plane_defaults();
+    sim::ExperimentOptions opts = plane_options();
     opts.data_plane.migration = storage::MigrationStrategy::kNone;
     panels.push_back(panel_from("locality_vs_tswitch_none", sim::run_figure(spec, opts, threads),
                                 t_switch_values));
@@ -165,8 +164,7 @@ int main(int argc, char** argv) {
       // Total stall here, not per-handoff: P_switch scales how many
       // mobility events are real switches, i.e. how often the plane pays.
       spec.metric = [](const sim::RunResult& r, usize) { return r.data_plane.migration_stall; };
-      sim::ExperimentOptions opts;
-      opts.data_plane = plane_defaults();
+      sim::ExperimentOptions opts = plane_options();
       const Panel a = panel_from("", sim::run_figure(spec, opts, threads), {ps});
       stall.x.push_back(ps);
       stall.mean.push_back(a.mean[0]);
@@ -201,8 +199,7 @@ int main(int argc, char** argv) {
                  : static_cast<f64>(r.data_plane.upload_bytes) /
                        static_cast<f64>(r.data_plane.checkpoints);
     };
-    sim::ExperimentOptions opts;
-    opts.data_plane = plane_defaults();
+    sim::ExperimentOptions opts = plane_options();
     opts.data_plane.incremental = incremental;
     panels.push_back(panel_from(std::string("bytes_vs_tswitch_") + name,
                                 sim::run_figure(spec, opts, threads), t_switch_values));
@@ -228,9 +225,7 @@ int main(int argc, char** argv) {
     cfg.faults.mode = sim::CrashMode::kCorrelated;
     cfg.faults.correlated = 4;
     cfg.faults.first_crash_at = length / 2.0;
-    sim::ExperimentOptions opts;
-    opts.protocols = {core::ProtocolKind::kBcs};
-    opts.data_plane = plane_defaults();
+    sim::ExperimentOptions opts = plane_options();
     opts.data_plane.migration = strategy;
     opts.data_plane.model = model;
     // A slow wide-area backbone: the recovery record closes when the LAST

@@ -5,8 +5,7 @@
 //                                 observability layer and export it
 //   mobichk_cli figure  [flags]   a T_switch sweep (any figure's config)
 //   mobichk_cli recover [flags]   failure injection + recovery-time report
-//   mobichk_cli trace   [flags]   dump the run's event trace (--out file);
-//                                 refuses --crash-mode and --data-plane
+//   mobichk_cli trace   [flags]   dump the run's event trace (--out file)
 //   mobichk_cli explain [flags]   re-run observed and explain causality:
 //                                 --ckpt <proto>:<host>:<idx> prints the
 //                                 send/forced-checkpoint chain behind a
@@ -30,12 +29,12 @@
 // fail with a did-you-mean suggestion, malformed numbers fail naming the
 // flag).
 //
-// Configuration layering: every command accepts --config <file.json> (a
-// nested sim::ExperimentConfig document) as the base, and every flag
+// Configuration layering: every command accepts --config <file.json> (the
+// nested run-config document, sim/experiment_config.hpp, read into the
+// engine's SimConfig + ExperimentOptions) as the base, and every flag
 // present on the command line overrides the corresponding file value.
 // --dump-config prints the effective merged config as JSON and exits —
 // the output reloads through --config to a bit-identical run.
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -43,6 +42,7 @@
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "mobichk.hpp"
 
@@ -74,15 +74,17 @@ void add_config_flags(sim::FlagSet& fs) {
       .add("tswitch", sim::FlagType::kNumber, fmt_num(d.t_switch),
            "mean time between cell-switch attempts (the paper's T_switch)")
       .add("pswitch", sim::FlagType::kNumber, fmt_num(d.p_switch),
-           "probability a switch attempt changes cell (the paper's p_switch)")
+           "probability the next mobility event is a cell switch rather than a "
+           "disconnection (the paper's p_switch)")
       .add("psend", sim::FlagType::kNumber, fmt_num(d.p_send),
            "probability a workload operation sends a message")
       .add("comm-mean", sim::FlagType::kNumber, fmt_num(d.comm_mean),
            "mean time between workload operations")
       .add("h", sim::FlagType::kNumber, fmt_num(d.heterogeneity),
-           "checkpoint-rate heterogeneity in [0,1]")
+           "fraction of fast hosts in [0,1] (fast hosts use T_switch / " +
+               fmt_num(d.fast_factor) + ")")
       .add("outage", sim::FlagType::kNumber, fmt_num(d.disconnect_mean),
-           "mean disconnection length (0 = no disconnections)")
+           "mean disconnection length, > 0 (disconnections happen only when --pswitch < 1)")
       .add("mobility", sim::FlagType::kString, "paper", "mobility model: paper|ring|pareto")
       .add("topology", sim::FlagType::kString, "mesh",
            "MSS wired topology: mesh|ring|line|star")
@@ -252,52 +254,53 @@ int cmd_report(const sim::ArgParser& args) {
 
 /// The effective run configuration: the --config file (or defaults) as
 /// the base, every flag present on the command line laid over it.
-sim::ExperimentConfig effective_config(const sim::ArgParser& args) {
-  sim::ExperimentConfig cfg;
+std::pair<sim::SimConfig, sim::ExperimentOptions> effective_config(const sim::ArgParser& args) {
+  sim::SimConfig cfg;
+  sim::ExperimentOptions opts;
   const std::string path = args.get_string("config", "");
-  if (!path.empty()) cfg = sim::load_experiment_config(path);
+  if (!path.empty()) sim::load_config(path, cfg, opts);
 
   cfg.network.n_hosts = args.get_u32("hosts", cfg.network.n_hosts);
   cfg.network.n_mss = args.get_u32("mss", cfg.network.n_mss);
   if (args.has("topology")) {
     const std::string topo = args.get_string("topology", "mesh");
     if (topo == "mesh") {
-      cfg.network.topology = net::MssTopologyKind::kFullMesh;
+      cfg.network.mss_topology = net::MssTopologyKind::kFullMesh;
     } else if (topo == "ring") {
-      cfg.network.topology = net::MssTopologyKind::kRing;
+      cfg.network.mss_topology = net::MssTopologyKind::kRing;
     } else if (topo == "line") {
-      cfg.network.topology = net::MssTopologyKind::kLine;
+      cfg.network.mss_topology = net::MssTopologyKind::kLine;
     } else if (topo == "star") {
-      cfg.network.topology = net::MssTopologyKind::kStar;
+      cfg.network.mss_topology = net::MssTopologyKind::kStar;
     } else {
       throw std::invalid_argument("unknown --topology: " + topo);
     }
   }
   cfg.network.wireless_bandwidth = args.get_f64("bandwidth", cfg.network.wireless_bandwidth);
 
-  cfg.run.sim_length = args.get_f64("length", cfg.run.sim_length);
-  cfg.run.seed = args.get_u64("seed", cfg.run.seed);
-  cfg.run.shards = args.get_u32("shards", cfg.run.shards);
+  cfg.sim_length = args.get_f64("length", cfg.sim_length);
+  cfg.seed = args.get_u64("seed", cfg.seed);
+  opts.shards = args.get_u32("shards", opts.shards);
 
-  cfg.workload.comm_mean = args.get_f64("comm-mean", cfg.workload.comm_mean);
-  cfg.workload.p_send = args.get_f64("psend", cfg.workload.p_send);
+  cfg.comm_mean = args.get_f64("comm-mean", cfg.comm_mean);
+  cfg.p_send = args.get_f64("psend", cfg.p_send);
 
   if (args.has("mobility")) {
     const std::string model = args.get_string("mobility", "paper");
     if (model == "paper") {
-      cfg.mobility.model = sim::MobilityModelKind::kPaperUniform;
+      cfg.mobility_model = sim::MobilityModelKind::kPaperUniform;
     } else if (model == "ring") {
-      cfg.mobility.model = sim::MobilityModelKind::kRingNeighbor;
+      cfg.mobility_model = sim::MobilityModelKind::kRingNeighbor;
     } else if (model == "pareto") {
-      cfg.mobility.model = sim::MobilityModelKind::kParetoResidence;
+      cfg.mobility_model = sim::MobilityModelKind::kParetoResidence;
     } else {
       throw std::invalid_argument("unknown --mobility: " + model);
     }
   }
-  cfg.mobility.t_switch = args.get_f64("tswitch", cfg.mobility.t_switch);
-  cfg.mobility.p_switch = args.get_f64("pswitch", cfg.mobility.p_switch);
-  cfg.mobility.disconnect_mean = args.get_f64("outage", cfg.mobility.disconnect_mean);
-  cfg.mobility.heterogeneity = args.get_f64("h", cfg.mobility.heterogeneity);
+  cfg.t_switch = args.get_f64("tswitch", cfg.t_switch);
+  cfg.p_switch = args.get_f64("pswitch", cfg.p_switch);
+  cfg.disconnect_mean = args.get_f64("outage", cfg.disconnect_mean);
+  cfg.heterogeneity = args.get_f64("h", cfg.heterogeneity);
 
   if (args.has("crash-mode")) {
     cfg.faults.mode = sim::crash_mode_from_name(args.get_string("crash-mode", "none"));
@@ -308,46 +311,45 @@ sim::ExperimentConfig effective_config(const sim::ArgParser& args) {
   cfg.faults.target = args.get_u32("crash-target", cfg.faults.target);
   cfg.faults.correlated = args.get_u32("crash-hosts", cfg.faults.correlated);
 
-  if (args.get_flag("data-plane")) cfg.data_plane.enabled = true;
-  cfg.data_plane.full_state_bytes = args.get_u64("state-bytes", cfg.data_plane.full_state_bytes);
-  cfg.data_plane.dirty_rate = args.get_f64("dirty-rate", cfg.data_plane.dirty_rate);
+  if (args.get_flag("data-plane")) opts.data_plane.enabled = true;
+  opts.data_plane.full_state_bytes = args.get_u64("state-bytes", opts.data_plane.full_state_bytes);
+  opts.data_plane.dirty_rate = args.get_f64("dirty-rate", opts.data_plane.dirty_rate);
   if (args.has("storage-model")) {
     const std::string model = args.get_string("storage-model", "contention");
-    if (!storage::parse_stable_storage_kind(model, cfg.data_plane.model)) {
+    if (!storage::parse_stable_storage_kind(model, opts.data_plane.model)) {
       throw std::invalid_argument("unknown --storage-model: " + model);
     }
   }
-  cfg.data_plane.storage_bandwidth =
-      args.get_f64("storage-bandwidth", cfg.data_plane.storage_bandwidth);
+  opts.data_plane.storage_bandwidth =
+      args.get_f64("storage-bandwidth", opts.data_plane.storage_bandwidth);
   if (args.has("migration")) {
     const std::string strategy = args.get_string("migration", "precopy");
-    if (!storage::parse_migration_strategy(strategy, cfg.data_plane.migration)) {
+    if (!storage::parse_migration_strategy(strategy, opts.data_plane.migration)) {
       throw std::invalid_argument("unknown --migration: " + strategy);
     }
   }
-  cfg.data_plane.precopy_rounds = args.get_u32("precopy-rounds", cfg.data_plane.precopy_rounds);
+  opts.data_plane.precopy_rounds = args.get_u32("precopy-rounds", opts.data_plane.precopy_rounds);
 
   if (args.has("protocols")) {
     const std::string list = args.get_string("protocols", "TP,BCS,QBC");
-    cfg.protocols.clear();
+    opts.protocols.clear();
     std::istringstream ss(list);
     std::string token;
     while (std::getline(ss, token, ',')) {
-      if (!token.empty()) cfg.protocols.push_back(core::protocol_kind_from_name(token));
+      if (!token.empty()) opts.protocols.push_back(core::protocol_kind_from_name(token));
     }
   }
-  return cfg;
+  return {cfg, opts};
 }
 
 int cmd_audit(const sim::ArgParser& args) {
-  const sim::ExperimentConfig ec = effective_config(args);
-  sim::ExperimentOptions opts = ec.to_options();
+  auto [cfg, opts] = effective_config(args);
   obs::Profiler profiler;
   const bool profile = profile_requested(args);
   // One profiler across all queue-kind runs: the audit is sequential, so
   // the phases accumulate into a combined "cost of the audit" table.
   if (profile) opts.profiler = &profiler;
-  const sim::AuditReport report = sim::audit_determinism(ec.to_sim_config(), opts);
+  const sim::AuditReport report = sim::audit_determinism(cfg, opts);
   report.print(std::cout);
   if (profile) print_prof_summary(profiler);
   const std::string prof_trace = args.get_string("profile-trace", "");
@@ -357,8 +359,7 @@ int cmd_audit(const sim::ArgParser& args) {
 
 int cmd_run(const sim::ArgParser& args) {
   if (args.get_flag("audit-determinism")) return cmd_audit(args);
-  const sim::ExperimentConfig ec = effective_config(args);
-  sim::ExperimentOptions opts = ec.to_options();
+  auto [cfg, opts] = effective_config(args);
   opts.verify_consistency = args.get_flag("verify");
   const std::string metrics_path = args.get_string("metrics", "");
   const std::string trace_path = args.get_string("chrome-trace", "");
@@ -368,7 +369,7 @@ int cmd_run(const sim::ArgParser& args) {
   obs::Profiler profiler;
   if (!metrics_path.empty() || !trace_path.empty()) opts.observer = &observer;
   if (profile) opts.profiler = &profiler;
-  const sim::RunResult r = sim::run_experiment(ec.to_sim_config(), opts);
+  const sim::RunResult r = sim::run_experiment(cfg, opts);
   // The exporters throw (naming path + errno) on any open/write failure;
   // main()'s catch turns that into an error message and exit 1.
   if (!metrics_path.empty()) obs::write_metrics_jsonl(metrics_path, observer);
@@ -422,13 +423,11 @@ int cmd_run(const sim::ArgParser& args) {
 }
 
 int cmd_figure(const sim::ArgParser& args) {
-  const sim::ExperimentConfig ec = effective_config(args);
+  const auto [cfg, opts] = effective_config(args);
   sim::FigureSpec spec;
   spec.title = "N_tot vs T_switch";
-  spec.base = ec.to_sim_config();
-  spec.protocols = ec.protocols;
+  spec.base = cfg;
   sim::apply_cli_flags(spec, args);
-  sim::ExperimentOptions opts = ec.to_options();
   const sim::FigureResult result = sim::run_figure(spec, opts, args.get_u32("threads", 0));
   if (args.get_flag("json")) {
     sim::write_json(std::cout, result);
@@ -455,12 +454,11 @@ int cmd_figure(const sim::ArgParser& args) {
 }
 
 int cmd_recover(const sim::ArgParser& args) {
-  const sim::ExperimentConfig ec = effective_config(args);
-  sim::ExperimentOptions opts = ec.to_options();
+  auto [cfg, opts] = effective_config(args);
   obs::Profiler profiler;
   const bool profile = profile_requested(args);
   if (profile) opts.profiler = &profiler;
-  sim::Experiment exp(ec.to_sim_config(), opts);
+  sim::Experiment exp(cfg, opts);
   exp.run();
   const auto failed = static_cast<net::HostId>(args.get_u64("failed", 0));
   const auto fail_pos = exp.harness().current_positions();
@@ -497,15 +495,15 @@ int cmd_explain(const sim::ArgParser& args) {
                  "explain: nothing to explain — pass --ckpt, --msg, --recovery, and/or --dot\n");
     return 2;
   }
-  const sim::ExperimentConfig ec = effective_config(args);
-  sim::ExperimentOptions opts = ec.to_options();
+  const auto [cfg, base_opts] = effective_config(args);
+  sim::ExperimentOptions opts = base_opts;
   opts.shards = 1;  // observers are sequential-only; the replay below shards
   obs::RunObserver observer;
   opts.observer = &observer;
   obs::Profiler profiler;
   const bool profile = profile_requested(args);
   if (profile) opts.profiler = &profiler;
-  sim::Experiment exp(ec.to_sim_config(), opts);
+  sim::Experiment exp(cfg, opts);
   exp.run();
   const std::vector<std::string>& names = observer.protocol_names();
   if (profile) print_prof_summary(profiler);
@@ -532,12 +530,12 @@ int cmd_explain(const sim::ArgParser& args) {
                                 static_cast<i32>(target.slot), static_cast<i32>(target.host),
                                 target.ordinal, args.get_u64("depth", 16));
   }
-  if (ec.run.shards > 1 && (msg_id != 0 || have_target)) {
+  if (base_opts.shards > 1 && (msg_id != 0 || have_target)) {
     // Observed runs are sequential-only, so the shard/window annotation
     // comes from a second, unobserved sharded replay of the same config
     // with the barrier-window log enabled. The replay is bit-identical to
     // the observed run, so its windows map 1:1 onto the timeline's times.
-    sim::Experiment sexp(ec.to_sim_config(), ec.to_options());
+    sim::Experiment sexp(cfg, base_opts);
     sexp.sharded()->enable_window_log(true);
     sexp.run();
     std::vector<u32> owners(sexp.network().n_hosts());
@@ -605,87 +603,14 @@ int cmd_explain(const sim::ArgParser& args) {
   return 0;
 }
 
-/// cmd_trace's ShardHooks: network first (it builds the id map), then the
-/// harness journals — the same order Experiment::WindowMerger uses.
-struct TraceMerger final : des::ShardHooks {
-  net::Network& net;
-  core::ProtocolHarness& harness;
-  TraceMerger(net::Network& n, core::ProtocolHarness& h) : net(n), harness(h) {}
-  void on_window_merge(des::Time) override { harness.merge_window(net.merge_window()); }
-};
-
 int cmd_trace(const sim::ArgParser& args) {
-  const sim::ExperimentConfig ec = effective_config(args);
-  // The hand-composed stack below has no crash engine and no data plane;
-  // refuse configs that need them rather than trace a different run.
-  if (ec.faults.enabled()) {
-    std::fprintf(stderr, "trace: --crash-mode is not supported (no crash engine in the trace "
-                         "stack); use run or explain\n");
-    return 2;
-  }
-  if (ec.data_plane.enabled) {
-    std::fprintf(stderr, "trace: --data-plane is not supported (no data plane in the trace "
-                         "stack); use run\n");
-    return 2;
-  }
-  sim::SimConfig cfg = ec.to_sim_config();
-  // Collect the full trace with a vector sink wired through the stack.
-  // With --shards the stack is composed by hand exactly as Experiment
-  // does it: a ShardTraceMux in front of the sink, dst-owner routing in
-  // the network, journaled MessageLog merges at every barrier.
-  des::Simulator simulator(ec.run.queue_kind);
+  auto [cfg, opts] = effective_config(args);
   des::VectorSink sink;
-  const u32 shards = std::min(ec.run.shards, cfg.network.n_mss);
-  std::unique_ptr<des::ShardedSimulator> sharded;
-  std::unique_ptr<des::ShardTraceMux> mux;
-  des::TraceSink* front = &sink;
-  if (shards > 1) {
-    const f64 lookahead = std::min(cfg.network.wireless_latency, cfg.network.wired_latency);
-    sharded = std::make_unique<des::ShardedSimulator>(simulator, shards, ec.run.queue_kind,
-                                                      lookahead);
-    simulator.set_sharded(sharded.get());
-    mux = std::make_unique<des::ShardTraceMux>(shards, &sink);
-    front = mux.get();
-  }
-  net::Network network(simulator, cfg.network, cfg.seed, front);
-  core::ProtocolHarness harness(network, front);
-  for (const auto kind : ec.protocols) {
-    harness.add_protocol(core::make_protocol(kind));
-  }
-  std::unique_ptr<TraceMerger> merger;
-  if (shards > 1) {
-    network.enable_sharding(sharded.get(), mux.get());
-    harness.enable_sharding(shards);
-    merger = std::make_unique<TraceMerger>(network, harness);
-    sharded->set_hooks(merger.get());
-  }
+  opts.trace_sink = &sink;
   obs::Profiler profiler;
   const bool profile = profile_requested(args);
-  if (profile) {
-    // Hand-composed stack, so the profiler is wired by hand too — the
-    // same hookups Experiment's constructor does.
-    if (shards > 1) {
-      sharded->set_profiler(&profiler);
-    } else {
-      profiler.ensure_lanes(1);
-      simulator.set_prof(&profiler.lane_ref(0));
-    }
-    network.set_profiler(&profiler);
-    harness.set_profiler(&profiler);
-  }
-  sim::WorkloadDriver workload(simulator, network, cfg);
-  if (shards > 1) workload.enable_sharding(shards);
-  sim::MobilityDriver mobility(simulator, network, cfg, &workload);
-  network.start();
-  workload.start();
-  mobility.start();
-  if (shards > 1) {
-    sharded->run_until(cfg.sim_length);
-    network.finalize_sharding();
-    harness.finalize_sharding();
-  } else {
-    simulator.run_until(cfg.sim_length);
-  }
+  if (profile) opts.profiler = &profiler;
+  sim::run_experiment(cfg, opts);
 
   const std::string out = args.get_string("out", "");
   if (!out.empty()) {
@@ -740,7 +665,8 @@ int main(int argc, char** argv) {
     if (args.get_flag("dump-config")) {
       // Every command shares the config layer, so the dump lives here:
       // the merged file+flags config, reloadable through --config.
-      sim::write_json(std::cout, effective_config(args));
+      const auto [cfg, opts] = effective_config(args);
+      sim::write_json(std::cout, cfg, opts);
       return 0;
     }
     if (cmd == "report") return cmd_report(args);

@@ -15,8 +15,8 @@
 
 namespace mobichk::core {
 
-std::unique_ptr<CheckpointProtocol> make_protocol(ProtocolKind kind,
-                                                  const ProtocolParams& params) {
+std::unique_ptr<CheckpointProtocol> make_protocol(ProtocolKind kind, const ProtocolParams& params,
+                                                  u64 seed) {
   switch (kind) {
     case ProtocolKind::kTp:
       return std::make_unique<TpProtocol>(params.tp_encoding);
@@ -27,8 +27,7 @@ std::unique_ptr<CheckpointProtocol> make_protocol(ProtocolKind kind,
     case ProtocolKind::kBasicOnly:
       return std::make_unique<BasicOnlyProtocol>();
     case ProtocolKind::kUncoordinated:
-      return std::make_unique<UncoordinatedProtocol>(params.uncoordinated_mean_period,
-                                                     params.uncoordinated_seed);
+      return std::make_unique<UncoordinatedProtocol>(params.uncoordinated_mean_period, seed);
     case ProtocolKind::kCoordinated:
       return std::make_unique<CoordinatedProtocol>(params.coordinated_interval,
                                                    params.coordinated_marker_latency);

@@ -24,7 +24,6 @@ enum class ProtocolKind : u8 {
 /// Tunables for the protocols that need them.
 struct ProtocolParams {
   f64 uncoordinated_mean_period = 500.0;  ///< Mean local-timer period (tu).
-  u64 uncoordinated_seed = 1;
   f64 coordinated_interval = 500.0;       ///< Time between snapshot rounds (tu).
   f64 coordinated_marker_latency = 0.03;  ///< Initiator-to-host marker delay (tu).
   u32 lazy_bcs_laziness = 4;              ///< LazyBCS: index advance every k-th basic ckpt.
@@ -34,8 +33,10 @@ struct ProtocolParams {
   TpEncoding tp_encoding = TpEncoding::kSparse;
 };
 
-std::unique_ptr<CheckpointProtocol> make_protocol(ProtocolKind kind,
-                                                  const ProtocolParams& params = {});
+/// `seed` is the run's root seed; it drives the uncoordinated protocol's
+/// local timers.
+std::unique_ptr<CheckpointProtocol> make_protocol(ProtocolKind kind, const ProtocolParams& params,
+                                                  u64 seed);
 
 /// Parses "TP", "BCS", "QBC", "BASIC", "UNCOORD", "COORD" (case-insensitive).
 /// Throws std::invalid_argument on unknown names.

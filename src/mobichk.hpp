@@ -21,7 +21,8 @@
 //   sim::audit_determinism                  cross-queue determinism audit
 //   sim::ArgParser, FlagSet                 CLI flag schema + --help
 //   sim::write_json / *_from_json           result (de)serialization
-//   sim::ExperimentConfig                   nested run config (JSON files)
+//   sim::load_config / config_from_json     the run-config document (JSON
+//                                           files) on SimConfig + options
 //   storage::StableStorage, DataPlane       checkpoint bytes + service queues
 #pragma once
 

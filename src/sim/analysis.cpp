@@ -1,6 +1,5 @@
 #include "sim/analysis.hpp"
 
-#include <cmath>
 #include <stdexcept>
 
 #include "des/event.hpp"
@@ -42,17 +41,17 @@ void SteadyStateSpec::validate() const {
   if (window * 4.0 > cfg.sim_length) {
     throw std::invalid_argument("SteadyStateSpec: need at least 4 windows in the horizon");
   }
-  if (protocols.empty()) throw std::invalid_argument("SteadyStateSpec: no protocols");
 }
 
-std::vector<SteadyStateEstimate> estimate_steady_state(const SteadyStateSpec& spec) {
+std::vector<SteadyStateEstimate> estimate_steady_state(const SteadyStateSpec& spec,
+                                                       const ExperimentOptions& opts) {
   spec.validate();
-  ExperimentOptions opts;
-  opts.protocols = spec.protocols;
-  opts.params = spec.params;
+  if (opts.shards > 1 || opts.observer != nullptr) {
+    throw std::invalid_argument("estimate_steady_state: needs a sequential, unobserved run");
+  }
   Experiment exp(spec.cfg, opts);
 
-  const usize slots = spec.protocols.size();
+  const usize slots = opts.protocols.size();
   WindowSampler sampler(exp, spec, slots);
   // The kind is only a label: no observer is attached, so it reaches no
   // dispatch metric.
@@ -68,7 +67,7 @@ std::vector<SteadyStateEstimate> estimate_steady_state(const SteadyStateSpec& sp
   for (usize s = 0; s < slots; ++s) {
     const des::MserResult warmup = des::mser(series[s], spec.mser_batch);
     SteadyStateEstimate est;
-    est.protocol = core::protocol_kind_name(spec.protocols[s]);
+    est.protocol = core::protocol_kind_name(opts.protocols[s]);
     est.windows = series[s].size();
     est.warmup_windows = warmup.truncation_index;
     est.rate = warmup.truncated_mean / spec.window;
@@ -79,47 +78,6 @@ std::vector<SteadyStateEstimate> estimate_steady_state(const SteadyStateSpec& sp
     }
     est.ci95 = des::confidence_half_width(batches.batch_tally(), 0.95) / spec.window;
     out.push_back(std::move(est));
-  }
-  return out;
-}
-
-PrecisionResult run_until_precision(const PrecisionSpec& spec) {
-  if (spec.min_seeds == 0 || spec.max_seeds < spec.min_seeds) {
-    throw std::invalid_argument("PrecisionSpec: bad seed bounds");
-  }
-  ExperimentOptions opts;
-  opts.protocols = spec.protocols;
-
-  std::vector<des::Tally> tallies(spec.protocols.size());
-  PrecisionResult out;
-  for (u32 r = 0; r < spec.max_seeds; ++r) {
-    SimConfig cfg = spec.base;
-    cfg.seed = spec.seed_base + r;
-    const RunResult run = run_experiment(cfg, opts);
-    for (usize s = 0; s < spec.protocols.size(); ++s) {
-      tallies[s].add(static_cast<f64>(run.protocols[s].n_tot));
-    }
-    out.seeds_used = r + 1;
-    if (out.seeds_used < spec.min_seeds) continue;
-    bool all_met = true;
-    for (const auto& tally : tallies) {
-      const f64 hw = des::confidence_half_width(tally, 0.95);
-      if (tally.mean() <= 0.0 || hw / tally.mean() > spec.target_relative_ci) {
-        all_met = false;
-        break;
-      }
-    }
-    if (all_met) {
-      out.target_met = true;
-      break;
-    }
-  }
-  for (usize s = 0; s < spec.protocols.size(); ++s) {
-    PrecisionEstimate est;
-    est.protocol = core::protocol_kind_name(spec.protocols[s]);
-    est.n_tot_mean = tallies[s].mean();
-    est.ci95 = des::confidence_half_width(tallies[s], 0.95);
-    out.protocols.push_back(std::move(est));
   }
   return out;
 }

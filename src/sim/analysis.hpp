@@ -1,28 +1,19 @@
-// Output-analysis front ends: steady-state checkpoint-rate estimation
-// (single long run, MSER warm-up removal, batch-means confidence
-// intervals) and precision-driven replication (keep adding seeds until
-// the confidence interval is tight enough).
+// Output analysis: steady-state checkpoint-rate estimation (single long
+// run, MSER warm-up removal, batch-means confidence intervals).
+// Precision-driven replication is run_figure (sim/sweep.hpp).
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "core/factory.hpp"
 #include "des/types.hpp"
 #include "sim/config.hpp"
 #include "sim/experiment.hpp"
 
 namespace mobichk::sim {
 
-// ---------------------------------------------------------------------------
-// Steady-state rate estimation
-// ---------------------------------------------------------------------------
-
 struct SteadyStateSpec {
   SimConfig cfg;
-  std::vector<core::ProtocolKind> protocols{core::ProtocolKind::kTp, core::ProtocolKind::kBcs,
-                                            core::ProtocolKind::kQbc};
-  core::ProtocolParams params;
   f64 window = 500.0;     ///< Sampling-window width (tu).
   usize mser_batch = 5;   ///< MSER batch size over the window series.
   u64 batch_windows = 4;  ///< Batch-means size for the CI (post-warm-up windows).
@@ -38,38 +29,12 @@ struct SteadyStateEstimate {
   usize warmup_windows = 0;///< Windows MSER discarded.
 };
 
-/// Runs one long simulation, sampling each protocol's checkpoint count
-/// per window, and returns warm-up-corrected rate estimates.
-std::vector<SteadyStateEstimate> estimate_steady_state(const SteadyStateSpec& spec);
-
-// ---------------------------------------------------------------------------
-// Precision-driven replication
-// ---------------------------------------------------------------------------
-
-struct PrecisionSpec {
-  SimConfig base;  ///< Seed field is ignored; seeds are seed_base, seed_base+1, ...
-  std::vector<core::ProtocolKind> protocols{core::ProtocolKind::kTp, core::ProtocolKind::kBcs,
-                                            core::ProtocolKind::kQbc};
-  u64 seed_base = 1;
-  f64 target_relative_ci = 0.05;  ///< Stop when ci95/mean <= this for every protocol.
-  u32 min_seeds = 3;
-  u32 max_seeds = 64;
-};
-
-struct PrecisionEstimate {
-  std::string protocol;
-  f64 n_tot_mean = 0.0;
-  f64 ci95 = 0.0;
-};
-
-struct PrecisionResult {
-  std::vector<PrecisionEstimate> protocols;
-  u32 seeds_used = 0;
-  bool target_met = false;
-};
-
-/// Replicates the experiment with fresh seeds until every protocol's
-/// relative 95% CI on N_tot reaches the target (or max_seeds is hit).
-PrecisionResult run_until_precision(const PrecisionSpec& spec);
+/// Runs one long simulation under `opts` (protocol set, params, ...),
+/// sampling each protocol's checkpoint count per window, and returns
+/// warm-up-corrected rate estimates. The sampler reads the logs between
+/// events, so the run must be sequential and unobserved (shards > 1 or an
+/// observer throw std::invalid_argument).
+std::vector<SteadyStateEstimate> estimate_steady_state(const SteadyStateSpec& spec,
+                                                       const ExperimentOptions& opts = {});
 
 }  // namespace mobichk::sim

@@ -43,8 +43,8 @@ CrashMode crash_mode_from_name(std::string_view name) {
 
 void FaultConfig::validate(u32 n_hosts, u32 n_mss) const {
   if (!enabled()) return;
-  if (first_crash_at <= 0.0) {
-    throw std::invalid_argument("FaultConfig: first_crash_at must be positive");
+  if (first_crash_at < 0.0) {
+    throw std::invalid_argument("FaultConfig: first_crash_at must be >= 0");
   }
   if (crash_interval < 0.0) {
     throw std::invalid_argument("FaultConfig: crash_interval must be >= 0");

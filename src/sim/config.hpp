@@ -54,7 +54,7 @@ CrashMode crash_mode_from_name(std::string_view name);
 /// restored.
 struct FaultConfig {
   CrashMode mode = CrashMode::kNone;
-  f64 first_crash_at = 0.0;  ///< Time of the first failure; > 0 when enabled.
+  f64 first_crash_at = 0.0;  ///< Time of the first failure; 0 = sim_length / 2.
   f64 crash_interval = 0.0;  ///< Mean gap to the next failure (0 = one-shot).
   u32 max_crashes = 1;       ///< Stop injecting after this many failures.
   /// Victim chosen uniformly at random among live hosts (or cells).

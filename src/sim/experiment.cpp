@@ -51,6 +51,15 @@ Experiment::Experiment(SimConfig cfg, ExperimentOptions opts)
   if (opts_.collect_trace_hash) hash_sink_ = std::make_unique<des::HashSink>();
   sim_ = std::make_unique<des::Simulator>(opts_.queue_kind);
   des::TraceSink* sink = hash_sink_.get();
+  if (opts_.trace_sink != nullptr) {
+    if (sink != nullptr) {
+      tee_.attach(sink);
+      tee_.attach(opts_.trace_sink);
+      sink = &tee_;
+    } else {
+      sink = opts_.trace_sink;
+    }
+  }
   if (shards_ > 1) {
     const f64 lookahead = std::min(cfg_.network.wireless_latency, cfg_.network.wired_latency);
     sharded_ =
@@ -89,10 +98,8 @@ Experiment::Experiment(SimConfig cfg, ExperimentOptions opts)
     harness_->set_profiler(opts_.profiler);
     if (data_plane_ != nullptr) data_plane_->set_profiler(opts_.profiler);
   }
-  core::ProtocolParams params = opts_.params;
-  params.uncoordinated_seed = cfg_.seed;
   for (const auto kind : opts_.protocols) {
-    harness_->add_protocol(core::make_protocol(kind, params));
+    harness_->add_protocol(core::make_protocol(kind, opts_.params, cfg_.seed));
   }
   if (opts_.profiler != nullptr) {
     std::vector<std::string> slot_names;

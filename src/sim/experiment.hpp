@@ -60,6 +60,11 @@ struct ExperimentOptions {
   /// works sharded — each shard writes its own lane. Must outlive the
   /// Experiment; its prof.* samples are appended to RunResult::metrics.
   obs::Profiler* profiler = nullptr;
+
+  /// Non-owning trace consumer (nullptr = off): receives the run's trace
+  /// records in merged order (sequential or sharded), next to the hash
+  /// when collect_trace_hash is set. Must outlive the Experiment.
+  des::TraceSink* trace_sink = nullptr;
 };
 
 /// Per-protocol outcome of one run.
@@ -164,7 +169,8 @@ class Experiment {
   ExperimentOptions opts_;
   u32 shards_ = 1;  ///< Effective shard count (clamped to n_mss).
   std::unique_ptr<des::HashSink> hash_sink_;
-  des::NullSink null_sink_;  ///< Mux downstream when no hash is collected.
+  des::TeeSink tee_;         ///< Hash + opts.trace_sink when both are set.
+  des::NullSink null_sink_;  ///< Mux downstream when nothing is collected.
   std::unique_ptr<des::Simulator> sim_;
   std::unique_ptr<des::ShardedSimulator> sharded_;
   std::unique_ptr<des::ShardTraceMux> mux_;

@@ -29,8 +29,9 @@ void write_data_plane_fields(JsonWriter& w, const storage::DataPlaneConfig& cfg)
   w.end_object();
 }
 
-storage::DataPlaneConfig data_plane_config_from_json(const JsonValue& json) {
-  storage::DataPlaneConfig cfg;
+// Lays a data_plane object over `cfg`: presence of the object is the
+// enable flag unless it says "enabled": false.
+void data_plane_from_json(const JsonValue& json, storage::DataPlaneConfig& cfg) {
   cfg.enabled = true;
   if (const JsonValue* v = json.find("enabled")) cfg.enabled = v->as_bool();
   if (const JsonValue* v = json.find("full_state_bytes")) cfg.full_state_bytes = v->as_u64();
@@ -55,7 +56,6 @@ storage::DataPlaneConfig data_plane_config_from_json(const JsonValue& json) {
   if (const JsonValue* v = json.find("precopy_stop_fraction")) {
     cfg.precopy_stop_fraction = v->as_f64();
   }
-  return cfg;
 }
 
 net::MssTopologyKind topology_parse(const std::string& name) {
@@ -68,72 +68,33 @@ net::MssTopologyKind topology_parse(const std::string& name) {
 
 }  // namespace
 
-SimConfig ExperimentConfig::to_sim_config() const {
-  SimConfig cfg;
-  cfg.network.n_hosts = network.n_hosts;
-  cfg.network.n_mss = network.n_mss;
-  cfg.network.mss_topology = network.topology;
-  cfg.network.wireless_bandwidth = network.wireless_bandwidth;
-  cfg.sim_length = run.sim_length;
-  cfg.seed = run.seed;
-  cfg.comm_mean = workload.comm_mean;
-  cfg.p_send = workload.p_send;
-  cfg.internal_mean = workload.internal_mean;
-  cfg.payload_bytes = workload.payload_bytes;
-  cfg.mobility_model = mobility.model;
-  cfg.t_switch = mobility.t_switch;
-  cfg.p_switch = mobility.p_switch;
-  cfg.disconnect_mean = mobility.disconnect_mean;
-  cfg.heterogeneity = mobility.heterogeneity;
-  cfg.faults.mode = faults.mode;
-  if (faults.enabled()) {
-    // The CLI convention: an unset failure time means mid-run.
-    cfg.faults.first_crash_at =
-        faults.first_crash_at > 0.0 ? faults.first_crash_at : run.sim_length / 2.0;
-    cfg.faults.crash_interval = faults.crash_interval;
-    cfg.faults.max_crashes = faults.max_crashes;
-    cfg.faults.target = faults.target;
-    cfg.faults.correlated = faults.correlated;
-  }
-  return cfg;
-}
-
-ExperimentOptions ExperimentConfig::to_options() const {
-  ExperimentOptions opts;
-  opts.protocols = protocols;
-  opts.queue_kind = run.queue_kind;
-  opts.shards = run.shards;
-  opts.data_plane = data_plane;
-  return opts;
-}
-
-void write_json(std::ostream& os, const ExperimentConfig& cfg) {
+void write_json(std::ostream& os, const SimConfig& cfg, const ExperimentOptions& opts) {
   JsonWriter w(os);
   w.begin_object();
   w.key("network").begin_object();
   w.field("n_hosts", cfg.network.n_hosts)
       .field("n_mss", cfg.network.n_mss)
-      .field("topology", net::mss_topology_name(cfg.network.topology))
+      .field("topology", net::mss_topology_name(cfg.network.mss_topology))
       .field("wireless_bandwidth", cfg.network.wireless_bandwidth);
   w.end_object();
   w.key("run").begin_object();
-  w.field("sim_length", cfg.run.sim_length)
-      .field("seed", cfg.run.seed)
-      .field("queue_kind", des::queue_kind_name(cfg.run.queue_kind))
-      .field("shards", static_cast<u64>(cfg.run.shards));
+  w.field("sim_length", cfg.sim_length)
+      .field("seed", cfg.seed)
+      .field("queue_kind", des::queue_kind_name(opts.queue_kind))
+      .field("shards", static_cast<u64>(opts.shards));
   w.end_object();
   w.key("workload").begin_object();
-  w.field("comm_mean", cfg.workload.comm_mean)
-      .field("p_send", cfg.workload.p_send)
-      .field("internal_mean", cfg.workload.internal_mean)
-      .field("payload_bytes", cfg.workload.payload_bytes);
+  w.field("comm_mean", cfg.comm_mean)
+      .field("p_send", cfg.p_send)
+      .field("internal_mean", cfg.internal_mean)
+      .field("payload_bytes", cfg.payload_bytes);
   w.end_object();
   w.key("mobility").begin_object();
-  w.field("model", mobility_model_name(cfg.mobility.model))
-      .field("t_switch", cfg.mobility.t_switch)
-      .field("p_switch", cfg.mobility.p_switch)
-      .field("disconnect_mean", cfg.mobility.disconnect_mean)
-      .field("heterogeneity", cfg.mobility.heterogeneity);
+  w.field("model", mobility_model_name(cfg.mobility_model))
+      .field("t_switch", cfg.t_switch)
+      .field("p_switch", cfg.p_switch)
+      .field("disconnect_mean", cfg.disconnect_mean)
+      .field("heterogeneity", cfg.heterogeneity);
   w.end_object();
   // Crash-free configs carry no faults object (and default plane-off
   // configs no data_plane object): presence is the enable switch, and
@@ -148,49 +109,50 @@ void write_json(std::ostream& os, const ExperimentConfig& cfg) {
         .field("correlated", cfg.faults.correlated);
     w.end_object();
   }
-  if (cfg.data_plane.enabled || cfg.data_plane != storage::DataPlaneConfig{}) {
+  if (opts.data_plane.enabled || opts.data_plane != storage::DataPlaneConfig{}) {
     w.key("data_plane");
-    write_data_plane_fields(w, cfg.data_plane);
+    write_data_plane_fields(w, opts.data_plane);
   }
   w.key("protocols").begin_array();
-  for (const auto kind : cfg.protocols) w.value(core::protocol_kind_name(kind));
+  for (const auto kind : opts.protocols) w.value(core::protocol_kind_name(kind));
   w.end_array();
   w.end_object();
   os << '\n';
 }
 
-ExperimentConfig experiment_config_from_json(const JsonValue& json) {
-  ExperimentConfig cfg;
+void config_from_json(const JsonValue& json, SimConfig& cfg, ExperimentOptions& opts) {
   if (const JsonValue* net = json.find("network")) {
     if (const JsonValue* v = net->find("n_hosts")) cfg.network.n_hosts = static_cast<u32>(v->as_u64());
     if (const JsonValue* v = net->find("n_mss")) cfg.network.n_mss = static_cast<u32>(v->as_u64());
-    if (const JsonValue* v = net->find("topology")) cfg.network.topology = topology_parse(v->as_string());
+    if (const JsonValue* v = net->find("topology")) {
+      cfg.network.mss_topology = topology_parse(v->as_string());
+    }
     if (const JsonValue* v = net->find("wireless_bandwidth")) {
       cfg.network.wireless_bandwidth = v->as_f64();
     }
   }
   if (const JsonValue* run = json.find("run")) {
-    if (const JsonValue* v = run->find("sim_length")) cfg.run.sim_length = v->as_f64();
-    if (const JsonValue* v = run->find("seed")) cfg.run.seed = v->as_u64();
+    if (const JsonValue* v = run->find("sim_length")) cfg.sim_length = v->as_f64();
+    if (const JsonValue* v = run->find("seed")) cfg.seed = v->as_u64();
     if (const JsonValue* v = run->find("queue_kind")) {
-      cfg.run.queue_kind = des::queue_kind_from_name(v->as_string());
+      opts.queue_kind = des::queue_kind_from_name(v->as_string());
     }
-    if (const JsonValue* v = run->find("shards")) cfg.run.shards = static_cast<u32>(v->as_u64());
+    if (const JsonValue* v = run->find("shards")) opts.shards = static_cast<u32>(v->as_u64());
   }
   if (const JsonValue* wl = json.find("workload")) {
-    if (const JsonValue* v = wl->find("comm_mean")) cfg.workload.comm_mean = v->as_f64();
-    if (const JsonValue* v = wl->find("p_send")) cfg.workload.p_send = v->as_f64();
-    if (const JsonValue* v = wl->find("internal_mean")) cfg.workload.internal_mean = v->as_f64();
+    if (const JsonValue* v = wl->find("comm_mean")) cfg.comm_mean = v->as_f64();
+    if (const JsonValue* v = wl->find("p_send")) cfg.p_send = v->as_f64();
+    if (const JsonValue* v = wl->find("internal_mean")) cfg.internal_mean = v->as_f64();
     if (const JsonValue* v = wl->find("payload_bytes")) {
-      cfg.workload.payload_bytes = static_cast<u32>(v->as_u64());
+      cfg.payload_bytes = static_cast<u32>(v->as_u64());
     }
   }
   if (const JsonValue* mob = json.find("mobility")) {
-    if (const JsonValue* v = mob->find("model")) cfg.mobility.model = mobility_model_from_name(v->as_string());
-    if (const JsonValue* v = mob->find("t_switch")) cfg.mobility.t_switch = v->as_f64();
-    if (const JsonValue* v = mob->find("p_switch")) cfg.mobility.p_switch = v->as_f64();
-    if (const JsonValue* v = mob->find("disconnect_mean")) cfg.mobility.disconnect_mean = v->as_f64();
-    if (const JsonValue* v = mob->find("heterogeneity")) cfg.mobility.heterogeneity = v->as_f64();
+    if (const JsonValue* v = mob->find("model")) cfg.mobility_model = mobility_model_from_name(v->as_string());
+    if (const JsonValue* v = mob->find("t_switch")) cfg.t_switch = v->as_f64();
+    if (const JsonValue* v = mob->find("p_switch")) cfg.p_switch = v->as_f64();
+    if (const JsonValue* v = mob->find("disconnect_mean")) cfg.disconnect_mean = v->as_f64();
+    if (const JsonValue* v = mob->find("heterogeneity")) cfg.heterogeneity = v->as_f64();
   }
   if (const JsonValue* flt = json.find("faults")) {
     if (const JsonValue* v = flt->find("mode")) cfg.faults.mode = crash_mode_from_name(v->as_string());
@@ -204,25 +166,22 @@ ExperimentConfig experiment_config_from_json(const JsonValue& json) {
       cfg.faults.correlated = static_cast<u32>(v->as_u64());
     }
   }
-  if (const JsonValue* dp = json.find("data_plane")) {
-    cfg.data_plane = data_plane_config_from_json(*dp);
-  }
+  if (const JsonValue* dp = json.find("data_plane")) data_plane_from_json(*dp, opts.data_plane);
   if (const JsonValue* protos = json.find("protocols")) {
-    cfg.protocols.clear();
+    opts.protocols.clear();
     for (const JsonValue& name : protos->as_array()) {
-      cfg.protocols.push_back(core::protocol_kind_from_name(name.as_string()));
+      opts.protocols.push_back(core::protocol_kind_from_name(name.as_string()));
     }
   }
-  return cfg;
 }
 
-ExperimentConfig load_experiment_config(const std::string& path) {
+void load_config(const std::string& path, SimConfig& cfg, ExperimentOptions& opts) {
   std::ifstream file(path);
   if (!file.is_open()) throw std::runtime_error("cannot open config file: " + path);
   std::ostringstream text;
   text << file.rdbuf();
   if (file.bad()) throw std::runtime_error("cannot read config file: " + path);
-  return experiment_config_from_json(json_parse(text.str()));
+  config_from_json(json_parse(text.str()), cfg, opts);
 }
 
 }  // namespace mobichk::sim

@@ -45,7 +45,10 @@ void CrashDriver::start() {
   des::EventPayload p;
   p.target = this;
   p.kind = des::EventKind::kCrash;
-  sim_.schedule_at(cfg_.faults.first_crash_at, p);
+  // An unset failure time means mid-run.
+  const f64 at = cfg_.faults.first_crash_at > 0.0 ? cfg_.faults.first_crash_at
+                                                  : cfg_.sim_length / 2.0;
+  sim_.schedule_at(at, p);
   ++scheduled_;
 }
 

@@ -95,7 +95,8 @@ class CrashDriver final : public des::EventTarget {
               WorkloadDriver* workload, MobilityDriver* mobility, obs::RunObserver* observer,
               storage::DataPlane* data_plane = nullptr);
 
-  /// Schedules the first failure. Call after net.start().
+  /// Schedules the first failure at faults.first_crash_at, or mid-run
+  /// (sim_length / 2) when that is 0. Call after net.start().
   void start();
 
   /// Typed-event dispatch: kCrash fires a failure (no operands); kRecover

@@ -208,77 +208,6 @@ void write_json(std::ostream& os, const SweepLedger& ledger) {
   os << '\n';
 }
 
-void write_json(std::ostream& os, const FigureSpec& spec) {
-  JsonWriter w(os);
-  w.begin_object();
-  w.field("title", spec.title);
-  w.key("t_switch_values").begin_array();
-  for (const f64 t : spec.t_switch_values) w.value(t);
-  w.end_array();
-  w.key("protocols").begin_array();
-  for (const auto kind : spec.protocols) w.value(core::protocol_kind_name(kind));
-  w.end_array();
-  w.field("target_relative_ci", spec.target_relative_ci)
-      .field("min_seeds", spec.min_seeds)
-      .field("max_seeds", spec.max_seeds)
-      .field("batch_size", spec.batch_size)
-      .field("seed_base", spec.seed_base);
-  w.key("base").begin_object();
-  w.field("n_hosts", spec.base.network.n_hosts)
-      .field("n_mss", spec.base.network.n_mss)
-      .field("sim_length", spec.base.sim_length)
-      .field("comm_mean", spec.base.comm_mean)
-      .field("p_send", spec.base.p_send)
-      .field("p_switch", spec.base.p_switch)
-      .field("disconnect_mean", spec.base.disconnect_mean)
-      .field("heterogeneity", spec.base.heterogeneity)
-      .field("mobility_model", mobility_model_name(spec.base.mobility_model));
-  w.end_object();
-  w.end_object();
-  os << '\n';
-}
-
-namespace {
-
-std::vector<core::ProtocolKind> protocols_from_json(const JsonValue& json) {
-  std::vector<core::ProtocolKind> kinds;
-  for (const JsonValue& name : json.as_array()) {
-    kinds.push_back(core::protocol_kind_from_name(name.as_string()));
-  }
-  return kinds;
-}
-
-}  // namespace
-
-FigureSpec figure_spec_from_json(const JsonValue& json) {
-  FigureSpec spec;
-  if (const JsonValue* v = json.find("title")) spec.title = v->as_string();
-  if (const JsonValue* v = json.find("t_switch_values")) {
-    spec.t_switch_values.clear();
-    for (const JsonValue& t : v->as_array()) spec.t_switch_values.push_back(t.as_f64());
-  }
-  if (const JsonValue* v = json.find("protocols")) spec.protocols = protocols_from_json(*v);
-  if (const JsonValue* v = json.find("target_relative_ci")) spec.target_relative_ci = v->as_f64();
-  if (const JsonValue* v = json.find("min_seeds")) spec.min_seeds = static_cast<u32>(v->as_u64());
-  if (const JsonValue* v = json.find("max_seeds")) spec.max_seeds = static_cast<u32>(v->as_u64());
-  if (const JsonValue* v = json.find("batch_size")) spec.batch_size = static_cast<u32>(v->as_u64());
-  if (const JsonValue* v = json.find("seed_base")) spec.seed_base = v->as_u64();
-  if (const JsonValue* base = json.find("base")) {
-    if (const JsonValue* v = base->find("n_hosts")) spec.base.network.n_hosts = static_cast<u32>(v->as_u64());
-    if (const JsonValue* v = base->find("n_mss")) spec.base.network.n_mss = static_cast<u32>(v->as_u64());
-    if (const JsonValue* v = base->find("sim_length")) spec.base.sim_length = v->as_f64();
-    if (const JsonValue* v = base->find("comm_mean")) spec.base.comm_mean = v->as_f64();
-    if (const JsonValue* v = base->find("p_send")) spec.base.p_send = v->as_f64();
-    if (const JsonValue* v = base->find("p_switch")) spec.base.p_switch = v->as_f64();
-    if (const JsonValue* v = base->find("disconnect_mean")) spec.base.disconnect_mean = v->as_f64();
-    if (const JsonValue* v = base->find("heterogeneity")) spec.base.heterogeneity = v->as_f64();
-    if (const JsonValue* v = base->find("mobility_model")) {
-      spec.base.mobility_model = mobility_model_from_name(v->as_string());
-    }
-  }
-  return spec;
-}
-
 RunResult run_result_from_json(const JsonValue& json) {
   RunResult result;
   if (const JsonValue* cfg = json.find("config")) {

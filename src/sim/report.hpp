@@ -18,19 +18,10 @@ void write_json(std::ostream& os, const RunResult& result);
 /// replication cells, the precision echo and the sweep ledger.
 void write_json(std::ostream& os, const FigureResult& result);
 
-/// Sweep specification (title, points, protocols, precision fields and
-/// the swept base-config parameters). Round-trips through
-/// figure_spec_from_json.
-void write_json(std::ostream& os, const FigureSpec& spec);
-
 /// Sweep cost ledger, standalone (the same object is embedded in the
 /// FigureResult JSON under "ledger"). Round-trips through
 /// sweep_ledger_from_json.
 void write_json(std::ostream& os, const SweepLedger& ledger);
-
-/// Inverse of write_json(FigureSpec): absent members keep their spec
-/// defaults; malformed members throw std::invalid_argument.
-FigureSpec figure_spec_from_json(const JsonValue& json);
 
 /// Inverse of write_json(RunResult). Reconstructs everything the writer
 /// emits: config echo, network stats (delivery latency collapses to its

@@ -58,7 +58,6 @@ u64 FigureSpec::replication_seed(usize point, u32 replication) const noexcept {
 
 void FigureSpec::validate() const {
   if (t_switch_values.empty()) throw std::invalid_argument("FigureSpec: no sweep points");
-  if (protocols.empty()) throw std::invalid_argument("FigureSpec: no protocols");
   if (min_seeds == 0) throw std::invalid_argument("FigureSpec: min_seeds must be >= 1");
   if (max_seeds < min_seeds) {
     throw std::invalid_argument("FigureSpec: max_seeds must be >= min_seeds");
@@ -240,6 +239,9 @@ void FigureResult::write_gnuplot(std::ostream& os) const {
 
 FigureResult run_figure(const FigureSpec& spec, const ExperimentOptions& opts, u32 threads) {
   spec.validate();
+  // Checked here: Experiment would throw it on a pool thread, which
+  // terminates the process.
+  if (opts.protocols.empty()) throw std::invalid_argument("run_figure: no protocols");
   const auto wall_start = std::chrono::steady_clock::now();
 
   // Sweep-level observability runs on this thread only: a RunObserver is
@@ -251,10 +253,11 @@ FigureResult run_figure(const FigureSpec& spec, const ExperimentOptions& opts, u
   // Likewise a Profiler's lane 0 would be shared by every concurrent
   // sequential replication; sweeps report cost through the ledger instead.
   run_opts.profiler = nullptr;
-  run_opts.protocols = spec.protocols;
+  // A trace sink would interleave every replication's records.
+  run_opts.trace_sink = nullptr;
 
   const usize n_points = spec.t_switch_values.size();
-  const usize n_protocols = spec.protocols.size();
+  const usize n_protocols = opts.protocols.size();
   const u32 batch = spec.batch_size == 0 ? 2 : spec.batch_size;
 
   struct PointState {
@@ -353,7 +356,7 @@ FigureResult run_figure(const FigureSpec& spec, const ExperimentOptions& opts, u
   out.title = spec.title;
   out.t_switch_values = spec.t_switch_values;
   out.target_relative_ci = spec.target_relative_ci;
-  for (const auto kind : spec.protocols) {
+  for (const auto kind : opts.protocols) {
     out.protocol_names.emplace_back(core::protocol_kind_name(kind));
   }
   out.cells.assign(n_points, std::vector<des::Tally>(n_protocols));

@@ -30,13 +30,12 @@ class ArgParser;
 std::vector<RunResult> run_parallel(const std::vector<SimConfig>& configs,
                                     const ExperimentOptions& opts, u32 threads = 0);
 
-/// Specification of one paper figure: N_tot vs T_switch for a protocol set.
+/// Specification of one paper figure: N_tot vs T_switch. The protocol set
+/// is the run_figure options' (ExperimentOptions::protocols).
 struct FigureSpec {
   std::string title;
   SimConfig base;                       ///< p_switch / heterogeneity / length set here.
   std::vector<f64> t_switch_values{100, 200, 500, 1'000, 2'000, 5'000, 10'000};
-  std::vector<core::ProtocolKind> protocols{core::ProtocolKind::kTp, core::ProtocolKind::kBcs,
-                                            core::ProtocolKind::kQbc};
 
   /// Stop a point once every protocol cell's relative 95% CI half-width
   /// is at or below this (0.04 = the paper's 4% spread).
@@ -52,9 +51,7 @@ struct FigureSpec {
   /// What each protocol cell measures: metric(run, protocol_slot).
   /// Unset (the default) means the paper's N_tot. The adaptive stopping
   /// rule targets whatever this returns, so custom metrics get the same
-  /// precision control as checkpoint counts. NOT serialized:
-  /// write_json(FigureSpec) round-trips only the declarative fields, and
-  /// benches with custom metrics (fig_dataplane) carry them in code.
+  /// precision control as checkpoint counts.
   std::function<f64(const RunResult&, usize)> metric;
 
   /// `metric` if set, else N_tot of the slot.
@@ -153,9 +150,11 @@ struct FigureResult {
   void write_gnuplot(std::ostream& os) const;
 };
 
-/// Runs the adaptive sweep on `threads` workers. Per point, replications
-/// run in deterministic batches until the stopping rule fires or
-/// max_seeds is reached; the reported cells depend only on the spec.
+/// Runs the adaptive sweep on `threads` workers, one cell per protocol in
+/// opts.protocols (empty throws std::invalid_argument). Per point,
+/// replications run in deterministic batches until the stopping rule
+/// fires or max_seeds is reached; the reported cells depend only on the
+/// spec and the options.
 FigureResult run_figure(const FigureSpec& spec, const ExperimentOptions& opts = {},
                         u32 threads = 0);
 

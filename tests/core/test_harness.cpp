@@ -154,9 +154,10 @@ TEST(HarnessFactory, AllProtocolsInstantiateAndRun) {
     net::NetworkConfig cfg;
     cfg.n_hosts = 3;
     cfg.n_mss = 2;
-    net::Network net(sim, cfg, 2);
+    constexpr u64 kSeed = 2;
+    net::Network net(sim, cfg, kSeed);
     ProtocolHarness harness(net);
-    harness.add_protocol(make_protocol(kind));
+    harness.add_protocol(make_protocol(kind, {}, kSeed));
     net.start({0, 1, 0});
     net.send_app_message(0, 1, 8);
     net.switch_cell(2, 1);

@@ -13,9 +13,13 @@ TEST(SteadyState, SpecValidation) {
   spec.cfg.sim_length = 100.0;
   spec.window = 50.0;  // fewer than 4 windows
   EXPECT_THROW(spec.validate(), std::invalid_argument);
-  spec = SteadyStateSpec{};
-  spec.protocols.clear();
-  EXPECT_THROW(spec.validate(), std::invalid_argument);
+  ExperimentOptions opts;
+  opts.protocols.clear();
+  EXPECT_THROW(estimate_steady_state(SteadyStateSpec{}, opts), std::invalid_argument);
+  // The window sampler reads the logs between events: sequential only.
+  opts = ExperimentOptions{};
+  opts.shards = 4;
+  EXPECT_THROW(estimate_steady_state(SteadyStateSpec{}, opts), std::invalid_argument);
 }
 
 TEST(SteadyState, RatesMatchDirectCounts) {
@@ -53,56 +57,6 @@ TEST(SteadyState, WarmupStaysInFirstHalf) {
   for (const auto& est : estimates) {
     EXPECT_LE(est.warmup_windows, est.windows / 2 + spec.mser_batch);
   }
-}
-
-TEST(Precision, StopsWhenTargetMet) {
-  PrecisionSpec spec;
-  spec.base.sim_length = 10'000.0;
-  spec.base.t_switch = 500.0;
-  spec.base.p_switch = 0.8;
-  spec.target_relative_ci = 0.25;  // generous: a handful of seeds suffices
-  spec.min_seeds = 3;
-  spec.max_seeds = 20;
-  const PrecisionResult result = run_until_precision(spec);
-  EXPECT_TRUE(result.target_met);
-  EXPECT_GE(result.seeds_used, spec.min_seeds);
-  EXPECT_LE(result.seeds_used, spec.max_seeds);
-  for (const auto& p : result.protocols) {
-    EXPECT_GT(p.n_tot_mean, 0.0);
-    EXPECT_LE(p.ci95 / p.n_tot_mean, spec.target_relative_ci);
-  }
-}
-
-TEST(Precision, TightTargetUsesMoreSeeds) {
-  PrecisionSpec loose;
-  loose.base.sim_length = 5'000.0;
-  loose.base.t_switch = 500.0;
-  loose.target_relative_ci = 0.5;
-  PrecisionSpec tight = loose;
-  tight.target_relative_ci = 0.05;
-  tight.max_seeds = 40;
-  const auto a = run_until_precision(loose);
-  const auto b = run_until_precision(tight);
-  EXPECT_GE(b.seeds_used, a.seeds_used);
-}
-
-TEST(Precision, RespectsMaxSeeds) {
-  PrecisionSpec spec;
-  spec.base.sim_length = 2'000.0;
-  spec.target_relative_ci = 1e-6;  // unreachable
-  spec.max_seeds = 5;
-  const PrecisionResult result = run_until_precision(spec);
-  EXPECT_FALSE(result.target_met);
-  EXPECT_EQ(result.seeds_used, 5u);
-}
-
-TEST(Precision, BadBoundsThrow) {
-  PrecisionSpec spec;
-  spec.min_seeds = 0;
-  EXPECT_THROW(run_until_precision(spec), std::invalid_argument);
-  spec.min_seeds = 10;
-  spec.max_seeds = 5;
-  EXPECT_THROW(run_until_precision(spec), std::invalid_argument);
 }
 
 }  // namespace

@@ -146,6 +146,39 @@ TEST(Experiment, RunTwiceThrows) {
   EXPECT_THROW(exp.run(), std::logic_error);
 }
 
+// A caller's trace sink receives exactly the records the trace hash
+// folds, in merged order, alone or next to the hash: rehashing them
+// reproduces result().trace_hash, sharded and with a crash and the data
+// plane on.
+TEST(Experiment, TraceSinkReceivesTheHashedTrace) {
+  for (const bool crash : {false, true}) {
+    SimConfig cfg = small_config(42);
+    if (crash) cfg.faults.mode = CrashMode::kMhCrash;
+    for (const u32 shards : {1u, 4u}) {
+      ExperimentOptions opts;
+      opts.shards = shards;
+      opts.data_plane.enabled = crash;
+      opts.collect_trace_hash = true;
+      des::VectorSink teed;
+      opts.trace_sink = &teed;
+      const RunResult r = run_experiment(cfg, opts);
+      opts.collect_trace_hash = false;
+      des::VectorSink alone;
+      opts.trace_sink = &alone;
+      (void)run_experiment(cfg, opts);
+      const std::string label =
+          "shards=" + std::to_string(shards) + (crash ? " crash+plane" : "");
+      ASSERT_FALSE(teed.records().empty()) << label;
+      EXPECT_EQ(r.recovery.crashes_executed, crash ? 1u : 0u) << label;
+      for (const des::VectorSink* sink : {&teed, &alone}) {
+        des::HashSink rehash;
+        for (const des::TraceRecord& rec : sink->records()) rehash.record(rec);
+        EXPECT_EQ(rehash.hash(), r.trace_hash) << label;
+      }
+    }
+  }
+}
+
 TEST(Experiment, TpPiggybackScalesWithHosts) {
   // Dense TP carries 2n integers per message; BCS/QBC carry one. The
   // sparse default encodes deltas, so its dense-equivalent counter pins

@@ -28,7 +28,9 @@ SimConfig crash_config(CrashMode mode, u64 seed = 42) {
 TEST(FaultConfig, Validation) {
   SimConfig cfg = crash_config(CrashMode::kMhCrash);
   EXPECT_NO_THROW(cfg.validate());
-  cfg.faults.first_crash_at = 0.0;
+  cfg.faults.first_crash_at = 0.0;  // mid-run
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.faults.first_crash_at = -1.0;
   EXPECT_THROW(cfg.validate(), std::invalid_argument);
   cfg.faults.first_crash_at = 10.0;
   cfg.faults.target = cfg.network.n_hosts;  // out of range

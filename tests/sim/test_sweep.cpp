@@ -119,9 +119,9 @@ TEST(Sweep, ValidateRejectsBadSpecs) {
   spec = small_spec();
   spec.t_switch_values.clear();
   EXPECT_THROW(run_figure(spec), std::invalid_argument);
-  spec = small_spec();
-  spec.protocols.clear();
-  EXPECT_THROW(run_figure(spec), std::invalid_argument);
+  ExperimentOptions opts;
+  opts.protocols.clear();
+  EXPECT_THROW(run_figure(small_spec(), opts), std::invalid_argument);
 }
 
 // The acceptance check, scaled to test time: on a Figure-1-shaped config

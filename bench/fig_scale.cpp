@@ -58,7 +58,8 @@ f64 horizon_for(u32 hosts, f64 event_budget) {
 }
 
 /// Cells scale with the population (paper ratio: 2 MHs per MSS) but are
-/// capped: the wired topology precomputes all-pairs hops (n_mss^2).
+/// capped at 512, which keeps the n=10^5 row on the cell count of
+/// kernel_smoke's shard point.
 u32 mss_for(u32 hosts) { return std::clamp(hosts / 20u, 5u, 512u); }
 
 ScaleRow run_point(u32 hosts, f64 event_budget, des::QueueKind queue) {

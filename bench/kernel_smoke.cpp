@@ -6,7 +6,10 @@
 //  * heap allocations per event on both paths (global new/delete counter),
 //  * one Figure 1 point end-to-end (events/s, wall-clock, trace hash),
 //  * the observed Figure 1 point at L and 2L (median of 3 each): the
-//    doubling ratio must stay <= 2.5x, i.e. observed runs scale linearly.
+//    doubling ratio must stay <= 2.5x, i.e. observed runs scale linearly,
+//  * the construction of an n=10^4 experiment on a full mesh of 50 and of
+//    2000 MSSs (median of 5 each): setup_mss_ratio must stay <= 3.0, i.e.
+//    setup does not grow with the cell count.
 //
 // Output: a BENCH_kernel.json blob on the path given by --out= (default
 // ./BENCH_kernel.json). The CI perf-smoke job archives it per commit so
@@ -64,6 +67,8 @@ constexpr int kChurnFanout = 16;
 constexpr usize kChurnPairs = 9;
 constexpr int kObservedRepeats = 3;
 constexpr f64 kMaxDoublingRatio = 2.5;
+constexpr usize kSetupRepeats = 5;
+constexpr f64 kMaxSetupMssRatio = 3.0;
 
 struct Measurement {
   f64 events_per_second = 0.0;
@@ -275,6 +280,33 @@ int run(int argc, char** argv) {
               scale_eps / 1e6, static_cast<unsigned long long>(scale_encoded),
               static_cast<unsigned long long>(scale_dense));
 
+  // Setup scaling: constructing (not running) the n=10^4 experiment on a
+  // full mesh of 2000 MSSs against 50. Wired distance is a closed form and
+  // no setup structure is sized by cell pairs, so the ratio stays near 1;
+  // anything built per MSS pair pushes it into the thousands. Pairs run
+  // interleaved so warm-up and allocator state hit both sides alike.
+  std::array<f64, kSetupRepeats> setup_mss50{};
+  std::array<f64, kSetupRepeats> setup_mss2000{};
+  const auto setup_wall = [](u32 n_mss) {
+    sim::SimConfig c;
+    c.network.n_hosts = 10'000;
+    c.network.n_mss = n_mss;
+    c.seed = 42;
+    const auto t = std::chrono::steady_clock::now();
+    const sim::Experiment exp(c, sim::ExperimentOptions{});
+    return seconds_since(t);
+  };
+  for (usize i = 0; i < kSetupRepeats; ++i) {
+    setup_mss50[i] = setup_wall(50);
+    setup_mss2000[i] = setup_wall(2000);
+  }
+  const f64 setup50 = median_of(setup_mss50);
+  const f64 setup2000 = median_of(setup_mss2000);
+  const f64 setup_ratio = setup2000 / setup50;
+  std::printf("  setup: n=10^4 full mesh, 50 MSS %.4fs, 2000 MSS %.4fs (median of %zu): "
+              "%.2fx\n",
+              setup50, setup2000, kSetupRepeats, setup_ratio);
+
   // The same city-scale point at n=10^5 under the spatially sharded
   // engine: shards=1 (sequential path) vs shards=4, with trace hashing on
   // so the comparison doubles as a bit-identity gate. The >= 1.8x
@@ -347,6 +379,9 @@ int run(int argc, char** argv) {
                static_cast<unsigned long long>(scale_encoded));
   std::fprintf(out, "  \"scale_tp_dense_bytes\": %llu,\n",
                static_cast<unsigned long long>(scale_dense));
+  std::fprintf(out, "  \"setup_mss50_seconds\": %.5f,\n", setup50);
+  std::fprintf(out, "  \"setup_mss2000_seconds\": %.5f,\n", setup2000);
+  std::fprintf(out, "  \"setup_mss_ratio\": %.3f,\n", setup_ratio);
   std::fprintf(out, "  \"hardware_threads\": %u,\n", hw_threads);
   std::fprintf(out, "  \"shard_hosts\": %u,\n", shard_cfg.network.n_hosts);
   std::fprintf(out, "  \"shard_count\": 4,\n");
@@ -391,6 +426,14 @@ int run(int argc, char** argv) {
     }
     std::printf("obs gate: on/off ratio %.3f >= committed floor %.3f\n", obs_ratio, floor);
   }
+  // Setup gate: like the obs gate, ahead of the shard throughput gate.
+  if (setup_ratio > kMaxSetupMssRatio) {
+    std::fprintf(stderr, "FAIL: setup at 2000 MSS took %.2fx setup at 50 (bar %.1fx)\n",
+                 setup_ratio, kMaxSetupMssRatio);
+    return 1;
+  }
+  std::printf("setup gate: 2000-MSS setup %.2fx the 50-MSS setup <= %.1fx\n", setup_ratio,
+              kMaxSetupMssRatio);
   if (scale_encoded > scale_dense || scale.events_executed == 0) {
     std::fprintf(stderr, "FAIL: scale point broken (events=%llu, enc=%llu, dense=%llu)\n",
                  static_cast<unsigned long long>(scale.events_executed),

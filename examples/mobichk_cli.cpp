@@ -85,9 +85,10 @@ void add_config_flags(sim::FlagSet& fs) {
                fmt_num(d.fast_factor) + ")")
       .add("outage", sim::FlagType::kNumber, fmt_num(d.disconnect_mean),
            "mean disconnection length, > 0 (disconnections happen only when --pswitch < 1)")
-      .add("mobility", sim::FlagType::kString, "paper", "mobility model: paper|ring|pareto")
-      .add("topology", sim::FlagType::kString, "mesh",
-           "MSS wired topology: mesh|ring|line|star")
+      .add("mobility", sim::FlagType::kString, sim::mobility_model_name(d.mobility_model),
+           "mobility model: paper-uniform|ring-neighbor|pareto-residence")
+      .add("topology", sim::FlagType::kString, net::mss_topology_name(d.network.mss_topology),
+           "MSS wired topology: full-mesh|ring|line|star")
       .add("bandwidth", sim::FlagType::kNumber, "0",
            "wireless bandwidth in bytes/tu (0 = unlimited)")
       .add("protocols", sim::FlagType::kString, "TP,BCS,QBC",
@@ -263,18 +264,8 @@ std::pair<sim::SimConfig, sim::ExperimentOptions> effective_config(const sim::Ar
   cfg.network.n_hosts = args.get_u32("hosts", cfg.network.n_hosts);
   cfg.network.n_mss = args.get_u32("mss", cfg.network.n_mss);
   if (args.has("topology")) {
-    const std::string topo = args.get_string("topology", "mesh");
-    if (topo == "mesh") {
-      cfg.network.mss_topology = net::MssTopologyKind::kFullMesh;
-    } else if (topo == "ring") {
-      cfg.network.mss_topology = net::MssTopologyKind::kRing;
-    } else if (topo == "line") {
-      cfg.network.mss_topology = net::MssTopologyKind::kLine;
-    } else if (topo == "star") {
-      cfg.network.mss_topology = net::MssTopologyKind::kStar;
-    } else {
-      throw std::invalid_argument("unknown --topology: " + topo);
-    }
+    cfg.network.mss_topology =
+        net::mss_topology_from_name(args.get_string("topology", "full-mesh"));
   }
   cfg.network.wireless_bandwidth = args.get_f64("bandwidth", cfg.network.wireless_bandwidth);
 
@@ -286,16 +277,8 @@ std::pair<sim::SimConfig, sim::ExperimentOptions> effective_config(const sim::Ar
   cfg.p_send = args.get_f64("psend", cfg.p_send);
 
   if (args.has("mobility")) {
-    const std::string model = args.get_string("mobility", "paper");
-    if (model == "paper") {
-      cfg.mobility_model = sim::MobilityModelKind::kPaperUniform;
-    } else if (model == "ring") {
-      cfg.mobility_model = sim::MobilityModelKind::kRingNeighbor;
-    } else if (model == "pareto") {
-      cfg.mobility_model = sim::MobilityModelKind::kParetoResidence;
-    } else {
-      throw std::invalid_argument("unknown --mobility: " + model);
-    }
+    cfg.mobility_model =
+        sim::mobility_model_from_name(args.get_string("mobility", "paper-uniform"));
   }
   cfg.t_switch = args.get_f64("tswitch", cfg.t_switch);
   cfg.p_switch = args.get_f64("pswitch", cfg.p_switch);

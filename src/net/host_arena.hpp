@@ -64,11 +64,13 @@ struct BufferedAt {
 };
 
 /// All per-host network state, one array per field (index = dense HostId).
+/// It is the only record of where hosts are (`mss`) and of what each MSS
+/// holds for them (`buffered`).
 ///
-/// The MSS message buffers live here (indexed by the *host* they are held
-/// for, tagged with the MSS holding them) rather than inside Mss: shard-
-/// parallel windows have each host's owner shard touching only that
-/// host's buffers, which would race on a shared per-MSS map.
+/// The MSS message buffers are indexed by the *host* they are held for and
+/// tagged with the MSS holding them, not kept per MSS: shard-parallel
+/// windows have each host's owner shard touching only that host's
+/// buffers, which would race on a shared per-MSS map.
 struct HostArena {
   std::vector<MssId> mss;        ///< Current cell while connected; last cell otherwise.
   std::vector<u8> connected;     ///< 1 = attached to its cell.

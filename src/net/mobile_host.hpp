@@ -29,6 +29,9 @@ class MobileHost {
   /// Number of messages delivered but not yet consumed by the application.
   usize mailbox_size() const noexcept { return arena_->mailbox[id_].size(); }
 
+  /// Number of messages `cell`'s MSS holds for this host.
+  usize buffered_at(MssId cell) const { return arena_->buffered_count(cell, id_); }
+
   /// Monotonic per-host event position; advanced once per application
   /// event (internal, send, receive). Checkpoints record the position at
   /// which they were taken, which lets the oracle decide whether a message

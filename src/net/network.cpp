@@ -27,15 +27,12 @@ Network::Network(des::Simulator& sim, NetworkConfig cfg, u64 seed, des::TraceSin
       channel_rng_(seed, "net.channel"),
       topology_(cfg.mss_topology, cfg.n_mss) {
   cfg_.validate();
-  arena_.init(cfg_.n_hosts);  // Before the MSSs: they buffer through the arena.
-  mss_.reserve(cfg_.n_mss);
-  for (MssId m = 0; m < cfg_.n_mss; ++m) mss_.emplace_back(m, &arena_);
+  arena_.init(cfg_.n_hosts);
   channels_.resize(cfg_.n_mss);
-  directory_.init(cfg_.n_hosts, cfg_.n_mss);
   hosts_.reserve(cfg_.n_hosts);
   for (HostId h = 0; h < cfg_.n_hosts; ++h) {
     hosts_.emplace_back(&arena_, h);
-    set_mss(h, static_cast<MssId>(h % cfg_.n_mss));
+    arena_.mss[h] = static_cast<MssId>(h % cfg_.n_mss);
   }
 }
 
@@ -53,7 +50,7 @@ void Network::start(const std::vector<MssId>& placement) {
   if (handler_ == nullptr) throw std::logic_error("Network::start: no handler installed");
   for (HostId h = 0; h < cfg_.n_hosts; ++h) {
     if (placement[h] >= cfg_.n_mss) throw std::invalid_argument("Network::start: bad MSS id");
-    set_mss(h, placement[h]);
+    arena_.mss[h] = placement[h];
   }
   started_ = true;
   for (auto& host : hosts_) handler_->on_host_init(host);
@@ -103,19 +100,7 @@ void Network::on_event(const des::EventPayload& p) {
   const u32 park_idx = static_cast<u32>(p.b);
   switch (p.sub) {
     case kSubUplink:
-      // Location search: modeled as extra wired hops before forwarding.
-      if (cfg_.location_search_hops > 0) {
-        st().wired_hops += cfg_.location_search_hops;
-        if (probe_ != nullptr) probe_->wired_hops->add(cfg_.location_search_hops);
-        const f64 delay = cfg_.wired_latency * static_cast<f64>(cfg_.location_search_hops);
-        // The message stays parked (same pool) across the search leg; the
-        // follow-up leg stays on the executing queue.
-        des::ShardContext* c = des::current_shard();
-        (c != nullptr ? *c->sim : sim_)
-            .schedule_after(delay, hop_payload(kSubRouted, at, park_idx, /*targeted=*/false));
-      } else {
-        msg_at_mss(at, unpark(park_idx), /*targeted=*/false);
-      }
+      msg_at_mss(at, unpark(park_idx), /*targeted=*/false);
       break;
     case kSubRouted:
       msg_at_mss(at, unpark(park_idx), /*targeted=*/(p.flags & 1) != 0);
@@ -260,11 +245,10 @@ void Network::send_app_message(HostId src, HostId dst, u32 payload_bytes) {
 }
 
 void Network::msg_at_mss(MssId at, AppMessage msg, bool targeted) {
-  mss_.at(at).note_routed();
   MobileHost& d = hosts_.at(msg.dst);
   if (!d.connected()) {
     if (d.mss() == at) {
-      mss_.at(at).buffer_message(msg.dst, std::move(msg));
+      arena_.buffer_at(at, msg.dst, std::move(msg));
     } else {
       // Forward to the destination's last MSS, which buffers.
       wired_forward(at, d.mss(), std::move(msg));
@@ -289,7 +273,7 @@ void Network::deliver_to_host(MssId from_mss, AppMessage msg, bool is_duplicate)
   MobileHost& d = hosts_.at(msg.dst);
   if (!d.connected()) {
     // Disconnected during the wireless leg: the MSS retains the message.
-    mss_.at(from_mss).buffer_message(msg.dst, std::move(msg));
+    arena_.buffer_at(from_mss, msg.dst, std::move(msg));
     return;
   }
   if (d.mss() != from_mss) {
@@ -363,7 +347,7 @@ void Network::switch_cell(HostId host_id, MssId new_mss) {
   observe_mobility(obs::ProbeKind::kHandoff, host_id, static_cast<i32>(new_mss));
   occupy_control(old_mss);
   occupy_control(new_mss);
-  set_mss(host_id, new_mss);
+  arena_.mss[host_id] = new_mss;
   trace(des::TraceKind::kHandoff, host_id, old_mss, new_mss);
   handler_->on_cell_switch(h, old_mss, new_mss);
 }
@@ -398,11 +382,11 @@ void Network::reconnect(HostId host_id, MssId new_mss) {
   observe_mobility(obs::ProbeKind::kReconnect, host_id, static_cast<i32>(new_mss));
   occupy_control(new_mss);
   arena_.connected[host_id] = 1;
-  set_mss(host_id, new_mss);
+  arena_.mss[host_id] = new_mss;
   trace(des::TraceKind::kReconnect, host_id, last_mss, new_mss);
   handler_->on_reconnect(h, new_mss);
   // Messages that waited out the disconnection now flow to the new cell.
-  auto pending = mss_.at(last_mss).drain_buffer(host_id);
+  auto pending = arena_.drain_buffered(last_mss, host_id);
   st().buffered_deliveries += pending.size();
   for (auto& msg : pending) {
     msg_at_mss(last_mss, std::move(msg), /*targeted=*/false);
@@ -422,9 +406,9 @@ void Network::crash(HostId host_id) {
   // Volatile state dies with the host. Messages delivered but not yet
   // consumed were already counted received by the MSS's stable log; park
   // them back in the cell buffer so replay re-delivers them.
-  Mss& cell = mss_.at(h.mss());
+  const MssId cell = h.mss();
   h.mailbox().drain(
-      [&cell, host_id](AppMessage&& msg) { cell.buffer_message(host_id, std::move(msg)); });
+      [this, cell, host_id](AppMessage&& msg) { arena_.buffer_at(cell, host_id, std::move(msg)); });
   arena_.seen_ids[host_id].clear();
 }
 
@@ -518,13 +502,7 @@ const std::unordered_map<u64, u64>& Network::merge_window() {
     }
     for (u32 s = 0; s < n; ++s) slices_[s].egress[dst].clear();
   }
-  // 4. Journaled directory moves (per-host order is per-shard order;
-  //    cross-shard entries touch disjoint hosts).
-  for (auto& sl : slices_) {
-    for (const auto& [host, cell] : sl.dir_moves) directory_.move(host, cell);
-    sl.dir_moves.clear();
-  }
-  // 5. Publish this window's trace records downstream, time-merged.
+  // 4. Publish this window's trace records downstream, time-merged.
   mux_->flush();
   return window_idmap_;
 }
@@ -587,12 +565,12 @@ void Network::restore(HostId host_id, MssId at_mss) {
   observe_mobility(obs::ProbeKind::kRecover, host_id, static_cast<i32>(at_mss));
   occupy_control(at_mss);
   arena_.connected[host_id] = 1;
-  set_mss(host_id, at_mss);
+  arena_.mss[host_id] = at_mss;
   trace(des::TraceKind::kRecover, host_id, last_mss, at_mss);
   handler_->on_reconnect(h, at_mss);
   // Messages buffered during the outage (including the crash-parked
   // mailbox) flow to the restored host.
-  auto pending = mss_.at(last_mss).drain_buffer(host_id);
+  auto pending = arena_.drain_buffered(last_mss, host_id);
   st().buffered_deliveries += pending.size();
   for (auto& msg : pending) {
     msg_at_mss(last_mss, std::move(msg), /*targeted=*/false);

@@ -11,6 +11,11 @@
 //  * Handoff costs two control messages (old MSS, new MSS); a voluntary
 //    disconnection costs one. Messages addressed to a disconnected MH are
 //    buffered at its last MSS and forwarded when it reconnects.
+//
+// An MSS is not an object here: which cell each host is in, and which
+// messages a cell holds for a disconnected host, are columns of the
+// HostArena (net/host_arena.hpp), and the wired distance between two
+// MSSs is MssTopology's closed form (net/topology.hpp).
 #pragma once
 
 #include <memory>
@@ -30,10 +35,8 @@
 #include "net/handler.hpp"
 #include "net/host_arena.hpp"
 #include "net/ids.hpp"
-#include "net/location_directory.hpp"
 #include "net/message.hpp"
 #include "net/mobile_host.hpp"
-#include "net/mss.hpp"
 #include "net/topology.hpp"
 #include "obs/probes.hpp"
 #include "obs/prof.hpp"
@@ -47,7 +50,6 @@ struct NetworkConfig {
   u32 n_mss = 5;                ///< Paper: 5 MSSs.
   f64 wireless_latency = 0.01;  ///< MH <-> MSS hop (paper: 0.01 tu).
   f64 wired_latency = 0.01;     ///< MSS <-> MSS transfer (paper: 0.01 tu).
-  u32 location_search_hops = 0; ///< Extra wired hops to locate a recipient.
   f64 duplicate_prob = 0.0;     ///< Per-delivery duplication probability.
   bool transport_dedup = true;  ///< Suppress duplicates before the app sees them.
   /// Wireless cell bandwidth in bytes per time unit; 0 = ideal channel
@@ -90,8 +92,10 @@ struct NetworkStats {
   des::Tally delivery_latency; ///< Send-to-mailbox latency of app messages.
 };
 
-/// The network substrate. Owns hosts, MSSs, the location directory, and
-/// the channel model; mechanisms only (policy lives in src/sim/).
+/// The network substrate. Owns the host arena (the one record of which
+/// cell each host is in and which messages each cell holds for it), the
+/// wired topology and the cell channels; mechanisms only (policy lives in
+/// src/sim/).
 ///
 /// Message legs (uplink, wired routing, downlink, duplicate redelivery)
 /// are scheduled as typed kMessageHop events dispatched back into this
@@ -140,10 +144,9 @@ class Network final : public des::EventTarget {
   /// Barrier-time merge, run on the coordinator with all shards parked:
   /// assigns final message ids to this window's sends in global
   /// (time, shard) order, patches parked/egress messages and buffered
-  /// kSend trace records, applies journaled directory moves, drains
-  /// cross-shard egress legs into their owner queues, and flushes the
-  /// trace mux. Returns the provisional -> final id map for this window
-  /// (the harness merges its journals through it).
+  /// kSend trace records, drains cross-shard egress legs into their owner
+  /// queues, and flushes the trace mux. Returns the provisional -> final
+  /// id map for this window (the harness merges its journals through it).
   const std::unordered_map<u64, u64>& merge_window();
 
   /// End-of-run fold: sums per-shard counter slices into stats() and
@@ -165,12 +168,6 @@ class Network final : public des::EventTarget {
   u32 n_mss() const noexcept { return cfg_.n_mss; }
   MobileHost& host(HostId id) { return hosts_.at(id); }
   const MobileHost& host(HostId id) const { return hosts_.at(id); }
-  Mss& mss(MssId id) { return mss_.at(id); }
-  const Mss& mss(MssId id) const { return mss_.at(id); }
-  /// Hierarchical location directory: host -> cell plus O(population)
-  /// per-cell membership enumeration (kept in sync with every handoff,
-  /// reconnection, and restore).
-  const LocationDirectory& directory() const noexcept { return directory_; }
   /// Contention statistics of a cell's wireless channel (meaningful when
   /// wireless_bandwidth > 0; otherwise all-zero).
   const CellChannel& channel(MssId id) const { return channels_.at(id); }
@@ -243,7 +240,7 @@ class Network final : public des::EventTarget {
   /// kMessageHop sub-kinds (EventPayload::sub).
   enum : u8 {
     kSubUplink = 0,   ///< MH -> MSS wireless leg arrived (a = source MSS).
-    kSubRouted = 1,   ///< Wired transfer / search done (a = MSS, flags bit0 = targeted).
+    kSubRouted = 1,   ///< Wired transfer done (a = MSS, flags bit0 = targeted).
     kSubDeliver = 2,  ///< MSS -> MH wireless leg arrived (flags bit0 = is_duplicate).
   };
 
@@ -280,9 +277,8 @@ class Network final : public des::EventTarget {
     Pool pool;                            ///< In-flight legs owned by this shard.
     std::vector<u32> provisional_parked;  ///< Pool slots holding provisional ids.
     std::vector<SendReg> sends;           ///< This window's sends, in time order.
-    std::vector<std::pair<des::Time, f64>> latency;         ///< Delivery-latency journal.
-    std::vector<std::pair<HostId, MssId>> dir_moves;        ///< Directory moves this window.
-    std::vector<std::vector<EgressLeg>> egress;             ///< Per destination shard.
+    std::vector<std::pair<des::Time, f64>> latency;  ///< Delivery-latency journal.
+    std::vector<std::vector<EgressLeg>> egress;      ///< Per destination shard.
     u64 next_provisional = 0;
   };
 
@@ -318,18 +314,6 @@ class Network final : public des::EventTarget {
   /// calls (restore-time redelivery) inject into the owner's queue
   /// directly — the shards are parked.
   void schedule_hop(f64 delay, u8 sub, MssId at, bool flag, AppMessage msg);
-
-  /// Moves `host` to `new_mss` in the arena immediately (owner-local) and
-  /// in the directory either immediately (sequential / coordinator) or at
-  /// the next barrier (inside a window — the directory is shared).
-  void set_mss(HostId host, MssId new_mss) {
-    arena_.mss[host] = new_mss;
-    if (des::ShardContext* c = des::current_shard()) {
-      slices_[c->shard].dir_moves.emplace_back(host, new_mss);
-    } else {
-      directory_.move(host, new_mss);
-    }
-  }
 
   /// `targeted` is true when `at` was chosen because the destination was
   /// believed to be there (so finding it gone is a chase, not routing).
@@ -381,10 +365,8 @@ class Network final : public des::EventTarget {
   des::TraceSink* sink_;
   des::RngStream channel_rng_;
   MssTopology topology_;
-  HostArena arena_;              ///< SoA storage for all per-host state.
-  LocationDirectory directory_;  ///< host -> cell + per-cell membership.
+  HostArena arena_;                ///< SoA storage for all per-host state.
   std::vector<MobileHost> hosts_;  ///< Thin views over arena_, index = id.
-  std::vector<Mss> mss_;
   std::vector<CellChannel> channels_;
   NetworkStats stats_;
   Pool pool_;                      ///< In-flight message pool (sequential engine).

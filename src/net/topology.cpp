@@ -1,8 +1,7 @@
 #include "net/topology.hpp"
 
-#include <algorithm>
-#include <deque>
 #include <stdexcept>
+#include <string>
 
 namespace mobichk::net {
 
@@ -16,54 +15,16 @@ const char* mss_topology_name(MssTopologyKind kind) noexcept {
   return "?";
 }
 
-MssTopology::MssTopology(MssTopologyKind kind, u32 n_mss) : kind_(kind) {
+MssTopologyKind mss_topology_from_name(std::string_view name) {
+  for (const auto kind : {MssTopologyKind::kFullMesh, MssTopologyKind::kRing,
+                          MssTopologyKind::kLine, MssTopologyKind::kStar}) {
+    if (name == mss_topology_name(kind)) return kind;
+  }
+  throw std::invalid_argument("unknown MSS topology: " + std::string(name));
+}
+
+MssTopology::MssTopology(MssTopologyKind kind, u32 n_mss) : kind_(kind), n_mss_(n_mss) {
   if (n_mss == 0) throw std::invalid_argument("MssTopology: need at least one MSS");
-  // Adjacency lists.
-  std::vector<std::vector<MssId>> adj(n_mss);
-  const auto link = [&](MssId a, MssId b) {
-    adj[a].push_back(b);
-    adj[b].push_back(a);
-  };
-  switch (kind) {
-    case MssTopologyKind::kFullMesh:
-      for (MssId a = 0; a < n_mss; ++a) {
-        for (MssId b = a + 1; b < n_mss; ++b) link(a, b);
-      }
-      break;
-    case MssTopologyKind::kRing:
-      for (MssId a = 0; a + 1 < n_mss; ++a) link(a, a + 1);
-      if (n_mss > 2) link(n_mss - 1, 0);
-      break;
-    case MssTopologyKind::kLine:
-      for (MssId a = 0; a + 1 < n_mss; ++a) link(a, a + 1);
-      break;
-    case MssTopologyKind::kStar:
-      for (MssId a = 1; a < n_mss; ++a) link(0, a);
-      break;
-  }
-  // All-pairs BFS.
-  dist_.assign(n_mss, std::vector<u32>(n_mss, 0));
-  for (MssId src = 0; src < n_mss; ++src) {
-    std::vector<u32>& d = dist_[src];
-    std::vector<bool> seen(n_mss, false);
-    std::deque<MssId> queue{src};
-    seen[src] = true;
-    while (!queue.empty()) {
-      const MssId u = queue.front();
-      queue.pop_front();
-      for (const MssId v : adj[u]) {
-        if (!seen[v]) {
-          seen[v] = true;
-          d[v] = d[u] + 1;
-          queue.push_back(v);
-        }
-      }
-    }
-    for (MssId v = 0; v < n_mss; ++v) {
-      if (!seen[v]) throw std::logic_error("MssTopology: disconnected graph");
-      diameter_ = std::max(diameter_, d[v]);
-    }
-  }
 }
 
 }  // namespace mobichk::net

@@ -58,14 +58,6 @@ void data_plane_from_json(const JsonValue& json, storage::DataPlaneConfig& cfg) 
   }
 }
 
-net::MssTopologyKind topology_parse(const std::string& name) {
-  for (const auto kind : {net::MssTopologyKind::kFullMesh, net::MssTopologyKind::kRing,
-                          net::MssTopologyKind::kLine, net::MssTopologyKind::kStar}) {
-    if (name == net::mss_topology_name(kind)) return kind;
-  }
-  throw std::invalid_argument("unknown MSS topology: " + name);
-}
-
 }  // namespace
 
 void write_json(std::ostream& os, const SimConfig& cfg, const ExperimentOptions& opts) {
@@ -125,7 +117,7 @@ void config_from_json(const JsonValue& json, SimConfig& cfg, ExperimentOptions& 
     if (const JsonValue* v = net->find("n_hosts")) cfg.network.n_hosts = static_cast<u32>(v->as_u64());
     if (const JsonValue* v = net->find("n_mss")) cfg.network.n_mss = static_cast<u32>(v->as_u64());
     if (const JsonValue* v = net->find("topology")) {
-      cfg.network.mss_topology = topology_parse(v->as_string());
+      cfg.network.mss_topology = net::mss_topology_from_name(v->as_string());
     }
     if (const JsonValue* v = net->find("wireless_bandwidth")) {
       cfg.network.wireless_bandwidth = v->as_f64();

@@ -101,11 +101,9 @@ std::vector<net::HostId> CrashDriver::pick_victims() {
       const auto cell = f.target != FaultConfig::kRandomTarget
                             ? static_cast<net::MssId>(f.target)
                             : static_cast<net::MssId>(des::uniform_index(rng_, net_.n_mss()));
-      // Enumerate the cell via the location directory — O(population),
-      // not O(n_hosts) — in the same ascending-id order the old full
-      // scan produced, so victim traces are unchanged.
-      for (const auto h : net_.directory().hosts_in_cell(cell)) {
-        if (net_.host(h).connected() && !down_[h]) victims.push_back(h);
+      // Every live host the cell holds, in ascending id order.
+      for (const auto h : eligible) {
+        if (net_.host(h).mss() == cell) victims.push_back(h);
       }
       break;
     }

@@ -98,24 +98,5 @@ TEST(ScaleSmoke, SteadyStateAllocationRateStaysBounded) {
                            << events[1] - events[0] << " steady-state events";
 }
 
-TEST(ScaleSmoke, DirectoryPopulationsSumToHostCount) {
-  // After a run with mobility, the location directory still partitions
-  // the population exactly.
-  SimConfig cfg = scale_config();
-  cfg.network.n_hosts = 2'000;
-  cfg.network.n_mss = 100;
-  cfg.sim_length = 2'000.0;  // long enough for real handoffs
-  ExperimentOptions opts;
-  opts.protocols = {core::ProtocolKind::kBcs};
-  Experiment exp(cfg, opts);
-  exp.run();
-  EXPECT_GT(exp.result().net.handoffs, 0u);
-  u64 total = 0;
-  for (net::MssId m = 0; m < cfg.network.n_mss; ++m) {
-    total += exp.network().directory().population(m);
-  }
-  EXPECT_EQ(total, cfg.network.n_hosts);
-}
-
 }  // namespace
 }  // namespace mobichk::sim

@@ -1,18 +1,10 @@
-// SoA host arena and location directory: unit properties plus a
-// randomized differential against brute-force oracles at n in {1, 2,
-// 1000}, and a live-network consistency check after scripted mobility.
+// SoA host arena: mailbox FIFO properties, the per-cell buffers an MSS
+// holds for a host, and the MobileHost view over the arena's columns.
 #include <gtest/gtest.h>
 
-#include <map>
-#include <set>
-
-#include "des/distributions.hpp"
 #include "des/rng.hpp"
-#include "des/simulator.hpp"
-#include "net/handler.hpp"
 #include "net/host_arena.hpp"
-#include "net/location_directory.hpp"
-#include "net/network.hpp"
+#include "net/mobile_host.hpp"
 
 namespace mobichk::net {
 namespace {
@@ -73,117 +65,44 @@ TEST(Mailbox, DrainVisitsInOrderAndEmpties) {
 }
 
 // ---------------------------------------------------------------------------
-// LocationDirectory vs a brute-force oracle
+// MSS-held buffers
 // ---------------------------------------------------------------------------
 
-TEST(LocationDirectory, PlacementAndPopulation) {
-  LocationDirectory dir;
-  dir.init(6, 3);
-  for (HostId h = 0; h < 6; ++h) dir.move(h, static_cast<MssId>(h % 3));
-  for (MssId m = 0; m < 3; ++m) {
-    EXPECT_EQ(dir.population(m), 2u);
-    const auto members = dir.hosts_in_cell(m);
-    ASSERT_EQ(members.size(), 2u);
-    EXPECT_EQ(members[0], m);      // sorted ascending
-    EXPECT_EQ(members[1], m + 3);
-  }
-  EXPECT_EQ(dir.cell_of(4), 1u);
+HostArena arena_for(u32 n_hosts) {
+  HostArena a;
+  a.init(n_hosts);
+  return a;
 }
 
-TEST(LocationDirectory, MoveIsIdempotentAndRelinks) {
-  LocationDirectory dir;
-  dir.init(3, 2);
-  for (HostId h = 0; h < 3; ++h) dir.move(h, 0);
-  dir.move(1, 0);  // no-op
-  EXPECT_EQ(dir.population(0), 3u);
-  dir.move(1, 1);
-  EXPECT_EQ(dir.population(0), 2u);
-  EXPECT_EQ(dir.population(1), 1u);
-  EXPECT_EQ(dir.hosts_in_cell(0), (std::vector<HostId>{0, 2}));
-  EXPECT_EQ(dir.hosts_in_cell(1), (std::vector<HostId>{1}));
+TEST(HostArena, BuffersPerHostFifo) {
+  HostArena a = arena_for(8);
+  a.buffer_at(0, 1, make_msg(10));
+  a.buffer_at(0, 1, make_msg(11));
+  a.buffer_at(0, 2, make_msg(20));
+  EXPECT_EQ(a.buffered_count(0, 1), 2u);
+  EXPECT_EQ(a.buffered_count(0, 2), 1u);
+  const auto drained = a.drain_buffered(0, 1);
+  ASSERT_EQ(drained.size(), 2u);
+  EXPECT_EQ(drained[0].id, 10u);  // FIFO order preserved
+  EXPECT_EQ(drained[1].id, 11u);
+  EXPECT_EQ(a.buffered_count(0, 1), 0u);
+  EXPECT_EQ(a.buffered_count(0, 2), 1u);  // other hosts untouched
 }
 
-class DirectoryFuzz : public ::testing::TestWithParam<u32> {};
-
-TEST_P(DirectoryFuzz, MatchesMapOracleUnderRandomMoves) {
-  const u32 n_hosts = GetParam();
-  const u32 n_mss = std::max(2u, n_hosts / 20u);
-  LocationDirectory dir;
-  dir.init(n_hosts, n_mss);
-  std::map<HostId, MssId> oracle;
-  des::RngStream rng(41, "dir-fuzz");
-  for (HostId h = 0; h < n_hosts; ++h) {
-    const auto m = static_cast<MssId>(des::uniform_index(rng, n_mss));
-    dir.move(h, m);
-    oracle[h] = m;
-  }
-  const int steps = n_hosts >= 1000 ? 5000 : 500;
-  for (int step = 0; step < steps; ++step) {
-    const auto h = static_cast<HostId>(des::uniform_index(rng, n_hosts));
-    const auto m = static_cast<MssId>(des::uniform_index(rng, n_mss));
-    dir.move(h, m);
-    oracle[h] = m;
-    ASSERT_EQ(dir.cell_of(h), m);
-  }
-  // Full reconciliation: per-cell membership and populations match the
-  // brute-force oracle exactly.
-  for (MssId m = 0; m < n_mss; ++m) {
-    std::vector<HostId> expected;
-    for (const auto& [h, cell] : oracle) {
-      if (cell == m) expected.push_back(h);
-    }
-    EXPECT_EQ(dir.hosts_in_cell(m), expected) << "cell " << m;
-    EXPECT_EQ(dir.population(m), expected.size()) << "cell " << m;
-  }
+TEST(HostArena, DrainEmptyIsEmpty) {
+  HostArena a = arena_for(8);
+  EXPECT_TRUE(a.drain_buffered(3, 7).empty());
+  EXPECT_EQ(a.buffered_count(3, 7), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, DirectoryFuzz, ::testing::Values(1u, 2u, 1000u));
-
-// ---------------------------------------------------------------------------
-// Arena-backed network: views and directory stay consistent live
-// ---------------------------------------------------------------------------
-
-TEST(NetworkDirectory, TracksMobilityExactly) {
-  des::Simulator sim;
-  NetworkConfig cfg;
-  cfg.n_hosts = 20;
-  cfg.n_mss = 4;
-  Network net(sim, cfg, 1);
-  NullHostEventHandler handler;
-  net.set_handler(&handler);
-  net.start();
-
-  des::RngStream rng(17, "netdir-fuzz");
-  std::vector<bool> down(cfg.n_hosts, false);
-  for (int step = 0; step < 400; ++step) {
-    const auto h = static_cast<HostId>(des::uniform_index(rng, cfg.n_hosts));
-    const auto op = des::uniform_index(rng, 3);
-    if (op == 0 && !down[h]) {
-      const auto m = static_cast<MssId>(des::uniform_index(rng, cfg.n_mss));
-      if (m != net.host(h).mss()) net.switch_cell(h, m);
-    } else if (op == 1 && !down[h]) {
-      net.disconnect(h);
-      down[h] = true;
-    } else if (op == 2 && down[h]) {
-      net.reconnect(h, static_cast<MssId>(des::uniform_index(rng, cfg.n_mss)));
-      down[h] = false;
-    }
-    // The directory's answer must match the per-host view at all times
-    // (disconnected hosts stay filed under their last cell).
-    ASSERT_EQ(net.directory().cell_of(h), net.host(h).mss());
-  }
-  // Per-cell enumeration covers every host exactly once.
-  std::set<HostId> seen;
-  u32 total = 0;
-  for (MssId m = 0; m < cfg.n_mss; ++m) {
-    for (const HostId h : net.directory().hosts_in_cell(m)) {
-      EXPECT_EQ(net.host(h).mss(), m);
-      seen.insert(h);
-      ++total;
-    }
-  }
-  EXPECT_EQ(total, cfg.n_hosts);
-  EXPECT_EQ(seen.size(), cfg.n_hosts);
+TEST(HostArena, RebufferingAfterDrainWorks) {
+  HostArena a = arena_for(8);
+  a.buffer_at(0, 5, make_msg(1));
+  a.drain_buffered(0, 5);
+  a.buffer_at(0, 5, make_msg(2));
+  const auto drained = a.drain_buffered(0, 5);
+  ASSERT_EQ(drained.size(), 1u);
+  EXPECT_EQ(drained[0].id, 2u);
 }
 
 TEST(HostArena, ViewsReadArenaState) {
@@ -196,10 +115,13 @@ TEST(HostArena, ViewsReadArenaState) {
   arena.mss[2] = 7;
   arena.event_pos[2] = 42;
   arena.mailbox[2].push(make_msg(1));
+  arena.buffer_at(7, 2, make_msg(2));
   EXPECT_FALSE(view.connected());
   EXPECT_EQ(view.mss(), 7u);
   EXPECT_EQ(view.event_pos(), 42u);
   EXPECT_EQ(view.mailbox_size(), 1u);
+  EXPECT_EQ(view.buffered_at(7), 1u);
+  EXPECT_EQ(view.buffered_at(6), 0u);
 }
 
 }  // namespace

@@ -99,21 +99,6 @@ TEST_F(NetworkTest, CrossCellDeliveryLatency) {
   EXPECT_EQ(net_.stats().wired_hops, 1u);
 }
 
-TEST_F(NetworkTest, LocationSearchHopsAddLatency) {
-  des::Simulator sim;
-  NetworkConfig cfg = make_config();
-  cfg.location_search_hops = 2;
-  Network net(sim, cfg, 1);
-  RecordingHandler handler;
-  net.set_handler(&handler);
-  net.start({0, 1, 0, 0});
-  net.send_app_message(0, 1, 10);
-  sim.run();
-  // up 0.01 + search 0.02 + wired 0.01 + down 0.01.
-  EXPECT_DOUBLE_EQ(sim.now(), 0.05);
-  EXPECT_EQ(net.stats().wired_hops, 3u);
-}
-
 TEST_F(NetworkTest, HandlerFillsPiggybackOnWire) {
   net_.start({0, 0, 0, 0});
   net_.send_app_message(0, 1, 100);
@@ -193,7 +178,7 @@ TEST_F(NetworkTest, DisconnectBuffersAtLastMss) {
   net_.send_app_message(0, 1, 100);
   sim_.run();
   EXPECT_EQ(net_.host(1).mailbox_size(), 0u);
-  EXPECT_EQ(net_.mss(1).buffered_count(1), 1u);
+  EXPECT_EQ(net_.host(1).buffered_at(1), 1u);
   EXPECT_EQ(net_.stats().app_delivered, 0u);
 }
 
@@ -203,7 +188,7 @@ TEST_F(NetworkTest, ReconnectFlushesBufferToNewCell) {
   net_.send_app_message(0, 1, 100);
   net_.send_app_message(3, 1, 100);
   sim_.run();
-  EXPECT_EQ(net_.mss(1).buffered_count(1), 2u);
+  EXPECT_EQ(net_.host(1).buffered_at(1), 2u);
   net_.reconnect(1, 2);
   EXPECT_TRUE(net_.host(1).connected());
   EXPECT_EQ(net_.host(1).mss(), 2u);
@@ -211,7 +196,7 @@ TEST_F(NetworkTest, ReconnectFlushesBufferToNewCell) {
   sim_.run();
   EXPECT_EQ(net_.host(1).mailbox_size(), 2u);
   EXPECT_EQ(net_.stats().buffered_deliveries, 2u);
-  EXPECT_EQ(net_.mss(1).buffered_count(1), 0u);
+  EXPECT_EQ(net_.host(1).buffered_at(1), 0u);
 }
 
 TEST_F(NetworkTest, DisconnectDuringWirelessLegBuffers) {
@@ -221,7 +206,7 @@ TEST_F(NetworkTest, DisconnectDuringWirelessLegBuffers) {
   net_.disconnect(1);
   sim_.run();
   EXPECT_EQ(net_.host(1).mailbox_size(), 0u);
-  EXPECT_EQ(net_.mss(0).buffered_count(1), 1u);
+  EXPECT_EQ(net_.host(1).buffered_at(0), 1u);
   net_.reconnect(1, 0);
   sim_.run();
   EXPECT_EQ(net_.host(1).mailbox_size(), 1u);
@@ -233,7 +218,7 @@ TEST_F(NetworkTest, MessageToDisconnectedHostForwardsToLastMss) {
   // Sender at MSS 2: message should travel to MSS 1 and be buffered there.
   net_.send_app_message(2, 1, 10);
   sim_.run();
-  EXPECT_EQ(net_.mss(1).buffered_count(1), 1u);
+  EXPECT_EQ(net_.host(1).buffered_at(1), 1u);
 }
 
 TEST_F(NetworkTest, StatsCountControlMessages) {

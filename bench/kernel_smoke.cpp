@@ -9,7 +9,10 @@
 //    doubling ratio must stay <= 2.5x, i.e. observed runs scale linearly,
 //  * the construction of an n=10^4 experiment on a full mesh of 50 and of
 //    2000 MSSs (median of 5 each): setup_mss_ratio must stay <= 3.0, i.e.
-//    setup does not grow with the cell count.
+//    setup does not grow with the cell count,
+//  * one sparse TP receive that interleaves k hosts new to the receiver
+//    with the k it holds, at k = 2^13 and 2^14 (median of 5 each):
+//    tp_merge_doubling_ratio must stay <= 3.0, i.e. the merge is linear.
 //
 // Output: a BENCH_kernel.json blob on the path given by --out= (default
 // ./BENCH_kernel.json). The CI perf-smoke job archives it per commit so
@@ -69,6 +72,9 @@ constexpr int kObservedRepeats = 3;
 constexpr f64 kMaxDoublingRatio = 2.5;
 constexpr usize kSetupRepeats = 5;
 constexpr f64 kMaxSetupMssRatio = 3.0;
+constexpr usize kMergeRepeats = 5;
+constexpr u32 kMergeK = 1u << 13;
+constexpr f64 kMaxMergeDoublingRatio = 3.0;
 
 struct Measurement {
   f64 events_per_second = 0.0;
@@ -116,6 +122,41 @@ template <usize N>
 f64 median_of(std::array<f64, N> values) {
   std::sort(values.begin(), values.end());
   return values[N / 2];
+}
+
+/// Seconds for one sparse TP receive of k entries into a receiver that
+/// holds k others, interleaved: host 0 holds hosts 4i+2 and host 1 ships
+/// it hosts 4i+3, so every shipped host is new and lands between two held
+/// ones. Runs on a fresh TP-only experiment's harness; host 0 never sends,
+/// so neither receive forces a checkpoint.
+f64 tp_merge_seconds(u32 k) {
+  sim::SimConfig c;
+  c.network.n_hosts = 4 * k;
+  c.network.n_mss = 50;
+  c.seed = 42;
+  sim::ExperimentOptions o;
+  o.protocols = {core::ProtocolKind::kTp};
+  sim::Experiment exp(c, o);
+  auto& tp = static_cast<core::TpProtocol&>(exp.harness().protocol(0));
+  const auto delta = [&c, k](u32 offset, u32 seq) {
+    net::Piggyback pb;
+    pb.has_delta = true;
+    pb.delta_seq = seq;
+    pb.dense_rank = 2 * c.network.n_hosts;
+    pb.deltas.reserve(k);
+    for (u32 i = 0; i < k; ++i) pb.deltas.push_back({4 * i + offset, 1 + i % 7, i % 50});
+    return pb;
+  };
+  net::AppMessage msg;
+  msg.src = 1;
+  msg.dst = 0;
+  const net::MobileHost& host = exp.network().host(msg.dst);
+  tp.handle_receive(host, msg, delta(2, 0));
+  const net::Piggyback shipped = delta(3, 1);
+  msg.id = 1;
+  const auto t = std::chrono::steady_clock::now();
+  tp.handle_receive(host, msg, shipped);
+  return seconds_since(t);
 }
 
 /// obs_on_off_ratio floor recorded in a committed baseline JSON; 0.0 = no
@@ -307,6 +348,25 @@ int run(int argc, char** argv) {
               "%.2fx\n",
               setup50, setup2000, kSetupRepeats, setup_ratio);
 
+  // TP merge scaling: one interleaved receive at k and 2k entries. A
+  // linear merge takes about twice the time for twice the entries; a
+  // per-entry sorted insert shifts the tail k times and reads about 4x.
+  // Pairs run interleaved, each on a fresh experiment, so both sizes grow
+  // their lists into memory the allocator has already touched: first
+  // touch of fresh pages costs more than the merge itself.
+  std::array<f64, kMergeRepeats> merge_k_walls{};
+  std::array<f64, kMergeRepeats> merge_2k_walls{};
+  for (usize i = 0; i < kMergeRepeats; ++i) {
+    merge_k_walls[i] = tp_merge_seconds(kMergeK);
+    merge_2k_walls[i] = tp_merge_seconds(2 * kMergeK);
+  }
+  const f64 merge_k = median_of(merge_k_walls);
+  const f64 merge_2k = median_of(merge_2k_walls);
+  const f64 merge_ratio = merge_2k / merge_k;
+  std::printf("  tp merge: k=%u %.3gms, k=%u %.3gms (median of %zu): %.2fx for 2x the "
+              "entries\n",
+              kMergeK, merge_k * 1e3, 2 * kMergeK, merge_2k * 1e3, kMergeRepeats, merge_ratio);
+
   // The same city-scale point at n=10^5 under the spatially sharded
   // engine: shards=1 (sequential path) vs shards=4, with trace hashing on
   // so the comparison doubles as a bit-identity gate. The >= 1.8x
@@ -382,6 +442,10 @@ int run(int argc, char** argv) {
   std::fprintf(out, "  \"setup_mss50_seconds\": %.5f,\n", setup50);
   std::fprintf(out, "  \"setup_mss2000_seconds\": %.5f,\n", setup2000);
   std::fprintf(out, "  \"setup_mss_ratio\": %.3f,\n", setup_ratio);
+  std::fprintf(out, "  \"tp_merge_k\": %u,\n", kMergeK);
+  std::fprintf(out, "  \"tp_merge_seconds_k\": %.6f,\n", merge_k);
+  std::fprintf(out, "  \"tp_merge_seconds_2k\": %.6f,\n", merge_2k);
+  std::fprintf(out, "  \"tp_merge_doubling_ratio\": %.3f,\n", merge_ratio);
   std::fprintf(out, "  \"hardware_threads\": %u,\n", hw_threads);
   std::fprintf(out, "  \"shard_hosts\": %u,\n", shard_cfg.network.n_hosts);
   std::fprintf(out, "  \"shard_count\": 4,\n");
@@ -434,6 +498,14 @@ int run(int argc, char** argv) {
   }
   std::printf("setup gate: 2000-MSS setup %.2fx the 50-MSS setup <= %.1fx\n", setup_ratio,
               kMaxSetupMssRatio);
+  // Merge gate: also ahead of the shard throughput gate.
+  if (merge_ratio > kMaxMergeDoublingRatio) {
+    std::fprintf(stderr, "FAIL: TP merge of 2k entries took %.2fx the merge of k (bar %.1fx)\n",
+                 merge_ratio, kMaxMergeDoublingRatio);
+    return 1;
+  }
+  std::printf("merge gate: TP merge %.2fx <= %.1fx for 2x the entries\n", merge_ratio,
+              kMaxMergeDoublingRatio);
   if (scale_encoded > scale_dense || scale.events_executed == 0) {
     std::fprintf(stderr, "FAIL: scale point broken (events=%llu, enc=%llu, dense=%llu)\n",
                  static_cast<unsigned long long>(scale.events_executed),

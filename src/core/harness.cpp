@@ -105,51 +105,50 @@ void ProtocolHarness::finalize_sharding() {
 void ProtocolHarness::on_send(net::MobileHost& host, net::AppMessage& msg) {
   obs::ProfLane* plane = prof_ != nullptr ? &prof_->lane() : nullptr;
   obs::ProfScope prof_enc(plane != nullptr ? &plane->pb_encode : nullptr);
-  if (!slices_.empty()) {
-    // Sharded run: the piggybacks travel by value with the message (the
-    // sender's and receiver's shards share no parking pool), and the
-    // MessageLog update is journaled for the barrier.
-    msg.pbs.resize(slots_.size());
-    des::ShardContext* c = des::current_shard();
-    for (usize k = 0; k < slots_.size(); ++k) {
-      obs::ProfScope prof_slot(slot_acc(plane, k));
-      msg.pbs[k] = slots_[k]->protocol->make_piggyback(host, msg.dst);
-      if (c != nullptr) {
-        slices_[c->shard].pb_bytes[k] += msg.pbs[k].wire_bytes();
-        slices_[c->shard].pb_dense_bytes[k] += msg.pbs[k].dense_bytes();
-      } else {
-        slots_[k]->pb_bytes += msg.pbs[k].wire_bytes();
-        slots_[k]->pb_dense_bytes += msg.pbs[k].dense_bytes();
-      }
-    }
-    if (!msg.pbs.empty()) msg.pb = msg.pbs.front();  // slot 0 rides the wire
-    if (c != nullptr) {
-      slices_[c->shard].sends.push_back(SendRec{msg.id, msg.src, msg.dst, host.event_pos() + 1});
+  // Sharded runs: the piggybacks travel by value with the message (the
+  // sender's and receiver's shards share no parking pool), per-slot bytes
+  // go to the executing shard's slice, and the MessageLog update is
+  // journaled for the barrier. Sequential runs park them in the pool.
+  const bool sharded = !slices_.empty();
+  des::ShardContext* c = sharded ? des::current_shard() : nullptr;
+  u32 idx = 0;
+  if (!sharded) {
+    if (!park_free_.empty()) {
+      idx = park_free_.back();
+      park_free_.pop_back();
     } else {
-      msg_log_.note_send(msg.id, msg.src, msg.dst, host.event_pos() + 1);
+      idx = static_cast<u32>(park_.size());
+      park_.emplace_back();
     }
-    return;
   }
-  u32 idx;
-  if (!park_free_.empty()) {
-    idx = park_free_.back();
-    park_free_.pop_back();
-  } else {
-    idx = static_cast<u32>(park_.size());
-    park_.emplace_back();
-  }
-  Parked& parked = park_[idx];
-  parked.pbs.resize(slots_.size());
+  std::vector<net::Piggyback>& pbs = sharded ? msg.pbs : park_[idx].pbs;
+  pbs.resize(slots_.size());
   for (usize k = 0; k < slots_.size(); ++k) {
     obs::ProfScope prof_slot(slot_acc(plane, k));
-    parked.pbs[k] = slots_[k]->protocol->make_piggyback(host, msg.dst);
-    slots_[k]->pb_bytes += parked.pbs[k].wire_bytes();
-    slots_[k]->pb_dense_bytes += parked.pbs[k].dense_bytes();
+    pbs[k] = slots_[k]->protocol->make_piggyback(host, msg.dst);
+    const u64 wire = pbs[k].wire_bytes();
+    const u64 dense = pbs[k].dense_bytes();
+    if (c != nullptr) {
+      slices_[c->shard].pb_bytes[k] += wire;
+      slices_[c->shard].pb_dense_bytes[k] += dense;
+    } else {
+      slots_[k]->pb_bytes += wire;
+      slots_[k]->pb_dense_bytes += dense;
+    }
+    if (k == 0) {  // slot 0 rides the wire
+      msg.sn = pbs[k].sn;
+      msg.has_sn = pbs[k].has_sn;
+      msg.pb_bytes = wire;
+      msg.pb_dense_bytes = dense;
+    }
   }
-  if (!parked.pbs.empty()) msg.pb = parked.pbs.front();  // slot 0 rides the wire
   // The send event will occupy the next position (see Network::send_app_message).
-  msg_log_.note_send(msg.id, msg.src, msg.dst, host.event_pos() + 1);
-  in_flight_.emplace(msg.id, idx);
+  if (c != nullptr) {
+    slices_[c->shard].sends.push_back(SendRec{msg.id, msg.src, msg.dst, host.event_pos() + 1});
+  } else {
+    msg_log_.note_send(msg.id, msg.src, msg.dst, host.event_pos() + 1);
+  }
+  if (!sharded) in_flight_.emplace(msg.id, idx);
 }
 
 void ProtocolHarness::on_receive(net::MobileHost& host, const net::AppMessage& msg) {
@@ -162,9 +161,9 @@ void ProtocolHarness::on_receive(net::MobileHost& host, const net::AppMessage& m
     }
     if (des::ShardContext* c = des::current_shard()) {
       slices_[c->shard].recvs.push_back(
-          RecvRec{c->sim->now(), msg.id, host.event_pos() + 1, msg.pb.sn});
+          RecvRec{c->sim->now(), msg.id, host.event_pos() + 1, msg.sn});
     } else {
-      msg_log_.note_receive(msg.id, host.event_pos() + 1, msg.pb.sn);
+      msg_log_.note_receive(msg.id, host.event_pos() + 1, msg.sn);
     }
     return;
   }
@@ -180,7 +179,7 @@ void ProtocolHarness::on_receive(net::MobileHost& host, const net::AppMessage& m
     slots_[k]->protocol->handle_receive(host, msg, pbs[k]);
   }
   // The receive event will occupy the next position (see Network::consume_one).
-  msg_log_.note_receive(msg.id, host.event_pos() + 1, msg.pb.sn);
+  msg_log_.note_receive(msg.id, host.event_pos() + 1, msg.sn);
   if (!retain_piggybacks_) {
     park_free_.push_back(it->second);
     in_flight_.erase(it);

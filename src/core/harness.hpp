@@ -109,9 +109,10 @@ class ProtocolHarness final : public net::HostEventHandler {
     u64 pb_dense_bytes = 0;
   };
 
-  /// Pooled per-message piggyback parking: slots are recycled after
-  /// delivery so the inner vectors keep their capacity and steady-state
-  /// sends stop allocating.
+  /// Pooled per-message piggyback parking: an entry is recycled after
+  /// delivery, so its per-slot vector is sized once. The piggybacks in it
+  /// are replaced by each send's make_piggyback result, so their own
+  /// buffers (TP's delta list or dense vectors) are allocated per send.
   struct Parked {
     std::vector<net::Piggyback> pbs;
   };

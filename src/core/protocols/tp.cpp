@@ -1,6 +1,7 @@
 #include "core/protocols/tp.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 namespace mobichk::core {
 
@@ -15,6 +16,25 @@ T& flat_map_get(std::vector<T>& v, Key T::* key, Key k) {
   T fresh{};
   fresh.*key = k;
   return *v.insert(it, fresh);
+}
+
+/// First position in [from, v.size()) whose idx is >= key. Gallops from
+/// `from` (1, 2, 4, ... ahead) before a binary search, so walking a sorted
+/// run of keys costs O(log gap) each: O(m + k) for k keys over m entries,
+/// and O(k log m) when k is small.
+template <typename T>
+usize gallop_lower_bound(const std::vector<T>& v, usize from, u32 key) {
+  usize lo = from;
+  usize hi = from;
+  for (usize step = 1; hi < v.size() && v[hi].idx < key; step *= 2) {
+    lo = hi + 1;
+    hi += step;
+  }
+  hi = std::min(hi, v.size());
+  const auto it = std::lower_bound(v.begin() + static_cast<std::ptrdiff_t>(lo),
+                                   v.begin() + static_cast<std::ptrdiff_t>(hi), key,
+                                   [](const T& e, u32 x) { return e.idx < x; });
+  return static_cast<usize>(it - v.begin());
 }
 
 }  // namespace
@@ -116,6 +136,7 @@ net::Piggyback TpProtocol::make_piggyback(const net::MobileHost& host, net::Host
     // the sender's own entry (always fresh: the receiver needs the
     // sender's current interval and location), in host order.
     const std::vector<Entry>& es = entries_[me];
+    pb.deltas.reserve(es.size() + 1);
     bool own_emitted = false;
     for (const Entry& e : es) {
       if (!own_emitted && e.idx > me) {
@@ -156,15 +177,58 @@ void TpProtocol::handle_receive(const net::MobileHost& host, const net::AppMessa
       }
     }
   } else {
-    std::vector<Entry>& es = entries_[me];
-    for (const net::PbDelta& d : pb.deltas) {
-      if (d.idx == me) continue;
-      Entry& e = flat_map_get(es, &Entry::idx, d.idx);
-      if (d.ckpt > e.ckpt) {
-        e.ckpt = d.ckpt;
-        e.loc = d.loc;
-        e.ver = ++version_[me];
-      }
+    merge_deltas(me, pb.deltas);
+  }
+}
+
+void TpProtocol::merge_deltas(net::HostId me, const std::vector<net::PbDelta>& deltas) {
+  // Both lists are sorted by host. The forward pass raises the entries the
+  // receiver already holds, in place, and counts the hosts new to it.
+  assert(std::adjacent_find(deltas.begin(), deltas.end(),
+                            [](const net::PbDelta& a, const net::PbDelta& b) {
+                              return a.idx >= b.idx;
+                            }) == deltas.end() &&
+         "a sparse delta lists each host once, in ascending order");
+  std::vector<Entry>& es = entries_[me];
+  const usize held = es.size();
+  usize fresh = 0;
+  usize at = 0;
+  for (const net::PbDelta& d : deltas) {
+    if (d.idx == me) continue;
+    at = gallop_lower_bound(es, at, d.idx);
+    if (at == held || es[at].idx != d.idx) {
+      ++fresh;
+      continue;
+    }
+    Entry& e = es[at++];
+    if (d.ckpt > e.ckpt) {
+      e.ckpt = d.ckpt;
+      e.loc = d.loc;
+      e.ver = ++version_[me];
+    }
+  }
+  if (fresh == 0) return;
+  // Grow once and merge backwards in place: held entries shift up past
+  // the new ones, which start out as the zero entry (no dependency yet)
+  // and take the shipped values when those are above it. Writing stops
+  // once the last new host is placed; everything below is already home.
+  es.resize(held + fresh);
+  usize read = held;
+  usize write = es.size();
+  for (auto d = deltas.rbegin(); write != read; ++d) {
+    if (d->idx == me) continue;
+    while (read > 0 && es[read - 1].idx > d->idx) es[--write] = es[--read];
+    if (read > 0 && es[read - 1].idx == d->idx) {
+      es[--write] = es[--read];  // raised by the forward pass
+      continue;
+    }
+    Entry& e = es[--write];
+    e = Entry{};
+    e.idx = d->idx;
+    if (d->ckpt > 0) {
+      e.ckpt = d->ckpt;
+      e.loc = d->loc;
+      e.ver = ++version_[me];
     }
   }
 }

@@ -24,6 +24,13 @@
 // Such gaps are detected via a per-pair sequence number and surfaced
 // through delta_reorders(). The phase rule never reads the vectors, so
 // forced checkpoints — and the event trace — are encoding-independent.
+//
+// Sparse cost model, for a sender holding m entries and a delta of k:
+// encoding a piggyback walks the sender's entries once, O(m), into a
+// buffer sized once; a receive merges the sorted delta into the
+// receiver's sorted entries in one pass, O(m + k) (O(k log m) for a short
+// delta), growing the list at most once; a checkpoint copies the entries,
+// O(m).
 #pragma once
 
 #include <vector>
@@ -87,6 +94,8 @@ class TpProtocol final : public CheckpointProtocol {
   };
 
   void basic_checkpoint(const net::MobileHost& host);
+  /// Sparse receive: raises host `me`'s entries to a sorted delta.
+  void merge_deltas(net::HostId me, const std::vector<net::PbDelta>& deltas);
   void checkpoint(const net::MobileHost& host, CheckpointKind kind, net::MsgId trigger = 0);
 
   SendCursor& send_cursor(net::HostId src, net::HostId dst);

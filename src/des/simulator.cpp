@@ -1,5 +1,6 @@
 #include "des/simulator.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -51,7 +52,14 @@ void Simulator::advance_to(const EventEntry& e) noexcept {
     assert(false && "event queue returned an event in the past");
   }
 #ifndef NDEBUG
-  assert(fired_seqs_.insert(e.seq).second && "event seq popped twice");
+  // Seqs count up from 1, so a bitmap catches a double pop without
+  // allocating per event: it starts at 2^20 seqs and doubles, so the
+  // allocation gates hold in debug builds too.
+  if (e.seq >= fired_seqs_.size()) {
+    fired_seqs_.resize(std::max({2 * fired_seqs_.size(), e.seq + 1, usize{1} << 20}));
+  }
+  assert(!fired_seqs_[e.seq] && "event seq popped twice");
+  fired_seqs_[e.seq] = true;
 #endif
   now_ = e.time;
 }

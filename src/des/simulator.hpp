@@ -8,7 +8,7 @@
 
 #include <memory>
 #ifndef NDEBUG
-#include <unordered_set>
+#include <vector>
 #endif
 
 #include "des/event.hpp"
@@ -173,7 +173,7 @@ class Simulator {
   u64 executed_ = 0;
   SimInvariants invariants_;
 #ifndef NDEBUG
-  std::unordered_set<u64> fired_seqs_;  ///< Double-pop detection (debug builds).
+  std::vector<bool> fired_seqs_;  ///< Double-pop detection by seq (debug builds).
 #endif
 };
 

@@ -22,8 +22,9 @@ class HostEventHandler {
   /// checkpoint here if the protocol requires one.
   virtual void on_host_init(MobileHost& host) = 0;
 
-  /// Called at send time; must fill `msg.pb` with the protocol's control
-  /// information and update protocol state (e.g. TP's phase flag).
+  /// Called at send time; must set the message's piggyback wire fields
+  /// (`sn`, `has_sn`, `pb_bytes`, `pb_dense_bytes`) from the protocol's
+  /// control information and update protocol state (e.g. TP's phase flag).
   virtual void on_send(MobileHost& host, AppMessage& msg) = 0;
 
   /// Called when the application consumes a delivered message. The

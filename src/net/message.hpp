@@ -95,22 +95,30 @@ struct Piggyback {
 };
 
 /// An application message in flight or in a mailbox.
+///
+/// The message carries what the network reads of the piggyback on the
+/// wire — slot 0's `sn` and its encoded and dense-equivalent sizes — not
+/// the piggyback itself. The send handler sets those fields; the protocols'
+/// control information stays with the handler (parked between send and
+/// receive) except in sharded runs, where it rides in `pbs`.
 struct AppMessage {
   u64 id = 0;               ///< Globally unique message id.
   HostId src = 0;
   HostId dst = 0;
   u32 payload_bytes = 0;    ///< Application payload size (excl. piggyback).
+  bool has_sn = false;      ///< Whether the piggyback carries `sn`.
   des::Time sent_at = 0.0;
   u64 send_pos = 0;         ///< Sender's event position at send (consistency oracle).
-  Piggyback pb;
+  u64 sn = 0;               ///< Piggybacked sequence number (index-based protocols).
+  u64 pb_bytes = 0;         ///< Piggyback bytes on the wire (Piggyback::wire_bytes).
+  u64 pb_dense_bytes = 0;   ///< Dense-equivalent piggyback bytes (Piggyback::dense_bytes).
   /// Sharded runs only: every protocol slot's piggyback travels by value
   /// with the message (sender and receiver may live on different shards,
   /// so the harness cannot park them in a shared pool). Sequential runs
-  /// leave this empty and use the pooled parking path. Slot 0's piggyback
-  /// is still mirrored into `pb` — that is the one on the wire.
+  /// leave this empty and use the pooled parking path.
   std::vector<Piggyback> pbs;
 
-  usize wire_bytes() const noexcept { return payload_bytes + pb.wire_bytes(); }
+  usize wire_bytes() const noexcept { return payload_bytes + pb_bytes; }
 };
 
 }  // namespace mobichk::net

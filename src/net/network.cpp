@@ -204,13 +204,13 @@ void Network::send_app_message(HostId src, HostId dst, u32 payload_bytes) {
   ++ns.app_sent;
   ++ns.wireless_messages;  // MH -> MSS uplink.
   ns.payload_bytes += payload_bytes;
-  ns.piggyback_bytes += msg.pb.wire_bytes();
-  ns.piggyback_dense_bytes += msg.pb.dense_bytes();
+  ns.piggyback_bytes += msg.pb_bytes;
+  ns.piggyback_dense_bytes += msg.pb_dense_bytes;
   if (probe_ != nullptr) {
     probe_->uplink_legs->add();
     probe_->payload_bytes->add(payload_bytes);
-    probe_->piggyback_bytes->add(msg.pb.wire_bytes());
-    probe_->piggyback_dense_bytes->add(msg.pb.dense_bytes());
+    probe_->piggyback_bytes->add(msg.pb_bytes);
+    probe_->piggyback_dense_bytes->add(msg.pb_dense_bytes);
   }
 
   const MssId src_mss = s.mss();

@@ -340,7 +340,7 @@ class Network final : public des::EventTarget {
     e.actor = static_cast<i32>(actor);
     e.track = static_cast<i32>(peer);
     e.a = msg.id;
-    e.b = msg.pb.has_sn ? msg.pb.sn : 0;
+    e.b = msg.has_sn ? msg.sn : 0;
     timeline_->record(e);
   }
 

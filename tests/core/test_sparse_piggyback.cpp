@@ -16,8 +16,15 @@
 // event-queue implementations.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "core/harness.hpp"
 #include "core/protocols/tp.hpp"
+#include "des/rng.hpp"
 #include "des/simulator.hpp"
 #include "net/network.hpp"
 #include "sim/experiment.hpp"
@@ -248,6 +255,244 @@ TEST_F(SparseDiffFixture, SeededScriptedExchangeAgreesEverywhere) {
   // monotone sparse <= dense bound) held throughout.
   EXPECT_EQ(sparse().delta_reorders(), 0u);
 }
+
+// ---------------------------------------------------------------------------
+// Merge differential: hand-built deltas into receivers that already hold
+// many entries, against the dense oracle and a per-entry reference model
+// ---------------------------------------------------------------------------
+
+/// The sparse rule applied one shipped entry at a time, over std::maps: a
+/// receive raises the held entry when the shipped ckpt is above it (a host
+/// new to the receiver starts as the zero entry, the receiver's own id is
+/// skipped), and every raise takes the host's next version; a send ships
+/// the entries whose version is above the pair's cursor. Versions here are
+/// assigned in delta order, so agreement with TpProtocol shows that the
+/// order in which one receive hands out versions cannot be observed.
+class TpReferenceModel {
+ public:
+  struct Ref {
+    u32 ckpt = 0;
+    u32 loc = 0;
+    u64 ver = 0;
+  };
+
+  void receive(net::HostId me, const std::vector<net::PbDelta>& deltas) {
+    for (const net::PbDelta& d : deltas) {
+      if (d.idx == me) continue;
+      Ref& e = entries_[me][d.idx];
+      if (d.ckpt > e.ckpt) {
+        e.ckpt = d.ckpt;
+        e.loc = d.loc;
+        e.ver = ++version_[me];
+      }
+    }
+  }
+
+  /// What a send from `me` to `dst` ships, the sender's own entry aside.
+  std::vector<net::PbDelta> send(net::HostId me, net::HostId dst) {
+    u64& last = last_ver_[{me, dst}];
+    std::vector<net::PbDelta> out;
+    for (const auto& [idx, e] : entries_[me]) {
+      if (e.ver > last) out.push_back({idx, e.ckpt, e.loc});
+    }
+    last = version_[me];
+    return out;
+  }
+
+  /// CKPT[] and LOC[] of `me` with its own slots zeroed.
+  std::pair<std::vector<u32>, std::vector<u32>> views(net::HostId me, u32 n) const {
+    std::vector<u32> req(n, 0);
+    std::vector<u32> loc(n, 0);
+    if (const auto it = entries_.find(me); it != entries_.end()) {
+      for (const auto& [idx, e] : it->second) {
+        req[idx] = e.ckpt;
+        loc[idx] = e.loc;
+      }
+    }
+    return {req, loc};
+  }
+
+  /// The entry `me` holds for `idx`, or nullptr.
+  const Ref* held(net::HostId me, u32 idx) const {
+    const auto it = entries_.find(me);
+    if (it == entries_.end()) return nullptr;
+    const auto e = it->second.find(idx);
+    return e == it->second.end() ? nullptr : &e->second;
+  }
+
+ private:
+  std::map<net::HostId, std::map<u32, Ref>> entries_;
+  std::map<net::HostId, u64> version_;
+  std::map<std::pair<net::HostId, net::HostId>, u64> last_ver_;
+};
+
+/// 96 hosts over four MSSs; slot 0 = dense oracle, slot 1 = sparse. The
+/// protocols receive hand-built piggybacks directly, so a delta can carry
+/// any mix of held and new hosts.
+class SparseMergeDiff : public ::testing::TestWithParam<u64> {
+ protected:
+  static constexpr u32 kHosts = 96;
+  static constexpr u32 kMss = 4;
+
+  SparseMergeDiff() : net_(sim_, config(), 1), harness_(net_), rng_(GetParam(), "tp-merge") {
+    dense_slot_ = harness_.add_protocol(std::make_unique<TpProtocol>(TpEncoding::kDense));
+    sparse_slot_ = harness_.add_protocol(std::make_unique<TpProtocol>(TpEncoding::kSparse));
+    std::vector<net::MssId> placement(kHosts);
+    for (u32 h = 0; h < kHosts; ++h) placement[h] = h % kMss;
+    net_.start(placement);
+  }
+
+  static net::NetworkConfig config() {
+    net::NetworkConfig cfg;
+    cfg.n_hosts = kHosts;
+    cfg.n_mss = kMss;
+    return cfg;
+  }
+
+  TpProtocol& dense() { return static_cast<TpProtocol&>(harness_.protocol(dense_slot_)); }
+  TpProtocol& sparse() { return static_cast<TpProtocol&>(harness_.protocol(sparse_slot_)); }
+
+  u64 draw(u64 mod) { return rng_.next_u64() % mod; }
+
+  /// Delivers the same control information to `dst` in both encodings and
+  /// in the reference model, then checks the three views agree.
+  void deliver(net::HostId src, net::HostId dst, const std::vector<net::PbDelta>& deltas) {
+    net::AppMessage msg;
+    msg.id = ++next_id_;
+    msg.src = src;
+    msg.dst = dst;
+    net::Piggyback dense_pb;
+    dense_pb.vec_a.assign(kHosts, 0);
+    dense_pb.vec_b.assign(kHosts, 0);
+    for (const net::PbDelta& d : deltas) {
+      dense_pb.vec_a[d.idx] = d.ckpt;
+      dense_pb.vec_b[d.idx] = d.loc;
+    }
+    net::Piggyback sparse_pb;
+    sparse_pb.has_delta = true;
+    sparse_pb.dense_rank = 2 * kHosts;
+    sparse_pb.delta_seq = seq_[{src, dst}]++;
+    sparse_pb.deltas = deltas;
+    dense().handle_receive(net_.host(dst), msg, dense_pb);
+    sparse().handle_receive(net_.host(dst), msg, sparse_pb);
+    ref_.receive(dst, deltas);
+
+    EXPECT_EQ(sparse().requirement_vector(dst), dense().requirement_vector(dst))
+        << "CKPT[] diverged at host " << dst << " after message " << msg.id;
+    EXPECT_EQ(sparse().location_vector(dst), dense().location_vector(dst))
+        << "LOC[] diverged at host " << dst << " after message " << msg.id;
+    auto [req, loc] = ref_.views(dst, kHosts);
+    req[dst] = sparse().requirement_vector(dst)[dst];
+    loc[dst] = sparse().location_vector(dst)[dst];
+    EXPECT_EQ(sparse().requirement_vector(dst), req) << "reference CKPT[] at host " << dst;
+    EXPECT_EQ(sparse().location_vector(dst), loc) << "reference LOC[] at host " << dst;
+    EXPECT_EQ(harness_.log(sparse_slot_).total(), harness_.log(dense_slot_).total());
+    EXPECT_EQ(harness_.log(sparse_slot_).forced(), harness_.log(dense_slot_).forced());
+  }
+
+  /// Sends from `src` to `dst` in both encodings and checks the sparse
+  /// delta against the reference model, and its own entry against the
+  /// dense vectors.
+  void expect_send_matches(net::HostId src, net::HostId dst) {
+    const net::Piggyback dense_pb = dense().make_piggyback(net_.host(src), dst);
+    const net::Piggyback sparse_pb = sparse().make_piggyback(net_.host(src), dst);
+    const std::vector<net::PbDelta> want = ref_.send(src, dst);
+    std::vector<net::PbDelta> got;
+    usize own = 0;
+    for (const net::PbDelta& d : sparse_pb.deltas) {
+      if (d.idx == src) {
+        ++own;
+        EXPECT_EQ(d.ckpt, dense_pb.vec_a[src]);
+        EXPECT_EQ(d.loc, dense_pb.vec_b[src]);
+      } else {
+        got.push_back(d);
+      }
+    }
+    EXPECT_EQ(own, 1u) << "the sender's own entry rides every delta";
+    ASSERT_EQ(got.size(), want.size()) << "send " << src << "->" << dst;
+    for (usize i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].idx, want[i].idx) << "send " << src << "->" << dst << " entry " << i;
+      EXPECT_EQ(got[i].ckpt, want[i].ckpt) << "send " << src << "->" << dst << " entry " << i;
+      EXPECT_EQ(got[i].loc, want[i].loc) << "send " << src << "->" << dst << " entry " << i;
+    }
+    EXPECT_LE(sparse_pb.wire_bytes(), dense_pb.wire_bytes());
+  }
+
+  des::Simulator sim_;
+  net::Network net_;
+  ProtocolHarness harness_;
+  des::RngStream rng_;
+  TpReferenceModel ref_;
+  std::map<std::pair<net::HostId, net::HostId>, u32> seq_;
+  u64 next_id_ = 0;
+  usize dense_slot_ = 0;
+  usize sparse_slot_ = 0;
+};
+
+TEST_P(SparseMergeDiff, MergeIntoHeldEntriesMatchesDenseAndReference) {
+  constexpr u32 kReceivers = 6;
+  constexpr int kDeliveries = 60;
+  std::vector<net::HostId> receivers;
+  for (u32 i = 0; i < kReceivers; ++i) receivers.push_back(1 + i * (kHosts / kReceivers));
+
+  // Every receiver first holds every third host of the middle band, so
+  // later deltas put new hosts before, between and after held ones.
+  for (const net::HostId r : receivers) {
+    std::vector<net::PbDelta> held;
+    for (u32 idx = 16; idx < 80; idx += 3) {
+      held.push_back({idx, 1 + static_cast<u32>(draw(4)), static_cast<u32>(draw(kMss))});
+    }
+    deliver((r + 1) % kHosts, r, held);
+  }
+
+  std::map<net::HostId, std::vector<net::HostId>> sent_to;
+  for (int step = 0; step < kDeliveries; ++step) {
+    const net::HostId r = receivers[draw(kReceivers)];
+    auto src = static_cast<net::HostId>(draw(kHosts));
+    if (src == r) src = (src + 1) % kHosts;
+    std::vector<net::PbDelta> deltas;
+    for (u32 idx = 0; idx < kHosts; ++idx) {
+      if (idx != r && draw(10) >= 4) continue;  // about 40% of hosts, r every time
+      const auto loc = static_cast<u32>(draw(kMss));
+      if (const TpReferenceModel::Ref* e = ref_.held(r, idx); e != nullptr) {
+        // Below, equal to or above what the receiver holds.
+        switch (draw(3)) {
+          case 0:
+            deltas.push_back({idx, e->ckpt > 0 ? e->ckpt - 1 : 0, loc});
+            break;
+          case 1:
+            deltas.push_back({idx, e->ckpt, loc});
+            break;
+          default:
+            deltas.push_back({idx, e->ckpt + 1 + static_cast<u32>(draw(3)), loc});
+        }
+      } else {
+        // New to the receiver (or the receiver itself): a zero ckpt must
+        // leave the zero entry, whatever location rides with it.
+        deltas.push_back({idx, draw(3) == 0 ? 0 : 1 + static_cast<u32>(draw(6)), loc});
+      }
+    }
+    deliver(src, r, deltas);
+
+    // A fresh destination gets every changed entry; a repeat one only
+    // those raised since the previous send on that pair.
+    std::vector<net::HostId>& dsts = sent_to[r];
+    if (!dsts.empty()) expect_send_matches(r, dsts[draw(dsts.size())]);
+    net::HostId fresh = static_cast<net::HostId>(draw(kHosts));
+    while (fresh == r || std::find(dsts.begin(), dsts.end(), fresh) != dsts.end()) {
+      fresh = (fresh + 1) % kHosts;
+    }
+    expect_send_matches(r, fresh);
+    dsts.push_back(fresh);
+  }
+  EXPECT_GT(harness_.log(sparse_slot_).forced(), 0u) << "sends interleave with receives";
+  EXPECT_EQ(sparse().delta_reorders(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SparseMergeDiff, ::testing::Values(1, 7, 42),
+                         [](const ::testing::TestParamInfo<u64>& pi) {
+                           return "seed" + std::to_string(pi.param);
+                         });
 
 // ---------------------------------------------------------------------------
 // Full-run differential: dense vs sparse at paper scale, all three queues

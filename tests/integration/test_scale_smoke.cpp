@@ -98,5 +98,37 @@ TEST(ScaleSmoke, SteadyStateAllocationRateStaysBounded) {
                            << events[1] - events[0] << " steady-state events";
 }
 
+TEST(ScaleSmoke, TpAllocationRateStaysBounded) {
+  // Sparse TP alone: on top of the oracle bookkeeping above, each send
+  // allocates its delta list once (sized before the walk), each
+  // checkpoint its dependency snapshot, and a receive grows the
+  // receiver's entry list at most once. The message itself carries only
+  // the piggyback's wire size. ~1.4 allocations per event at this config;
+  // a delta list grown by push_back, or a copy of it riding every
+  // message, puts the rate above 2 and makes it grow with the run as the
+  // deltas lengthen.
+  unsigned long long allocs[2];
+  u64 events[2];
+  const f64 lengths[2] = {100.0, 200.0};
+  for (int i = 0; i < 2; ++i) {
+    SimConfig cfg = scale_config();
+    cfg.sim_length = lengths[i];
+    ExperimentOptions opts;
+    opts.queue_kind = des::QueueKind::kCalendar;
+    opts.protocols = {core::ProtocolKind::kTp};
+    Experiment exp(cfg, opts);
+    const unsigned long long before = g_allocs.load(std::memory_order_relaxed);
+    exp.run();
+    allocs[i] = g_allocs.load(std::memory_order_relaxed) - before;
+    events[i] = exp.result().events_executed;
+    ASSERT_TRUE(exp.result().invariants_ok);
+  }
+  ASSERT_GT(events[1], events[0] + 10'000u);
+  const f64 marginal = static_cast<f64>(allocs[1] - allocs[0]) /
+                       static_cast<f64>(events[1] - events[0]);
+  EXPECT_LT(marginal, 1.7) << allocs[1] - allocs[0] << " allocations over "
+                           << events[1] - events[0] << " steady-state events";
+}
+
 }  // namespace
 }  // namespace mobichk::sim

@@ -99,8 +99,11 @@ TEST_F(ContentionNetworkTest, PiggybackBytesOccupyTheChannel) {
   class FatPiggybackHandler : public NullHostEventHandler {
    public:
     void on_send(MobileHost&, AppMessage& msg) override {
-      msg.pb.vec_a.assign(20, 1);  // 80 extra bytes
-      msg.pb.vec_b.assign(20, 1);  // 80 extra bytes
+      Piggyback pb;
+      pb.vec_a.assign(20, 1);  // 80 extra bytes
+      pb.vec_b.assign(20, 1);  // 80 extra bytes
+      msg.pb_bytes = pb.wire_bytes();
+      msg.pb_dense_bytes = pb.dense_bytes();
     }
   };
   des::Simulator sim_small, sim_fat;

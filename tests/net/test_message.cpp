@@ -102,7 +102,9 @@ TEST(Piggyback, DeltaEncodingIsCappedAtDenseCost) {
 TEST(AppMessage, WireBytesIsPayloadPlusPiggyback) {
   AppMessage msg;
   msg.payload_bytes = 256;
-  msg.pb.has_sn = true;
+  Piggyback pb;
+  pb.has_sn = true;
+  msg.pb_bytes = pb.wire_bytes();
   EXPECT_EQ(msg.wire_bytes(), 256 + sizeof(u64));
 }
 

@@ -15,12 +15,14 @@ class RecordingHandler : public HostEventHandler {
   void on_host_init(MobileHost&) override { ++inits; }
   void on_send(MobileHost&, AppMessage& msg) override {
     ++sends;
-    msg.pb.sn = 777;  // visible marker
-    msg.pb.has_sn = true;
+    msg.sn = 777;  // visible marker
+    msg.has_sn = true;
+    msg.pb_bytes = sizeof(u64);
+    msg.pb_dense_bytes = sizeof(u64);
   }
   void on_receive(MobileHost&, const AppMessage& msg) override {
     ++receives;
-    last_sn = msg.pb.sn;
+    last_sn = msg.sn;
     last_msg_id = msg.id;
   }
   void on_cell_switch(MobileHost&, MssId from, MssId to) override {

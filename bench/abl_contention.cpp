@@ -2,9 +2,10 @@
 // point b).
 //
 // With a finite cell bandwidth every transmission — payload, piggyback,
-// control — occupies the shared channel. TP's 2n-integer vectors are not
-// just battery cost: they raise channel utilization and delivery latency
-// for *everyone* in the cell. Each protocol runs alone here (its bytes
+// control — occupies the shared channel. TP's dependency piggybacks (per-
+// destination deltas of its two n-vectors, several times one integer) are
+// not just battery cost: they raise channel utilization and delivery
+// latency for *everyone* in the cell. Each protocol runs alone here (its bytes
 // are physically on the wire), so the comparison is end to end.
 #include <cstdio>
 
@@ -50,7 +51,8 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   }
-  std::printf("expected: TP's fat piggybacks push utilization and latency up fastest as\n"
-              "bandwidth shrinks; the one-integer protocols degrade together and gently.\n");
+  std::printf("expected: TP's dependency deltas, several times one integer, push utilization\n"
+              "and latency up a few percent more as bandwidth shrinks; the one-integer\n"
+              "protocols degrade together and gently.\n");
   return 0;
 }

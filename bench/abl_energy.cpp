@@ -40,6 +40,7 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
   std::printf("expected: checkpoint uploads dominate and follow N_tot, so QBC spends the\n"
-              "least; TP additionally pays vector piggybacks; COORD pays marker traffic.\n");
+              "least; TP additionally pays its dependency deltas (a few times BCS's\n"
+              "control-info energy at n = 10); COORD pays marker traffic.\n");
   return 0;
 }

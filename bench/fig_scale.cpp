@@ -5,15 +5,17 @@
 // total event budget (the horizon shrinks as n grows) and reports, per
 // point and per protocol:
 //  * N_tot (the paper's checkpoint count),
-//  * encoded piggyback bytes actually shipped (sparse deltas for TP),
+//  * encoded piggyback bytes actually shipped (per-destination deltas for
+//    TP),
 //  * the dense-equivalent bytes the paper-literal full vectors would have
 //    cost, and
 //  * end-to-end kernel throughput (events/s).
 //
-// The dense TP encoding is O(n) state per message and O(n^2) memory in
-// the population, so a 10^5-host run only completes at all because the
-// sparse encoding pays for dependencies that actually formed; the
-// encoded/dense ratio printed here is the measured win.
+// The paper's TP ships two n-vectors per message, which is O(n) per
+// message and O(n^2) state in the population. TP here ships deltas over
+// per-host entry lists that pay only for dependencies that actually
+// formed, which is why a 10^5-host run completes at all; the
+// encoded/dense ratio printed here is what the deltas save.
 //
 // Flags:
 //   --point=N     run a single population instead of the sweep (CI smoke)
@@ -297,7 +299,7 @@ int run(int argc, char** argv) {
   const std::string out_path = args.get_string("out", "");
   if (!out_path.empty()) write_json(out_path, rows, queue);
 
-  // Sanity gates (keep this binary usable as a CI smoke): the sparse
+  // Sanity gates (keep this binary usable as a CI smoke): the delta
   // encoding must never exceed the dense-equivalent cost, and every
   // requested point must actually have executed events.
   for (const ScaleRow& r : rows) {

@@ -10,7 +10,7 @@
 //  * the construction of an n=10^4 experiment on a full mesh of 50 and of
 //    2000 MSSs (median of 5 each): setup_mss_ratio must stay <= 3.0, i.e.
 //    setup does not grow with the cell count,
-//  * one sparse TP receive that interleaves k hosts new to the receiver
+//  * one TP receive that interleaves k hosts new to the receiver
 //    with the k it holds, at k = 2^13 and 2^14 (median of 5 each):
 //    tp_merge_doubling_ratio must stay <= 3.0, i.e. the merge is linear.
 //
@@ -37,6 +37,9 @@
 
 #include "des/event.hpp"
 #include "mobichk.hpp"
+// The TP merge gate drives the concrete protocol class, which the
+// umbrella does not export.
+#include "core/protocols/tp.hpp"
 
 namespace {
 

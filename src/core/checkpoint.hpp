@@ -25,10 +25,10 @@ constexpr const char* checkpoint_kind_name(CheckpointKind kind) noexcept {
   return "?";
 }
 
-/// One sparse dependency entry: what a TP checkpoint requires of `host`.
-/// Entries absent from a sparse record mean "no dependency" (ckpt 0, the
-/// initial checkpoint) and "location never learned" (MSS 0), matching the
-/// zero-initialised dense vectors they replace.
+/// One dependency entry: what a TP checkpoint requires of `host`. Entries
+/// absent from a record mean "no dependency" (ckpt 0, the initial
+/// checkpoint) and "location never learned" (MSS 0), the zero entries of
+/// the paper's full CKPT[]/LOC[] vectors.
 struct DepEntry {
   u32 host = 0;
   u32 ckpt = 0;  ///< Minimal checkpoint ordinal of `host` the line requires.
@@ -47,34 +47,25 @@ struct CheckpointRecord {
   u64 event_pos = 0;        ///< Host events with position <= event_pos precede it.
   bool replaced_predecessor = false;  ///< QBC equivalence rule fired (same sn as predecessor).
 
-  /// TP dense mode: transitive dependency vectors recorded with the
-  /// checkpoint (size n when present).
-  std::vector<u32> dep_ckpt;
-  std::vector<u32> dep_loc;
-  /// TP sparse mode: only the entries actually depended on, sorted by
-  /// host; `dep_rank` is the logical vector length (n_hosts). Exactly one
-  /// of the dense/sparse representations is populated per record.
+  /// TP: the transitive dependencies recorded with the checkpoint — only
+  /// the entries actually depended on, sorted by host; `dep_rank` is the
+  /// logical vector length (n_hosts).
   std::vector<DepEntry> sparse_deps;
   u32 dep_rank = 0;
 
-  /// True when the record carries TP dependency information (either
-  /// representation). Readers must go through the `dep_*_at` accessors.
-  bool has_deps() const noexcept { return !dep_ckpt.empty() || dep_rank > 0; }
+  /// True when the record carries TP dependency information. Readers must
+  /// go through the `dep_*_at` accessors.
+  bool has_deps() const noexcept { return dep_rank > 0; }
 
   /// Logical length of the dependency vectors (n_hosts at record time).
-  u32 deps_rank() const noexcept {
-    return dep_rank > 0 ? dep_rank : static_cast<u32>(dep_ckpt.size());
-  }
+  u32 deps_rank() const noexcept { return dep_rank; }
 
-  /// CKPT[j] / LOC[j] under either representation. Out-of-range or absent
-  /// entries read as 0, the no-dependency default.
+  /// CKPT[j] / LOC[j]. Absent entries read as 0, the no-dependency default.
   u32 dep_ckpt_at(u32 j) const noexcept {
-    if (!dep_ckpt.empty()) return j < dep_ckpt.size() ? dep_ckpt[j] : 0;
     const DepEntry* e = find_sparse(j);
     return e != nullptr ? e->ckpt : 0;
   }
   u32 dep_loc_at(u32 j) const noexcept {
-    if (!dep_loc.empty()) return j < dep_loc.size() ? dep_loc[j] : 0;
     const DepEntry* e = find_sparse(j);
     return e != nullptr ? e->loc : 0;
   }

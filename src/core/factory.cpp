@@ -19,7 +19,7 @@ std::unique_ptr<CheckpointProtocol> make_protocol(ProtocolKind kind, const Proto
                                                   u64 seed) {
   switch (kind) {
     case ProtocolKind::kTp:
-      return std::make_unique<TpProtocol>(params.tp_encoding);
+      return std::make_unique<TpProtocol>();
     case ProtocolKind::kBcs:
       return std::make_unique<BcsProtocol>();
     case ProtocolKind::kQbc:

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/protocol.hpp"
-#include "core/protocols/tp.hpp"
 #include "core/recovery.hpp"
 
 namespace mobichk::core {
@@ -27,10 +26,6 @@ struct ProtocolParams {
   f64 coordinated_interval = 500.0;       ///< Time between snapshot rounds (tu).
   f64 coordinated_marker_latency = 0.03;  ///< Initiator-to-host marker delay (tu).
   u32 lazy_bcs_laziness = 4;              ///< LazyBCS: index advance every k-th basic ckpt.
-  /// TP piggyback wire encoding. Sparse is the default: it is trace- and
-  /// N_tot-identical to dense (the phase rule never reads the vectors)
-  /// and the only encoding that survives city-scale host counts.
-  TpEncoding tp_encoding = TpEncoding::kSparse;
 };
 
 /// `seed` is the run's root seed; it drives the uncoordinated protocol's

@@ -41,12 +41,12 @@ class ProtocolHarness final : public net::HostEventHandler {
   const CheckpointProtocol& protocol(usize slot) const { return *slots_.at(slot)->protocol; }
   const CheckpointLog& log(usize slot) const { return slots_.at(slot)->log; }
   /// Control-information bytes protocol `slot` put (or would have put) on
-  /// the wire over the whole run, as actually encoded (sparse piggybacks
-  /// count their delta encoding, not the dense vectors they replace).
+  /// the wire over the whole run, as actually encoded (TP counts its delta
+  /// list, not the paper's full vectors).
   u64 piggyback_bytes(usize slot) const { return slots_.at(slot)->pb_bytes; }
   /// Dense-equivalent control bytes for `slot`: what the same control
   /// information would have cost with full vectors on every message.
-  /// Equal to piggyback_bytes for protocols without a sparse encoding.
+  /// Equal to piggyback_bytes for protocols without a delta list.
   u64 piggyback_dense_bytes(usize slot) const { return slots_.at(slot)->pb_dense_bytes; }
 
   const MessageLog& message_log() const noexcept { return msg_log_; }
@@ -112,7 +112,7 @@ class ProtocolHarness final : public net::HostEventHandler {
   /// Pooled per-message piggyback parking: an entry is recycled after
   /// delivery, so its per-slot vector is sized once. The piggybacks in it
   /// are replaced by each send's make_piggyback result, so their own
-  /// buffers (TP's delta list or dense vectors) are allocated per send.
+  /// buffers (TP's delta list) are allocated per send.
   struct Parked {
     std::vector<net::Piggyback> pbs;
   };

@@ -23,8 +23,9 @@ void CheckpointProtocol::handle_reconnect(const net::MobileHost&, net::MssId) {}
 const CheckpointRecord& CheckpointProtocol::take_checkpoint(const net::MobileHost& host,
                                                             CheckpointKind kind, u64 sn,
                                                             obs::ForcedRule rule,
-                                                            net::MsgId trigger_msg) {
-  return take_checkpoint(host, kind, sn, {}, {}, false, rule, trigger_msg);
+                                                            net::MsgId trigger_msg,
+                                                            bool replaced) {
+  return finish_checkpoint(CheckpointRecord{}, host, kind, sn, replaced, rule, trigger_msg);
 }
 
 const CheckpointRecord& CheckpointProtocol::take_checkpoint(const net::MobileHost& host,
@@ -36,19 +37,6 @@ const CheckpointRecord& CheckpointProtocol::take_checkpoint(const net::MobileHos
   rec.sparse_deps = std::move(deps);
   rec.dep_rank = rank;
   return finish_checkpoint(std::move(rec), host, kind, sn, false, rule, trigger_msg);
-}
-
-const CheckpointRecord& CheckpointProtocol::take_checkpoint(const net::MobileHost& host,
-                                                            CheckpointKind kind, u64 sn,
-                                                            std::vector<u32> dep_ckpt,
-                                                            std::vector<u32> dep_loc,
-                                                            bool replaced,
-                                                            obs::ForcedRule rule,
-                                                            net::MsgId trigger_msg) {
-  CheckpointRecord rec;
-  rec.dep_ckpt = std::move(dep_ckpt);
-  rec.dep_loc = std::move(dep_loc);
-  return finish_checkpoint(std::move(rec), host, kind, sn, replaced, rule, trigger_msg);
 }
 
 const CheckpointRecord& CheckpointProtocol::finish_checkpoint(CheckpointRecord rec,

@@ -72,7 +72,7 @@ class CheckpointProtocol {
 
   /// Produces the control information for a message `host` sends to `dst`
   /// and applies the protocol's send rule (e.g. TP sets phase := SEND).
-  /// Destination-aware protocols (sparse TP) encode only what changed
+  /// Destination-aware protocols (TP) encode only what changed
   /// since the previous message on the same (src, dst) pair.
   virtual net::Piggyback make_piggyback(const net::MobileHost& host, net::HostId dst) = 0;
 
@@ -100,19 +100,14 @@ class CheckpointProtocol {
   /// `rule` names the condition that forced it and `trigger_msg` the
   /// message whose receipt forced it (obs timeline only; pass the
   /// defaults for basic/initial checkpoints — 0 means "no message").
+  /// `replaced` marks a checkpoint that replaces its predecessor (QBC's
+  /// equivalence rule).
   const CheckpointRecord& take_checkpoint(const net::MobileHost& host, CheckpointKind kind,
                                           u64 sn, obs::ForcedRule rule = obs::ForcedRule::kNone,
-                                          net::MsgId trigger_msg = 0);
+                                          net::MsgId trigger_msg = 0, bool replaced = false);
 
-  /// Records a checkpoint with TP dependency vectors attached.
-  const CheckpointRecord& take_checkpoint(const net::MobileHost& host, CheckpointKind kind,
-                                          u64 sn, std::vector<u32> dep_ckpt,
-                                          std::vector<u32> dep_loc, bool replaced = false,
-                                          obs::ForcedRule rule = obs::ForcedRule::kNone,
-                                          net::MsgId trigger_msg = 0);
-
-  /// Records a checkpoint with sparse TP dependencies attached (`deps`
-  /// sorted by host, `rank` = n_hosts).
+  /// Records a checkpoint with TP dependencies attached (`deps` sorted by
+  /// host, `rank` = n_hosts).
   const CheckpointRecord& take_checkpoint(const net::MobileHost& host, CheckpointKind kind,
                                           u64 sn, std::vector<DepEntry> deps, u32 rank,
                                           obs::ForcedRule rule = obs::ForcedRule::kNone,

@@ -29,7 +29,8 @@ void QbcProtocol::basic_checkpoint(const net::MobileHost& host) {
     // recovery line, so the next checkpoint starts a new index.
     hs.sn += 1;
   }
-  take_checkpoint(host, CheckpointKind::kBasic, hs.sn, {}, {}, /*replaced=*/can_replace);
+  take_checkpoint(host, CheckpointKind::kBasic, hs.sn, obs::ForcedRule::kNone, 0,
+                  /*replaced=*/can_replace);
 }
 
 void QbcProtocol::handle_cell_switch(const net::MobileHost& host, net::MssId, net::MssId) {

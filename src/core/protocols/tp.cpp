@@ -42,17 +42,11 @@ usize gallop_lower_bound(const std::vector<T>& v, usize from, u32 key) {
 void TpProtocol::do_bind() {
   phase_send_.assign(ctx_.n_hosts, 0);
   ckpt_count_.assign(ctx_.n_hosts, 0);
-  if (encoding_ == TpEncoding::kDense) {
-    // Flat n*n arenas: two allocations total, not 2n heap vectors.
-    req_.assign(static_cast<usize>(ctx_.n_hosts) * ctx_.n_hosts, 0);
-    loc_.assign(static_cast<usize>(ctx_.n_hosts) * ctx_.n_hosts, 0);
-  } else {
-    self_loc_.assign(ctx_.n_hosts, 0);
-    entries_.assign(ctx_.n_hosts, {});
-    version_.assign(ctx_.n_hosts, 0);
-    send_cur_.assign(ctx_.n_hosts, {});
-    recv_cur_.assign(ctx_.n_hosts, {});
-  }
+  self_loc_.assign(ctx_.n_hosts, 0);
+  entries_.assign(ctx_.n_hosts, {});
+  version_.assign(ctx_.n_hosts, 0);
+  send_cur_.assign(ctx_.n_hosts, {});
+  recv_cur_.assign(ctx_.n_hosts, {});
 }
 
 TpProtocol::SendCursor& TpProtocol::send_cursor(net::HostId src, net::HostId dst) {
@@ -64,11 +58,7 @@ TpProtocol::RecvCursor& TpProtocol::recv_cursor(net::HostId dst, net::HostId src
 }
 
 void TpProtocol::host_init(const net::MobileHost& host) {
-  if (encoding_ == TpEncoding::kDense) {
-    loc_[static_cast<usize>(host.id()) * ctx_.n_hosts + host.id()] = host.mss();
-  } else {
-    self_loc_[host.id()] = host.mss();
-  }
+  self_loc_[host.id()] = host.mss();
   checkpoint(host, CheckpointKind::kInitial);
 }
 
@@ -77,35 +67,23 @@ void TpProtocol::checkpoint(const net::MobileHost& host, CheckpointKind kind, ne
   const obs::ForcedRule rule = kind == CheckpointKind::kForced
                                    ? obs::ForcedRule::kReceiveAfterSend
                                    : obs::ForcedRule::kNone;
-  if (encoding_ == TpEncoding::kDense) {
-    const usize row = static_cast<usize>(me) * ctx_.n_hosts;
-    std::vector<u32> dep(req_.begin() + static_cast<std::ptrdiff_t>(row),
-                         req_.begin() + static_cast<std::ptrdiff_t>(row + ctx_.n_hosts));
-    dep[me] = static_cast<u32>(ckpt_count_[me]);  // anchor ordinal
-    loc_[row + me] = host.mss();
-    std::vector<u32> dep_loc(loc_.begin() + static_cast<std::ptrdiff_t>(row),
-                             loc_.begin() + static_cast<std::ptrdiff_t>(row + ctx_.n_hosts));
-    take_checkpoint(host, kind, ckpt_count_[me], std::move(dep), std::move(dep_loc),
-                    /*replaced=*/false, rule, trigger);
-  } else {
-    // Mirror the dense row refresh: the own location observable through
-    // location_vector() reflects the MSS at the latest checkpoint.
-    self_loc_[me] = host.mss();
-    // Snapshot the touched entries plus the own anchor, sorted by host.
-    const std::vector<Entry>& es = entries_[me];
-    std::vector<DepEntry> deps;
-    deps.reserve(es.size() + 1);
-    bool own_emitted = false;
-    for (const Entry& e : es) {
-      if (!own_emitted && e.idx > me) {
-        deps.push_back({me, static_cast<u32>(ckpt_count_[me]), host.mss()});
-        own_emitted = true;
-      }
-      deps.push_back({e.idx, e.ckpt, e.loc});
+  // The own location observable through location_vector() reflects the
+  // MSS at the latest checkpoint.
+  self_loc_[me] = host.mss();
+  // Snapshot the touched entries plus the own anchor, sorted by host.
+  const std::vector<Entry>& es = entries_[me];
+  std::vector<DepEntry> deps;
+  deps.reserve(es.size() + 1);
+  bool own_emitted = false;
+  for (const Entry& e : es) {
+    if (!own_emitted && e.idx > me) {
+      deps.push_back({me, static_cast<u32>(ckpt_count_[me]), host.mss()});
+      own_emitted = true;
     }
-    if (!own_emitted) deps.push_back({me, static_cast<u32>(ckpt_count_[me]), host.mss()});
-    take_checkpoint(host, kind, ckpt_count_[me], std::move(deps), ctx_.n_hosts, rule, trigger);
+    deps.push_back({e.idx, e.ckpt, e.loc});
   }
+  if (!own_emitted) deps.push_back({me, static_cast<u32>(ckpt_count_[me]), host.mss()});
+  take_checkpoint(host, kind, ckpt_count_[me], std::move(deps), ctx_.n_hosts, rule, trigger);
   ++ckpt_count_[me];
   // A fresh interval has no sends yet; phase returns to RECV (Russell's
   // discipline: forced checkpoints are needed only for receives that
@@ -116,38 +94,25 @@ void TpProtocol::checkpoint(const net::MobileHost& host, CheckpointKind kind, ne
 net::Piggyback TpProtocol::make_piggyback(const net::MobileHost& host, net::HostId dst) {
   const net::HostId me = host.id();
   net::Piggyback pb;
-  if (encoding_ == TpEncoding::kDense) {
-    const usize row = static_cast<usize>(me) * ctx_.n_hosts;
-    pb.vec_a.assign(req_.begin() + static_cast<std::ptrdiff_t>(row),
-                    req_.begin() + static_cast<std::ptrdiff_t>(row + ctx_.n_hosts));
-    // A receiver of this message depends on the sender's *current*
-    // interval, so it will require the checkpoint that closes it
-    // (ordinal ckpt_count).
-    pb.vec_a[me] = static_cast<u32>(ckpt_count_[me]);
-    pb.vec_b.assign(loc_.begin() + static_cast<std::ptrdiff_t>(row),
-                    loc_.begin() + static_cast<std::ptrdiff_t>(row + ctx_.n_hosts));
-    pb.vec_b[me] = host.mss();
-  } else {
-    SendCursor& sc = send_cursor(me, dst);
-    pb.has_delta = true;
-    pb.delta_seq = sc.next_seq++;
-    pb.dense_rank = 2 * ctx_.n_hosts;
-    // Entries changed since the last message to this destination, plus
-    // the sender's own entry (always fresh: the receiver needs the
-    // sender's current interval and location), in host order.
-    const std::vector<Entry>& es = entries_[me];
-    pb.deltas.reserve(es.size() + 1);
-    bool own_emitted = false;
-    for (const Entry& e : es) {
-      if (!own_emitted && e.idx > me) {
-        pb.deltas.push_back({me, static_cast<u32>(ckpt_count_[me]), host.mss()});
-        own_emitted = true;
-      }
-      if (e.ver > sc.last_ver) pb.deltas.push_back({e.idx, e.ckpt, e.loc});
+  SendCursor& sc = send_cursor(me, dst);
+  pb.has_delta = true;
+  pb.delta_seq = sc.next_seq++;
+  pb.dense_rank = 2 * ctx_.n_hosts;
+  // Entries changed since the last message to this destination, plus the
+  // sender's own entry (always fresh: the receiver needs the sender's
+  // current interval and location), in host order.
+  const std::vector<Entry>& es = entries_[me];
+  pb.deltas.reserve(es.size() + 1);
+  bool own_emitted = false;
+  for (const Entry& e : es) {
+    if (!own_emitted && e.idx > me) {
+      pb.deltas.push_back({me, static_cast<u32>(ckpt_count_[me]), host.mss()});
+      own_emitted = true;
     }
-    if (!own_emitted) pb.deltas.push_back({me, static_cast<u32>(ckpt_count_[me]), host.mss()});
-    sc.last_ver = version_[me];
+    if (e.ver > sc.last_ver) pb.deltas.push_back({e.idx, e.ckpt, e.loc});
   }
+  if (!own_emitted) pb.deltas.push_back({me, static_cast<u32>(ckpt_count_[me]), host.mss()});
+  sc.last_ver = version_[me];
   phase_send_[me] = 1;
   return pb;
 }
@@ -155,30 +120,17 @@ net::Piggyback TpProtocol::make_piggyback(const net::MobileHost& host, net::Host
 void TpProtocol::handle_receive(const net::MobileHost& host, const net::AppMessage& msg,
                                 const net::Piggyback& pb) {
   const net::HostId me = host.id();
-  if (encoding_ == TpEncoding::kSparse) {
-    // Per-pair gap detection must run even for messages that force a
-    // checkpoint, so it happens before anything else.
-    RecvCursor& rc = recv_cursor(me, msg.src);
-    if (pb.delta_seq != rc.expect) ++delta_reorders_;
-    rc.expect = pb.delta_seq + 1;
-  }
+  // Per-pair gap detection must run even for messages that force a
+  // checkpoint, so it happens before anything else.
+  RecvCursor& rc = recv_cursor(me, msg.src);
+  if (pb.delta_seq != rc.expect) ++delta_reorders_;
+  rc.expect = pb.delta_seq + 1;
   if (phase_send_[me] != 0) {
     checkpoint(host, CheckpointKind::kForced, msg.id);
   }
   // Merge transitive dependencies after checkpointing, so the forced
   // checkpoint excludes this message.
-  if (encoding_ == TpEncoding::kDense) {
-    const usize row = static_cast<usize>(me) * ctx_.n_hosts;
-    for (u32 j = 0; j < ctx_.n_hosts; ++j) {
-      if (j == me) continue;
-      if (pb.vec_a[j] > req_[row + j]) {
-        req_[row + j] = pb.vec_a[j];
-        loc_[row + j] = pb.vec_b[j];
-      }
-    }
-  } else {
-    merge_deltas(me, pb.deltas);
-  }
+  merge_deltas(me, pb.deltas);
 }
 
 void TpProtocol::merge_deltas(net::HostId me, const std::vector<net::PbDelta>& deltas) {
@@ -235,26 +187,14 @@ void TpProtocol::merge_deltas(net::HostId me, const std::vector<net::PbDelta>& d
 
 std::vector<u32> TpProtocol::requirement_vector(net::HostId host) const {
   std::vector<u32> out(ctx_.n_hosts, 0);
-  if (encoding_ == TpEncoding::kDense) {
-    const usize row = static_cast<usize>(host) * ctx_.n_hosts;
-    std::copy(req_.begin() + static_cast<std::ptrdiff_t>(row),
-              req_.begin() + static_cast<std::ptrdiff_t>(row + ctx_.n_hosts), out.begin());
-  } else {
-    for (const Entry& e : entries_.at(host)) out[e.idx] = e.ckpt;
-  }
+  for (const Entry& e : entries_.at(host)) out[e.idx] = e.ckpt;
   return out;
 }
 
 std::vector<u32> TpProtocol::location_vector(net::HostId host) const {
   std::vector<u32> out(ctx_.n_hosts, 0);
-  if (encoding_ == TpEncoding::kDense) {
-    const usize row = static_cast<usize>(host) * ctx_.n_hosts;
-    std::copy(loc_.begin() + static_cast<std::ptrdiff_t>(row),
-              loc_.begin() + static_cast<std::ptrdiff_t>(row + ctx_.n_hosts), out.begin());
-  } else {
-    for (const Entry& e : entries_.at(host)) out[e.idx] = e.loc;
-    out[host] = self_loc_[host];
-  }
+  for (const Entry& e : entries_.at(host)) out[e.idx] = e.loc;
+  out[host] = self_loc_[host];
   return out;
 }
 

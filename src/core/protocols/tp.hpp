@@ -13,19 +13,21 @@
 // the wired network). This is why TP does not scale in the number of
 // hosts, the paper's point (3).
 //
-// Encodings: kDense ships the full vectors (the paper's literal protocol,
-// flat n*n arena state); kSparse ships per-destination deltas — only the
-// entries that changed since the previous message on the same (src, dst)
-// pair, plus the sender's own entry — over per-host sorted entry lists
-// whose memory is proportional to the dependencies that actually formed.
+// Encoding: each message ships a per-destination delta — only the entries
+// that changed since the previous message on the same (src, dst) pair,
+// plus the sender's own entry — over per-host sorted entry lists whose
+// memory is proportional to the dependencies that actually formed. The
+// paper-literal cost of the two full vectors is still counted per message
+// (Piggyback::dense_bytes, piggyback_dense_bytes in the run stats); the
+// full-vector protocol is the test oracle in tests/core/dense_tp_oracle.hpp.
 // Deltas are exact under per-pair FIFO delivery; out-of-order delivery
 // (chase-forwarded messages during a handoff) can leave the receiver's
-// view transiently *under* the dense one until the stragglers arrive.
+// view transiently *under* the full vectors until the stragglers arrive.
 // Such gaps are detected via a per-pair sequence number and surfaced
 // through delta_reorders(). The phase rule never reads the vectors, so
-// forced checkpoints — and the event trace — are encoding-independent.
+// forced checkpoints — and the event trace — do not depend on them.
 //
-// Sparse cost model, for a sender holding m entries and a delta of k:
+// Cost model, for a sender holding m entries and a delta of k:
 // encoding a piggyback walks the sender's entries once, O(m), into a
 // buffer sized once; a receive merges the sorted delta into the
 // receiver's sorted entries in one pass, O(m + k) (O(k log m) for a short
@@ -40,18 +42,9 @@
 
 namespace mobichk::core {
 
-/// TP piggyback wire encoding.
-enum class TpEncoding : u8 {
-  kDense,   ///< Full CKPT[]/LOC[] vectors on every message (paper-literal).
-  kSparse,  ///< Per-destination delta entries (scales past ~10^3 hosts).
-};
-
 class TpProtocol final : public CheckpointProtocol {
  public:
-  explicit TpProtocol(TpEncoding encoding = TpEncoding::kSparse) : encoding_(encoding) {}
-
   const char* name() const noexcept override { return "TP"; }
-  TpEncoding encoding() const noexcept { return encoding_; }
 
   void host_init(const net::MobileHost& host) override;
   net::Piggyback make_piggyback(const net::MobileHost& host, net::HostId dst) override;
@@ -66,55 +59,44 @@ class TpProtocol final : public CheckpointProtocol {
   std::vector<u32> requirement_vector(net::HostId host) const;
   /// Test access: materialised location vector (LOC[]).
   std::vector<u32> location_vector(net::HostId host) const;
-  /// Sparse mode: deliveries whose per-pair delta sequence arrived out of
-  /// order (each one may leave a transient dependency under-estimate).
+  /// Deliveries whose per-pair delta sequence arrived out of order (each
+  /// one may leave a transient dependency under-estimate).
   u64 delta_reorders() const noexcept { return delta_reorders_; }
 
  protected:
   void do_bind() override;
 
  private:
-  /// Sparse per-host dependency entry (others only, sorted by idx).
+  /// Per-host dependency entry (others only, sorted by idx).
   struct Entry {
     u32 idx = 0;
     u32 ckpt = 0;
     u32 loc = 0;
     u64 ver = 0;  ///< Owner's version counter at last change (delta cut-off).
   };
-  /// Sparse sender-side cursor: what dst has already been shipped.
+  /// Sender-side cursor: what dst has already been shipped.
   struct SendCursor {
     u32 dst = 0;
     u32 next_seq = 0;
     u64 last_ver = 0;
   };
-  /// Sparse receiver-side cursor: next expected per-pair sequence.
+  /// Receiver-side cursor: next expected per-pair sequence.
   struct RecvCursor {
     u32 src = 0;
     u32 expect = 0;
   };
 
   void basic_checkpoint(const net::MobileHost& host);
-  /// Sparse receive: raises host `me`'s entries to a sorted delta.
+  /// Receive: raises host `me`'s entries to a sorted delta.
   void merge_deltas(net::HostId me, const std::vector<net::PbDelta>& deltas);
   void checkpoint(const net::MobileHost& host, CheckpointKind kind, net::MsgId trigger = 0);
 
   SendCursor& send_cursor(net::HostId src, net::HostId dst);
   RecvCursor& recv_cursor(net::HostId dst, net::HostId src);
 
-  TpEncoding encoding_;
-
-  // SoA host state shared by both encodings (index = dense host id).
-  std::vector<u8> phase_send_;   ///< init: RECV (0).
-  std::vector<u64> ckpt_count_;  ///< Checkpoints taken so far (= next ordinal).
-
-  // Dense encoding: flat n*n row-major arenas.
-  // req_[i*n+j]: minimal checkpoint ordinal of host j that a recovery line
-  // anchored at host i's *next* checkpoint requires (0 = only j's initial
-  // checkpoint, i.e. no dependency). loc_[i*n+j]: last known MSS of j.
-  std::vector<u32> req_;
-  std::vector<u32> loc_;
-
-  // Sparse encoding.
+  // SoA host state (index = dense host id).
+  std::vector<u8> phase_send_;                     ///< init: RECV (0).
+  std::vector<u64> ckpt_count_;                    ///< Checkpoints taken (= next ordinal).
   std::vector<u32> self_loc_;                      ///< Own MSS at last checkpoint.
   std::vector<std::vector<Entry>> entries_;        ///< Per-host, others only, sorted.
   std::vector<u64> version_;                       ///< Per-host change counter.

@@ -55,9 +55,10 @@ GlobalCheckpoint index_recovery_line(const CheckpointLog& log, u64 index, IndexL
                                      const std::vector<u64>& current_pos);
 
 /// Builds the recovery line TP associates on the fly with `anchor`, using
-/// the dependency vector recorded in the checkpoint: host j's member is
-/// the checkpoint with ordinal dep_ckpt[j] (virtual if not yet taken —
-/// sound under TP's phase discipline, see src/core/protocols/tp.hpp).
+/// the dependencies recorded in the checkpoint: host j's member is the
+/// checkpoint with ordinal anchor.dep_ckpt_at(j) (virtual if not yet
+/// taken — sound under TP's phase discipline, see
+/// src/core/protocols/tp.hpp).
 GlobalCheckpoint tp_recovery_line(const CheckpointLog& log, const CheckpointRecord& anchor,
                                   const std::vector<u64>& current_pos);
 

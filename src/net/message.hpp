@@ -9,7 +9,7 @@
 
 namespace mobichk::net {
 
-/// Bytes a LEB128 varint needs for `v`. The sparse piggyback encoding is
+/// Bytes a LEB128 varint needs for `v`. The delta piggyback encoding is
 /// modelled (not serialized): wire-byte accounting charges what the value
 /// would cost on the wire, and varints are what a real encoder would use
 /// for the small gaps and counters that dominate delta entries.
@@ -22,7 +22,7 @@ constexpr usize varint_bytes(u64 v) noexcept {
   return n;
 }
 
-/// One sparse piggyback entry: host `idx`'s checkpoint-interval requirement
+/// One delta piggyback entry: host `idx`'s checkpoint-interval requirement
 /// and last-known location, shipped only when they changed since the last
 /// message on this (src, dst) pair.
 struct PbDelta {
@@ -35,28 +35,23 @@ struct PbDelta {
 ///
 /// This is a generic container covering the needs of every protocol in the
 /// suite: index-based protocols use `sn` only; the two-phase protocol (TP)
-/// uses either the two dense transitive-dependency vectors or, in sparse
-/// mode, a delta list carrying only the entries that changed since the
-/// previous message to the same destination; coordinated protocols may use
-/// `tag` for markers. `wire_bytes()` reports how much control data the
-/// message actually carries, which feeds the channel-overhead accounting
-/// the paper's section 2.2 motivates.
+/// uses a delta list carrying only the CKPT[]/LOC[] entries that changed
+/// since the previous message to the same destination. `wire_bytes()`
+/// reports how much control data the message actually carries, which feeds
+/// the channel-overhead accounting the paper's section 2.2 motivates;
+/// `dense_bytes()` reports what the paper's two full n-vectors would cost.
 struct Piggyback {
-  u64 sn = 0;               ///< Index-based protocols: sender's sequence number.
-  std::vector<u32> vec_a;   ///< TP dense: CKPT[] dependency on checkpoint intervals.
-  std::vector<u32> vec_b;   ///< TP dense: LOC[] dependency on MH locations.
-  std::vector<PbDelta> deltas;  ///< TP sparse: entries changed since last msg to dst.
-  u32 delta_seq = 0;        ///< TP sparse: per-(src,dst) sequence for gap detection.
-  u32 dense_rank = 0;       ///< TP sparse: 2 * n_hosts, the dense-equivalent entry count.
-  u32 tag = 0;              ///< Protocol-specific marker / flag.
-  bool has_sn = false;      ///< Whether `sn` is meaningful (affects wire size).
-  bool has_tag = false;     ///< Whether `tag` is carried (affects wire size).
-  bool has_delta = false;   ///< Whether the sparse delta encoding is in use.
+  u64 sn = 0;                   ///< Index-based protocols: sender's sequence number.
+  std::vector<PbDelta> deltas;  ///< TP: entries changed since last msg to dst.
+  u32 delta_seq = 0;            ///< TP: per-(src,dst) sequence for gap detection.
+  u32 dense_rank = 0;           ///< TP: 2 * n_hosts, the dense-equivalent entry count.
+  bool has_sn = false;          ///< Whether `sn` is meaningful (affects wire size).
+  bool has_delta = false;       ///< Whether the TP delta list is carried.
 
   /// Encoded cost of the delta list alone: seq + count + gap-coded indices
   /// + varint values. A real encoder keeps a one-bit escape to fall back
   /// to the dense layout when deltas would be larger (first contact, or
-  /// pathological value growth), so the sparse cost is capped at the
+  /// pathological value growth), so the delta cost is capped at the
   /// dense-equivalent size — `encoded <= dense` holds unconditionally.
   usize delta_encoded_bytes() const noexcept {
     usize bytes = varint_bytes(delta_seq) + varint_bytes(deltas.size());
@@ -72,24 +67,19 @@ struct Piggyback {
   usize wire_bytes() const noexcept {
     usize bytes = 0;
     if (has_sn) bytes += sizeof(u64);
-    bytes += (vec_a.size() + vec_b.size()) * sizeof(u32);
     if (has_delta) bytes += delta_encoded_bytes();
-    // A carried tag costs wire bytes even when its value happens to be 0;
-    // gating on the value silently undercounted those messages.
-    if (has_tag) bytes += sizeof(u32);
     return bytes;
   }
 
   /// Bytes the same control information would cost with the dense layout
-  /// (full CKPT[]/LOC[] vectors). Equals wire_bytes() for non-sparse
-  /// piggybacks; for sparse ones it is the overhead the paper's original
-  /// TP would have paid, kept for apples-to-apples figure comparisons.
+  /// (full CKPT[]/LOC[] vectors). Equals wire_bytes() for piggybacks
+  /// without a delta list; for TP's it is the overhead the paper's
+  /// original TP would have paid, kept for apples-to-apples figure
+  /// comparisons.
   usize dense_bytes() const noexcept {
     usize bytes = 0;
     if (has_sn) bytes += sizeof(u64);
-    bytes += (vec_a.size() + vec_b.size()) * sizeof(u32);
     if (has_delta) bytes += static_cast<usize>(dense_rank) * sizeof(u32);
-    if (has_tag) bytes += sizeof(u32);
     return bytes;
   }
 };

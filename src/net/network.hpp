@@ -86,7 +86,7 @@ struct NetworkStats {
   u64 bulk_transfers = 0;      ///< Data-plane bulk wired transfers (migrations, fetches).
   u64 bulk_wired_bytes = 0;    ///< Bytes those transfers moved between MSSs.
   u64 piggyback_bytes = 0;     ///< Control information carried on app messages
-                               ///< (encoded size: sparse piggybacks count deltas).
+                               ///< (encoded size: TP piggybacks count deltas).
   u64 piggyback_dense_bytes = 0;  ///< Dense-equivalent control bytes (the cost the
                                   ///< paper-literal full vectors would have paid).
   des::Tally delivery_latency; ///< Send-to-mailbox latency of app messages.

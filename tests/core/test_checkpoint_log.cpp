@@ -15,6 +15,15 @@ CheckpointRecord make(net::HostId host, u64 sn, u64 pos,
   return rec;
 }
 
+TEST(CheckpointRecord, StaysWithinItsSizeBudget) {
+  // A run keeps one record per checkpoint until it ends (about 56 k in one
+  // Fig.1 run at T_switch=100), so the record's size shows in the figure
+  // sweep's peak RSS. 96 B is the layout with one dependency list.
+  if constexpr (sizeof(void*) == 8) {
+    EXPECT_LE(sizeof(CheckpointRecord), 96u);
+  }
+}
+
 TEST(CheckpointLog, AssignsOrdinalsPerHost) {
   CheckpointLog log(2);
   EXPECT_EQ(log.append(make(0, 0, 0)).ordinal, 0u);

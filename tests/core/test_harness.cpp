@@ -33,16 +33,19 @@ TEST_F(HarnessTest, RejectsNullProtocol) {
 }
 
 TEST_F(HarnessTest, SlotZeroPiggybackRidesTheWire) {
-  harness_.add_protocol(std::make_unique<TpProtocol>(TpEncoding::kDense));
   harness_.add_protocol(std::make_unique<BcsProtocol>());
+  harness_.add_protocol(std::make_unique<TpProtocol>());
   net_.start({0, 0, 1});
   net_.send_app_message(0, 1, 8);
   sim_.run();
-  // TP's two vectors are on the wire; BCS's integer is only accounted.
-  EXPECT_EQ(net_.stats().piggyback_bytes, 6 * sizeof(u32));
-  EXPECT_EQ(net_.stats().piggyback_dense_bytes, 6 * sizeof(u32));
-  EXPECT_EQ(harness_.piggyback_bytes(0), 6 * sizeof(u32));
-  EXPECT_EQ(harness_.piggyback_bytes(1), sizeof(u64));
+  // BCS's integer is on the wire; TP's delta is only accounted: seq,
+  // count and the sender's own (idx, ckpt, loc), one varint byte each,
+  // against two 3-entry vectors.
+  EXPECT_EQ(net_.stats().piggyback_bytes, sizeof(u64));
+  EXPECT_EQ(net_.stats().piggyback_dense_bytes, sizeof(u64));
+  EXPECT_EQ(harness_.piggyback_bytes(0), sizeof(u64));
+  EXPECT_EQ(harness_.piggyback_bytes(1), 5u);
+  EXPECT_EQ(harness_.piggyback_dense_bytes(1), 6 * sizeof(u32));
 }
 
 TEST_F(HarnessTest, SparseTpEncodedBytesStayBelowDense) {

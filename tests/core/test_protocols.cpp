@@ -135,21 +135,10 @@ TEST_F(TpTest, CheckpointRecordsCarryDependencyVectors) {
   EXPECT_EQ(rec.dep_ckpt_at(2), 0u);  // no dependency on host 2
 }
 
-TEST_F(TpTest, DensePiggybackCarriesTwoVectors) {
-  TpProtocol& tp = install<TpProtocol>(TpEncoding::kDense);
-  const net::Piggyback pb = tp.make_piggyback(net_.host(0), 1);
-  EXPECT_EQ(pb.vec_a.size(), 3u);
-  EXPECT_EQ(pb.vec_b.size(), 3u);
-  EXPECT_EQ(pb.wire_bytes(), 6 * sizeof(u32));
-  EXPECT_EQ(pb.dense_bytes(), pb.wire_bytes());
-}
-
 TEST_F(TpTest, SparsePiggybackCarriesDeltas) {
   TpProtocol& tp = install<TpProtocol>();
-  ASSERT_EQ(tp.encoding(), TpEncoding::kSparse);
   const net::Piggyback pb = tp.make_piggyback(net_.host(0), 1);
   EXPECT_TRUE(pb.has_delta);
-  EXPECT_TRUE(pb.vec_a.empty());
   // Nothing learned yet: only the sender's own entry travels.
   ASSERT_EQ(pb.deltas.size(), 1u);
   EXPECT_EQ(pb.deltas[0].idx, 0u);

@@ -85,7 +85,8 @@ TEST(TpRecoveryLine, FollowsDependencyVectors) {
   log.append(make(2, 0, 0, CheckpointKind::kInitial));
   log.append(make(1, 1, 14));
   CheckpointRecord anchor = make(0, 1, 10);
-  anchor.dep_ckpt = {1, 1, 0};  // needs own #1, host1's #1, host2's #0
+  anchor.sparse_deps = {{0, 1, 0}, {1, 1, 0}};  // needs own #1, host1's #1, host2's #0
+  anchor.dep_rank = 3;
   const CheckpointRecord& stored = log.append(std::move(anchor));
   const auto cut = tp_recovery_line(log, stored, {20, 20, 20});
   EXPECT_EQ(cut.pos[0], 10u);
@@ -98,7 +99,8 @@ TEST(TpRecoveryLine, MissingRequiredCheckpointIsVirtual) {
   log.append(make(0, 0, 0, CheckpointKind::kInitial));
   log.append(make(1, 0, 0, CheckpointKind::kInitial));
   CheckpointRecord anchor = make(0, 1, 10);
-  anchor.dep_ckpt = {1, 1};  // host1's #1 does not exist yet
+  anchor.sparse_deps = {{0, 1, 0}, {1, 1, 0}};  // host1's #1 does not exist yet
+  anchor.dep_rank = 2;
   const CheckpointRecord& stored = log.append(std::move(anchor));
   const auto cut = tp_recovery_line(log, stored, {10, 33});
   EXPECT_EQ(cut.members[1], nullptr);

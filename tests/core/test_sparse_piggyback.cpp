@@ -1,19 +1,18 @@
-// Differential suite: sparse delta-encoded TP piggybacks against the
-// dense-oracle encoding, run side by side as paired observers over the
-// same event stream.
+// Differential suite: TpProtocol's delta-encoded piggybacks against the
+// paper-literal DenseTpOracle, run side by side as paired observers over
+// the same event stream.
 //
-// The dense TP instance is the paper-literal specification (full CKPT[]
-// and LOC[] vectors on every message); the sparse instance is the
-// city-scale implementation under test. Since the piggyback content
-// never feeds back into the trace (the phase rule reads only has_sn /
-// phase bits), both instances see identical upcalls, so at every point
-// of every scenario the sparse instance's decoded view must equal the
-// dense one's — and the encoded wire bytes must never exceed the dense
-// cost. Scenarios cover direct exchanges, fan-in/fan-out, and the
-// mobility interleavings (handoff mid-flight, disconnect buffering,
-// crash/restore) where per-pair FIFO is most at risk; a final full-run
-// differential pins trace hashes and checkpoint counts across all three
-// event-queue implementations.
+// The oracle is the specification (full CKPT[] and LOC[] vectors on every
+// message); TpProtocol is the city-scale implementation under test. Since
+// the piggyback content never feeds back into the trace (the phase rule
+// reads only phase bits), both see identical upcalls, so at every point of
+// every scenario TpProtocol's decoded view must equal the oracle's — and
+// its encoded wire bytes must never exceed the dense cost. Scenarios cover
+// direct exchanges, fan-in/fan-out, and the mobility interleavings
+// (handoff mid-flight, disconnect buffering, crash/restore) where per-pair
+// FIFO is most at risk; full-run differentials compare views and
+// checkpoint counts on all three event-queue implementations and through
+// chase-forwarded deliveries on a contended channel.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,19 +26,22 @@
 #include "des/rng.hpp"
 #include "des/simulator.hpp"
 #include "net/network.hpp"
-#include "sim/experiment.hpp"
+#include "sim/config.hpp"
+#include "sim/mobility.hpp"
+#include "sim/workload.hpp"
+#include "dense_tp_oracle.hpp"
 
 namespace mobichk::core {
 namespace {
 
-/// Five hosts over three MSSs; slot 0 = dense oracle, slot 1 = sparse.
+/// Five hosts over three MSSs; slot 0 = dense oracle, slot 1 = TP.
 class SparseDiffFixture : public ::testing::Test {
  protected:
   static constexpr u32 kHosts = 5;
 
   SparseDiffFixture() : net_(sim_, config(), 1), harness_(net_) {
-    dense_slot_ = harness_.add_protocol(std::make_unique<TpProtocol>(TpEncoding::kDense));
-    sparse_slot_ = harness_.add_protocol(std::make_unique<TpProtocol>(TpEncoding::kSparse));
+    dense_slot_ = harness_.add_protocol(std::make_unique<DenseTpOracle>());
+    sparse_slot_ = harness_.add_protocol(std::make_unique<TpProtocol>());
     net_.start({0, 1, 2, 0, 1});
   }
 
@@ -50,7 +52,9 @@ class SparseDiffFixture : public ::testing::Test {
     return cfg;
   }
 
-  TpProtocol& dense() { return static_cast<TpProtocol&>(harness_.protocol(dense_slot_)); }
+  DenseTpOracle& dense() {
+    return static_cast<DenseTpOracle&>(harness_.protocol(dense_slot_));
+  }
   TpProtocol& sparse() { return static_cast<TpProtocol&>(harness_.protocol(sparse_slot_)); }
 
   /// The differential invariant: for every host, the sparse instance's
@@ -67,8 +71,9 @@ class SparseDiffFixture : public ::testing::Test {
     EXPECT_EQ(harness_.log(sparse_slot_).forced(), harness_.log(dense_slot_).forced()) << where;
   }
 
-  /// Encoded-size invariant: what the sparse protocol would put on the
-  /// wire right now never exceeds the dense encoding, on any (src, dst).
+  /// Encoded-size invariant: what TP would put on the wire right now
+  /// never exceeds the dense encoding, on any (src, dst), and its
+  /// dense-equivalent cost is the oracle's.
   void expect_encoded_bounded() {
     for (net::HostId src = 0; src < kHosts; ++src) {
       if (!net_.host(src).connected()) continue;
@@ -76,7 +81,7 @@ class SparseDiffFixture : public ::testing::Test {
         if (dst == src) continue;
         net::Piggyback dense_pb = dense().make_piggyback(net_.host(src), dst);
         net::Piggyback sparse_pb = sparse().make_piggyback(net_.host(src), dst);
-        EXPECT_LE(sparse_pb.wire_bytes(), dense_pb.wire_bytes())
+        EXPECT_LE(sparse_pb.wire_bytes(), sparse_pb.dense_bytes())
             << "pair " << src << "->" << dst;
         EXPECT_EQ(sparse_pb.dense_bytes(), dense_pb.dense_bytes());
       }
@@ -192,8 +197,8 @@ TEST_F(SparseDiffFixture, CrashRestoreInterleavingAgrees) {
 }
 
 TEST_F(SparseDiffFixture, CheckpointRecordsCarryEqualDependencies) {
-  // The sparse instance stores deps as a sorted sparse vector, the dense
-  // one as full arrays; the accessor views must be indistinguishable.
+  // TP records only the entries depended on, the oracle all n of them;
+  // the accessor views must be indistinguishable.
   transfer(0, 1);
   transfer(1, 2);
   net_.switch_cell(2, 0);  // basic checkpoint snapshots the deps
@@ -326,7 +331,7 @@ class TpReferenceModel {
   std::map<std::pair<net::HostId, net::HostId>, u64> last_ver_;
 };
 
-/// 96 hosts over four MSSs; slot 0 = dense oracle, slot 1 = sparse. The
+/// 96 hosts over four MSSs; slot 0 = dense oracle, slot 1 = TP. The
 /// protocols receive hand-built piggybacks directly, so a delta can carry
 /// any mix of held and new hosts.
 class SparseMergeDiff : public ::testing::TestWithParam<u64> {
@@ -335,8 +340,8 @@ class SparseMergeDiff : public ::testing::TestWithParam<u64> {
   static constexpr u32 kMss = 4;
 
   SparseMergeDiff() : net_(sim_, config(), 1), harness_(net_), rng_(GetParam(), "tp-merge") {
-    dense_slot_ = harness_.add_protocol(std::make_unique<TpProtocol>(TpEncoding::kDense));
-    sparse_slot_ = harness_.add_protocol(std::make_unique<TpProtocol>(TpEncoding::kSparse));
+    dense_slot_ = harness_.add_protocol(std::make_unique<DenseTpOracle>());
+    sparse_slot_ = harness_.add_protocol(std::make_unique<TpProtocol>());
     std::vector<net::MssId> placement(kHosts);
     for (u32 h = 0; h < kHosts; ++h) placement[h] = h % kMss;
     net_.start(placement);
@@ -349,25 +354,26 @@ class SparseMergeDiff : public ::testing::TestWithParam<u64> {
     return cfg;
   }
 
-  TpProtocol& dense() { return static_cast<TpProtocol&>(harness_.protocol(dense_slot_)); }
+  DenseTpOracle& dense() {
+    return static_cast<DenseTpOracle&>(harness_.protocol(dense_slot_));
+  }
   TpProtocol& sparse() { return static_cast<TpProtocol&>(harness_.protocol(sparse_slot_)); }
 
   u64 draw(u64 mod) { return rng_.next_u64() % mod; }
 
   /// Delivers the same control information to `dst` in both encodings and
-  /// in the reference model, then checks the three views agree.
+  /// in the reference model, then checks the three views agree. The
+  /// oracle gets all n entries, zero where the delta has none.
   void deliver(net::HostId src, net::HostId dst, const std::vector<net::PbDelta>& deltas) {
     net::AppMessage msg;
     msg.id = ++next_id_;
     msg.src = src;
     msg.dst = dst;
     net::Piggyback dense_pb;
-    dense_pb.vec_a.assign(kHosts, 0);
-    dense_pb.vec_b.assign(kHosts, 0);
-    for (const net::PbDelta& d : deltas) {
-      dense_pb.vec_a[d.idx] = d.ckpt;
-      dense_pb.vec_b[d.idx] = d.loc;
-    }
+    dense_pb.has_delta = true;
+    dense_pb.dense_rank = 2 * kHosts;
+    for (u32 idx = 0; idx < kHosts; ++idx) dense_pb.deltas.push_back({idx, 0, 0});
+    for (const net::PbDelta& d : deltas) dense_pb.deltas[d.idx] = d;
     net::Piggyback sparse_pb;
     sparse_pb.has_delta = true;
     sparse_pb.dense_rank = 2 * kHosts;
@@ -402,8 +408,8 @@ class SparseMergeDiff : public ::testing::TestWithParam<u64> {
     for (const net::PbDelta& d : sparse_pb.deltas) {
       if (d.idx == src) {
         ++own;
-        EXPECT_EQ(d.ckpt, dense_pb.vec_a[src]);
-        EXPECT_EQ(d.loc, dense_pb.vec_b[src]);
+        EXPECT_EQ(d.ckpt, dense_pb.deltas[src].ckpt);
+        EXPECT_EQ(d.loc, dense_pb.deltas[src].loc);
       } else {
         got.push_back(d);
       }
@@ -415,7 +421,8 @@ class SparseMergeDiff : public ::testing::TestWithParam<u64> {
       EXPECT_EQ(got[i].ckpt, want[i].ckpt) << "send " << src << "->" << dst << " entry " << i;
       EXPECT_EQ(got[i].loc, want[i].loc) << "send " << src << "->" << dst << " entry " << i;
     }
-    EXPECT_LE(sparse_pb.wire_bytes(), dense_pb.wire_bytes());
+    EXPECT_LE(sparse_pb.wire_bytes(), sparse_pb.dense_bytes());
+    EXPECT_EQ(sparse_pb.dense_bytes(), dense_pb.dense_bytes());
   }
 
   des::Simulator sim_;
@@ -495,39 +502,108 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SparseMergeDiff, ::testing::Values(1, 7, 42),
                          });
 
 // ---------------------------------------------------------------------------
-// Full-run differential: dense vs sparse at paper scale, all three queues
+// Full-run differential: TP against the oracle over one whole run
 // ---------------------------------------------------------------------------
 
+/// One paper-workload run with TP and the oracle side by side: the same
+/// upcalls reach both, so every checkpoint's recorded dependencies, every
+/// host's views at the horizon, the checkpoint counts and the
+/// dense-equivalent bytes must agree. TP sits in
+/// slot 0, whose piggyback sizes ride the wire (and so shape channel
+/// occupancy when the cell bandwidth is finite), as in a real run.
+struct FullRunDiff {
+  des::Simulator sim;
+  net::Network net;
+  ProtocolHarness harness;
+  usize sparse_slot = 0;
+  usize dense_slot = 0;
+
+  FullRunDiff(const sim::SimConfig& cfg, des::QueueKind queue)
+      : sim(queue), net(sim, cfg.network, cfg.seed), harness(net) {
+    sparse_slot = harness.add_protocol(std::make_unique<TpProtocol>());
+    dense_slot = harness.add_protocol(std::make_unique<DenseTpOracle>());
+    sim::WorkloadDriver workload(sim, net, cfg);
+    sim::MobilityDriver mobility(sim, net, cfg, &workload);
+    net.start();
+    workload.start();
+    mobility.start();
+    sim.run_until(cfg.sim_length);
+  }
+
+  const DenseTpOracle& dense() const {
+    return static_cast<const DenseTpOracle&>(harness.protocol(dense_slot));
+  }
+  const TpProtocol& sparse() const {
+    return static_cast<const TpProtocol&>(harness.protocol(sparse_slot));
+  }
+
+  void expect_agreement(const std::string& label) const {
+    const CheckpointLog& dense_log = harness.log(dense_slot);
+    const CheckpointLog& sparse_log = harness.log(sparse_slot);
+    EXPECT_GT(sparse_log.forced(), 0u) << label;
+    EXPECT_EQ(sparse_log.n_tot(), dense_log.n_tot()) << label;
+    EXPECT_EQ(sparse_log.forced(), dense_log.forced()) << label;
+    EXPECT_EQ(sparse_log.max_sn(), dense_log.max_sn()) << label;
+    // The records snapshot both views at every checkpoint of the run.
+    u64 record_mismatches = 0;
+    for (net::HostId h = 0; h < net.n_hosts(); ++h) {
+      const std::vector<CheckpointRecord>& sparse_recs = sparse_log.of(h);
+      const std::vector<CheckpointRecord>& dense_recs = dense_log.of(h);
+      ASSERT_EQ(sparse_recs.size(), dense_recs.size()) << label << ": host " << h;
+      for (usize i = 0; i < sparse_recs.size(); ++i) {
+        for (u32 j = 0; j < net.n_hosts(); ++j) {
+          if (sparse_recs[i].dep_ckpt_at(j) != dense_recs[i].dep_ckpt_at(j) ||
+              sparse_recs[i].dep_loc_at(j) != dense_recs[i].dep_loc_at(j)) {
+            ++record_mismatches;
+          }
+        }
+      }
+    }
+    EXPECT_EQ(record_mismatches, 0u) << label;
+    for (net::HostId h = 0; h < net.n_hosts(); ++h) {
+      EXPECT_EQ(sparse().requirement_vector(h), dense().requirement_vector(h))
+          << label << ": CKPT[] diverged at host " << h;
+      EXPECT_EQ(sparse().location_vector(h), dense().location_vector(h))
+          << label << ": LOC[] diverged at host " << h;
+    }
+    // Identical dense-equivalent accounting, strictly cheaper encoding.
+    EXPECT_EQ(harness.piggyback_dense_bytes(sparse_slot), harness.piggyback_dense_bytes(dense_slot))
+        << label;
+    EXPECT_LT(harness.piggyback_bytes(sparse_slot), harness.piggyback_dense_bytes(sparse_slot))
+        << label;
+  }
+};
+
 TEST(SparseFullRun, TraceAndCountsMatchDenseOnEveryQueue) {
-  // The encoding is metadata-only, so a full experiment must produce the
-  // exact same trace hash and checkpoint counts whichever encoding runs —
-  // on every event-queue implementation.
+  // The deltas are metadata only, so over a full run the oracle and TP
+  // take the same checkpoints and end with the same views — on every
+  // event-queue implementation.
   sim::SimConfig cfg;
   cfg.sim_length = 20'000.0;
   cfg.t_switch = 1'000.0;
   cfg.p_switch = 0.8;
   cfg.seed = 7;
   for (const des::QueueKind queue : des::kAllQueueKinds) {
-    sim::ExperimentOptions dense_opts;
-    dense_opts.collect_trace_hash = true;
-    dense_opts.queue_kind = queue;
-    dense_opts.params.tp_encoding = TpEncoding::kDense;
-    sim::ExperimentOptions sparse_opts = dense_opts;
-    sparse_opts.params.tp_encoding = TpEncoding::kSparse;
-    const sim::RunResult dense_run = sim::run_experiment(cfg, dense_opts);
-    const sim::RunResult sparse_run = sim::run_experiment(cfg, sparse_opts);
-    const char* queue_name = des::queue_kind_name(queue);
-    EXPECT_EQ(sparse_run.trace_hash, dense_run.trace_hash) << queue_name;
-    EXPECT_EQ(sparse_run.events_executed, dense_run.events_executed) << queue_name;
-    const auto& dense_tp = dense_run.by_name("TP");
-    const auto& sparse_tp = sparse_run.by_name("TP");
-    EXPECT_EQ(sparse_tp.n_tot, dense_tp.n_tot) << queue_name;
-    EXPECT_EQ(sparse_tp.forced, dense_tp.forced) << queue_name;
-    EXPECT_EQ(sparse_tp.max_index, dense_tp.max_index) << queue_name;
-    // Identical dense-equivalent accounting, strictly cheaper encoding.
-    EXPECT_EQ(sparse_tp.piggyback_dense_bytes, dense_tp.piggyback_dense_bytes) << queue_name;
-    EXPECT_LT(sparse_tp.piggyback_bytes, dense_tp.piggyback_bytes) << queue_name;
+    const FullRunDiff run(cfg, queue);
+    run.expect_agreement(des::queue_kind_name(queue));
+    EXPECT_EQ(run.sparse().delta_reorders(), 0u) << des::queue_kind_name(queue);
   }
+}
+
+TEST(SparseFullRun, ChaseForwardedDeltasMatchDenseUnderContention) {
+  // A contended channel and fast movers: messages chase their destination
+  // to a new cell, so deltas arrive through forwarded paths, and TP's
+  // delta sizes set the channel occupancy.
+  sim::SimConfig cfg;
+  cfg.sim_length = 20'000.0;
+  cfg.t_switch = 100.0;
+  cfg.p_switch = 0.8;
+  cfg.seed = 42;
+  cfg.network.wireless_bandwidth = 1'200.0;
+  const FullRunDiff run(cfg, des::QueueKind::kBinaryHeap);
+  EXPECT_GT(run.net.stats().chase_forwards, 0u);
+  EXPECT_EQ(run.sparse().delta_reorders(), 0u);
+  run.expect_agreement("contention");
 }
 
 }  // namespace

@@ -95,15 +95,13 @@ TEST_F(ContentionNetworkTest, ConcurrentSendsInOneCellQueue) {
 
 TEST_F(ContentionNetworkTest, PiggybackBytesOccupyTheChannel) {
   // Same payload, bigger piggyback => longer channel occupancy. The
-  // handler injects a fat control vector (as TP would).
+  // handler stamps a fat control payload (as TP's two 20-entry vectors
+  // would be).
   class FatPiggybackHandler : public NullHostEventHandler {
    public:
     void on_send(MobileHost&, AppMessage& msg) override {
-      Piggyback pb;
-      pb.vec_a.assign(20, 1);  // 80 extra bytes
-      pb.vec_b.assign(20, 1);  // 80 extra bytes
-      msg.pb_bytes = pb.wire_bytes();
-      msg.pb_dense_bytes = pb.dense_bytes();
+      msg.pb_bytes = 160;
+      msg.pb_dense_bytes = 160;
     }
   };
   des::Simulator sim_small, sim_fat;

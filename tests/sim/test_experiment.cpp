@@ -179,25 +179,11 @@ TEST(Experiment, TraceSinkReceivesTheHashedTrace) {
   }
 }
 
-TEST(Experiment, TpPiggybackScalesWithHosts) {
-  // Dense TP carries 2n integers per message; BCS/QBC carry one. The
-  // sparse default encodes deltas, so its dense-equivalent counter pins
-  // the same 2n-per-message cost while the encoded counter stays below.
-  ExperimentOptions opts;
-  opts.params.tp_encoding = core::TpEncoding::kDense;
-  const RunResult r = run_experiment(small_config(), opts);
-  const u64 sent = r.net.app_sent;
-  EXPECT_EQ(r.by_name("TP").piggyback_bytes, sent * 2 * 10 * sizeof(u32));
-  EXPECT_EQ(r.by_name("TP").piggyback_dense_bytes, sent * 2 * 10 * sizeof(u32));
-  EXPECT_EQ(r.by_name("BCS").piggyback_bytes, sent * sizeof(u64));
-  EXPECT_EQ(r.by_name("BCS").piggyback_dense_bytes, sent * sizeof(u64));
-  EXPECT_EQ(r.by_name("QBC").piggyback_bytes, sent * sizeof(u64));
-}
-
 TEST(Experiment, SparseTpEncodedBytesBoundedByDense) {
-  // Same trace, sparse encoding: the dense-equivalent counter must match
-  // the paper-literal cost exactly while the encoded bytes stay strictly
-  // below it (deltas replace full vectors on every message).
+  // TP's dense-equivalent counter must match the paper-literal cost, 2n
+  // integers per message, exactly while the encoded bytes stay strictly
+  // below it (deltas replace full vectors on every message). BCS/QBC
+  // carry one integer, the same on both counters.
   const RunResult r = run_experiment(small_config());
   const u64 sent = r.net.app_sent;
   ASSERT_GT(sent, 0u);
@@ -205,6 +191,9 @@ TEST(Experiment, SparseTpEncodedBytesBoundedByDense) {
   EXPECT_EQ(tp.piggyback_dense_bytes, sent * 2 * 10 * sizeof(u32));
   EXPECT_LT(tp.piggyback_bytes, tp.piggyback_dense_bytes);
   EXPECT_GT(tp.piggyback_bytes, 0u);
+  EXPECT_EQ(r.by_name("BCS").piggyback_bytes, sent * sizeof(u64));
+  EXPECT_EQ(r.by_name("BCS").piggyback_dense_bytes, sent * sizeof(u64));
+  EXPECT_EQ(r.by_name("QBC").piggyback_bytes, sent * sizeof(u64));
 }
 
 TEST(Sweep, RunParallelPreservesJobOrderAndDeterminism) {

@@ -34,6 +34,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "des/event.hpp"
 #include "mobichk.hpp"
@@ -142,12 +143,15 @@ f64 tp_merge_seconds(u32 k) {
   sim::Experiment exp(c, o);
   auto& tp = static_cast<core::TpProtocol&>(exp.harness().protocol(0));
   const auto delta = [&c, k](u32 offset, u32 seq) {
+    std::vector<net::DepEntry> entries;
+    entries.reserve(k);
+    for (u32 i = 0; i < k; ++i) entries.push_back({4 * i + offset, 1 + i % 7, i % 50});
     net::Piggyback pb;
     pb.has_delta = true;
     pb.delta_seq = seq;
     pb.dense_rank = 2 * c.network.n_hosts;
-    pb.deltas.reserve(k);
-    for (u32 i = 0; i < k; ++i) pb.deltas.push_back({4 * i + offset, 1 + i % 7, i % 50});
+    pb.delta = net::encode_deps(entries);
+    pb.delta_count = k;
     return pb;
   };
   net::AppMessage msg;

@@ -1,10 +1,9 @@
 // Checkpoint records: what a protocol writes to stable storage.
 #pragma once
 
-#include <vector>
-
 #include "des/types.hpp"
 #include "net/ids.hpp"
+#include "net/message.hpp"
 
 namespace mobichk::core {
 
@@ -25,16 +24,6 @@ constexpr const char* checkpoint_kind_name(CheckpointKind kind) noexcept {
   return "?";
 }
 
-/// One dependency entry: what a TP checkpoint requires of `host`. Entries
-/// absent from a record mean "no dependency" (ckpt 0, the initial
-/// checkpoint) and "location never learned" (MSS 0), the zero entries of
-/// the paper's full CKPT[]/LOC[] vectors.
-struct DepEntry {
-  u32 host = 0;
-  u32 ckpt = 0;  ///< Minimal checkpoint ordinal of `host` the line requires.
-  u32 loc = 0;   ///< Last-known MSS of `host` (retrieval metadata).
-};
-
 /// One local checkpoint C_{i,x}.
 struct CheckpointRecord {
   net::HostId host = 0;
@@ -47,41 +36,37 @@ struct CheckpointRecord {
   u64 event_pos = 0;        ///< Host events with position <= event_pos precede it.
   bool replaced_predecessor = false;  ///< QBC equivalence rule fired (same sn as predecessor).
 
-  /// TP: the transitive dependencies recorded with the checkpoint — only
-  /// the entries actually depended on, sorted by host; `dep_rank` is the
-  /// logical vector length (n_hosts).
-  std::vector<DepEntry> sparse_deps;
+  /// TP: the transitive dependencies recorded with the checkpoint, only
+  /// the entries actually depended on: `dep_count` entries in the
+  /// DepWriter encoding (net/message.hpp) at `dep_bytes`, which the
+  /// CheckpointLog's snapshot arena owns (or, for a record built outside a
+  /// log, its builder). `dep_rank` is the logical vector length (n_hosts).
+  const u8* dep_bytes = nullptr;
+  u32 dep_count = 0;
   u32 dep_rank = 0;
 
   /// True when the record carries TP dependency information. Readers must
-  /// go through the `dep_*_at` accessors.
+  /// go through `deps()` or the `dep_*_at` accessors.
   bool has_deps() const noexcept { return dep_rank > 0; }
 
   /// Logical length of the dependency vectors (n_hosts at record time).
   u32 deps_rank() const noexcept { return dep_rank; }
 
-  /// CKPT[j] / LOC[j]. Absent entries read as 0, the no-dependency default.
-  u32 dep_ckpt_at(u32 j) const noexcept {
-    const DepEntry* e = find_sparse(j);
-    return e != nullptr ? e->ckpt : 0;
-  }
-  u32 dep_loc_at(u32 j) const noexcept {
-    const DepEntry* e = find_sparse(j);
-    return e != nullptr ? e->loc : 0;
-  }
+  /// The recorded entries, in host order.
+  net::DepReader deps() const noexcept { return {dep_bytes, dep_count}; }
+
+  /// CKPT[j] / LOC[j], decoded linearly. Absent entries read as 0, the
+  /// no-dependency default.
+  u32 dep_ckpt_at(u32 j) const noexcept { return dep_at(j).ckpt; }
+  u32 dep_loc_at(u32 j) const noexcept { return dep_at(j).loc; }
 
  private:
-  const DepEntry* find_sparse(u32 j) const noexcept {
-    usize lo = 0, hi = sparse_deps.size();
-    while (lo < hi) {
-      const usize mid = (lo + hi) / 2;
-      if (sparse_deps[mid].host < j) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
+  net::DepEntry dep_at(u32 j) const noexcept {
+    for (net::DepReader in = deps(); !in.done();) {
+      const net::DepEntry e = in.next();
+      if (e.host >= j) return e.host == j ? e : net::DepEntry{};
     }
-    return lo < sparse_deps.size() && sparse_deps[lo].host == j ? &sparse_deps[lo] : nullptr;
+    return {};
   }
 };
 

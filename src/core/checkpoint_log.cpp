@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
+#include "des/sharded.hpp"
 #include "storage/data_plane.hpp"
 
 namespace mobichk::core {
@@ -21,6 +23,34 @@ const CheckpointRecord& CheckpointLog::append(CheckpointRecord rec) {
   vec.push_back(std::move(rec));
   return vec.back();
 }
+
+const u8* CheckpointLog::DepArena::store(const u8* bytes, usize n) {
+  if (n == 0) return nullptr;
+  u8* at = nullptr;
+  if (n > kBlockBytes) {
+    // Its own block; the open one keeps its free space.
+    blocks_.push_back(std::make_unique_for_overwrite<u8[]>(n));
+    at = blocks_.back().get();
+  } else {
+    if (n > left_) {
+      blocks_.push_back(std::make_unique_for_overwrite<u8[]>(kBlockBytes));
+      next_ = blocks_.back().get();
+      left_ = kBlockBytes;
+    }
+    at = next_;
+    next_ += n;
+    left_ -= n;
+  }
+  std::memcpy(at, bytes, n);
+  return at;
+}
+
+const u8* CheckpointLog::store_deps(const u8* bytes, usize n) {
+  des::ShardContext* c = shard_arenas_.empty() ? nullptr : des::current_shard();
+  return (c != nullptr ? shard_arenas_[c->shard].arena : arena_).store(bytes, n);
+}
+
+void CheckpointLog::enable_sharding(u32 n_shards) { shard_arenas_.resize(n_shards); }
 
 const CheckpointRecord* CheckpointLog::by_ordinal(net::HostId host, u64 ordinal) const {
   const auto& vec = per_host_.at(host);

@@ -3,6 +3,7 @@
 // of paper §2.2.
 #pragma once
 
+#include <memory>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -23,6 +24,17 @@ class CheckpointLog {
   /// Appends a record, assigning its per-host ordinal. `rec.sn` must be
   /// non-decreasing per host (all protocols in this suite guarantee it).
   const CheckpointRecord& append(CheckpointRecord rec);
+
+  /// Copies `n` bytes of an encoded dependency snapshot into the calling
+  /// lane's arena and returns where they now live: they stay there, never
+  /// moved, until the log is destroyed. Records point at them
+  /// (CheckpointRecord::dep_bytes).
+  const u8* store_deps(const u8* bytes, usize n);
+
+  /// Gives each of `n_shards` shard lanes a snapshot arena of its own, so
+  /// shard-parallel windows store snapshots without sharing one; calls
+  /// outside a shard window keep using the coordinator's arena.
+  void enable_sharding(u32 n_shards);
 
   u32 n_hosts() const noexcept { return static_cast<u32>(per_host_.size()); }
 
@@ -68,7 +80,27 @@ class CheckpointLog {
   u64 max_sn() const;
 
  private:
+  /// Append-only byte arena for dependency snapshots: blocks of about
+  /// 64 KiB, allocated uninitialised on first use, never moved, freed
+  /// with the log. A snapshot larger than a block gets a block of its own.
+  class DepArena {
+   public:
+    const u8* store(const u8* bytes, usize n);
+
+   private:
+    static constexpr usize kBlockBytes = usize{64} << 10;
+    std::vector<std::unique_ptr<u8[]>> blocks_;
+    u8* next_ = nullptr;  ///< Free space in the open block.
+    usize left_ = 0;
+  };
+  /// One shard lane's arena, padded against false sharing.
+  struct alignas(64) ShardArena {
+    DepArena arena;
+  };
+
   std::vector<std::vector<CheckpointRecord>> per_host_;
+  DepArena arena_;                       ///< The coordinator's lane.
+  std::vector<ShardArena> shard_arenas_;  ///< Non-empty exactly in sharded mode.
   // Relaxed atomics: shard-parallel windows append checkpoints for
   // different hosts concurrently (the per-host vectors are owner-local;
   // these aggregates are order-independent sums).

@@ -58,6 +58,7 @@ void ProtocolHarness::enable_sharding(u32 n_shards) {
   }
   slices_.clear();
   slices_.resize(n_shards);
+  for (auto& slot : slots_) slot->log.enable_sharding(n_shards);
   for (auto& sl : slices_) {
     sl.pb_bytes.assign(slots_.size(), 0);
     sl.pb_dense_bytes.assign(slots_.size(), 0);

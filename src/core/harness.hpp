@@ -79,8 +79,9 @@ class ProtocolHarness final : public net::HostEventHandler {
   /// Switches the harness into shard-parallel mode (call after every
   /// add_protocol): piggybacks travel by value on messages instead of
   /// through the pooled shared parking, per-slot piggyback bytes go to
-  /// per-shard slices, and MessageLog updates are journaled per shard
-  /// for the barrier merge.
+  /// per-shard slices, each slot's log stores snapshots in per-shard
+  /// arenas, and MessageLog updates are journaled per shard for the
+  /// barrier merge.
   void enable_sharding(u32 n_shards);
 
   /// Barrier-time merge (coordinator, shards parked): folds this window's
@@ -112,7 +113,8 @@ class ProtocolHarness final : public net::HostEventHandler {
   /// Pooled per-message piggyback parking: an entry is recycled after
   /// delivery, so its per-slot vector is sized once. The piggybacks in it
   /// are replaced by each send's make_piggyback result, so their own
-  /// buffers (TP's delta list) are allocated per send.
+  /// buffers (TP's encoded delta, exactly its wire size) are allocated per
+  /// send.
   struct Parked {
     std::vector<net::Piggyback> pbs;
   };

@@ -30,11 +30,13 @@ const CheckpointRecord& CheckpointProtocol::take_checkpoint(const net::MobileHos
 
 const CheckpointRecord& CheckpointProtocol::take_checkpoint(const net::MobileHost& host,
                                                             CheckpointKind kind, u64 sn,
-                                                            std::vector<DepEntry> deps, u32 rank,
+                                                            const u8* deps, usize dep_size,
+                                                            u32 dep_count, u32 rank,
                                                             obs::ForcedRule rule,
                                                             net::MsgId trigger_msg) {
   CheckpointRecord rec;
-  rec.sparse_deps = std::move(deps);
+  rec.dep_bytes = ctx_.log->store_deps(deps, dep_size);
+  rec.dep_count = dep_count;
   rec.dep_rank = rank;
   return finish_checkpoint(std::move(rec), host, kind, sn, false, rule, trigger_msg);
 }

@@ -106,11 +106,12 @@ class CheckpointProtocol {
                                           u64 sn, obs::ForcedRule rule = obs::ForcedRule::kNone,
                                           net::MsgId trigger_msg = 0, bool replaced = false);
 
-  /// Records a checkpoint with TP dependencies attached (`deps` sorted by
-  /// host, `rank` = n_hosts).
+  /// Records a checkpoint with TP dependencies attached: `dep_count`
+  /// entries DepWriter-encoded in `dep_size` bytes at `deps`, which the
+  /// log copies into its snapshot arena; `rank` = n_hosts.
   const CheckpointRecord& take_checkpoint(const net::MobileHost& host, CheckpointKind kind,
-                                          u64 sn, std::vector<DepEntry> deps, u32 rank,
-                                          obs::ForcedRule rule = obs::ForcedRule::kNone,
+                                          u64 sn, const u8* deps, usize dep_size, u32 dep_count,
+                                          u32 rank, obs::ForcedRule rule = obs::ForcedRule::kNone,
                                           net::MsgId trigger_msg = 0);
 
   ProtocolContext ctx_;

@@ -1,7 +1,9 @@
 #include "core/protocols/tp.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace mobichk::core {
 
@@ -37,6 +39,16 @@ usize gallop_lower_bound(const std::vector<T>& v, usize from, u32 key) {
   return static_cast<usize>(it - v.begin());
 }
 
+/// The calling thread's encode buffer, with room for `entries` entries.
+/// Per thread, not per protocol: shard workers send and checkpoint
+/// concurrently.
+u8* encode_scratch(usize entries) {
+  thread_local std::vector<u8> buf;
+  const usize need = entries * net::kDepEntryMaxBytes;
+  if (buf.size() < need) buf.resize(need);
+  return buf.data();
+}
+
 }  // namespace
 
 void TpProtocol::do_bind() {
@@ -70,25 +82,31 @@ void TpProtocol::checkpoint(const net::MobileHost& host, CheckpointKind kind, ne
   // The own location observable through location_vector() reflects the
   // MSS at the latest checkpoint.
   self_loc_[me] = host.mss();
-  // Snapshot the touched entries plus the own anchor, sorted by host.
-  const std::vector<Entry>& es = entries_[me];
-  std::vector<DepEntry> deps;
-  deps.reserve(es.size() + 1);
-  bool own_emitted = false;
-  for (const Entry& e : es) {
-    if (!own_emitted && e.idx > me) {
-      deps.push_back({me, static_cast<u32>(ckpt_count_[me]), host.mss()});
-      own_emitted = true;
-    }
-    deps.push_back({e.idx, e.ckpt, e.loc});
-  }
-  if (!own_emitted) deps.push_back({me, static_cast<u32>(ckpt_count_[me]), host.mss()});
-  take_checkpoint(host, kind, ckpt_count_[me], std::move(deps), ctx_.n_hosts, rule, trigger);
+  // Snapshot every held entry plus the own anchor.
+  const net::DepWriter deps = encode_entries(host, 0);
+  take_checkpoint(host, kind, ckpt_count_[me], deps.data(), deps.size(), deps.count(),
+                  ctx_.n_hosts, rule, trigger);
   ++ckpt_count_[me];
   // A fresh interval has no sends yet; phase returns to RECV (Russell's
   // discipline: forced checkpoints are needed only for receives that
   // follow a send *within the same interval*).
   phase_send_[me] = 0;
+}
+
+net::DepWriter TpProtocol::encode_entries(const net::MobileHost& host, u64 min_ver) const {
+  const net::HostId me = host.id();
+  const std::vector<Entry>& es = entries_[me];
+  net::DepWriter w(encode_scratch(es.size() + 1));
+  bool own_emitted = false;
+  for (const Entry& e : es) {
+    if (!own_emitted && e.idx > me) {
+      w.put(me, static_cast<u32>(ckpt_count_[me]), host.mss());
+      own_emitted = true;
+    }
+    if (e.ver >= min_ver) w.put(e.idx, e.ckpt, e.loc);
+  }
+  if (!own_emitted) w.put(me, static_cast<u32>(ckpt_count_[me]), host.mss());
+  return w;
 }
 
 net::Piggyback TpProtocol::make_piggyback(const net::MobileHost& host, net::HostId dst) {
@@ -100,18 +118,10 @@ net::Piggyback TpProtocol::make_piggyback(const net::MobileHost& host, net::Host
   pb.dense_rank = 2 * ctx_.n_hosts;
   // Entries changed since the last message to this destination, plus the
   // sender's own entry (always fresh: the receiver needs the sender's
-  // current interval and location), in host order.
-  const std::vector<Entry>& es = entries_[me];
-  pb.deltas.reserve(es.size() + 1);
-  bool own_emitted = false;
-  for (const Entry& e : es) {
-    if (!own_emitted && e.idx > me) {
-      pb.deltas.push_back({me, static_cast<u32>(ckpt_count_[me]), host.mss()});
-      own_emitted = true;
-    }
-    if (e.ver > sc.last_ver) pb.deltas.push_back({e.idx, e.ckpt, e.loc});
-  }
-  if (!own_emitted) pb.deltas.push_back({me, static_cast<u32>(ckpt_count_[me]), host.mss()});
+  // current interval and location), copied out at their encoded size.
+  const net::DepWriter delta = encode_entries(host, u64{sc.last_ver} + 1);
+  pb.delta.assign(delta.data(), delta.data() + delta.size());
+  pb.delta_count = delta.count();
   sc.last_ver = version_[me];
   phase_send_[me] = 1;
   return pb;
@@ -130,57 +140,60 @@ void TpProtocol::handle_receive(const net::MobileHost& host, const net::AppMessa
   }
   // Merge transitive dependencies after checkpointing, so the forced
   // checkpoint excludes this message.
-  merge_deltas(me, pb.deltas);
+  merge_delta(me, pb);
 }
 
-void TpProtocol::merge_deltas(net::HostId me, const std::vector<net::PbDelta>& deltas) {
-  // Both lists are sorted by host. The forward pass raises the entries the
-  // receiver already holds, in place, and counts the hosts new to it.
-  assert(std::adjacent_find(deltas.begin(), deltas.end(),
-                            [](const net::PbDelta& a, const net::PbDelta& b) {
-                              return a.idx >= b.idx;
-                            }) == deltas.end() &&
-         "a sparse delta lists each host once, in ascending order");
+u32 TpProtocol::next_version(net::HostId me) {
+  u32& v = version_[me];
+  if (v == std::numeric_limits<u32>::max()) {
+    throw std::overflow_error("TP: the version counter of host " + std::to_string(me) +
+                              " would pass 2^32-1");
+  }
+  return ++v;
+}
+
+void TpProtocol::merge_delta(net::HostId me, const net::Piggyback& pb) {
+  // Both lists are sorted by host. The forward pass decodes the delta,
+  // raises the entries the receiver already holds, in place, and sets the
+  // hosts new to it aside (per thread: shard workers receive
+  // concurrently).
+  thread_local std::vector<net::DepEntry> fresh;
+  fresh.clear();
   std::vector<Entry>& es = entries_[me];
   const usize held = es.size();
-  usize fresh = 0;
   usize at = 0;
-  for (const net::PbDelta& d : deltas) {
-    if (d.idx == me) continue;
-    at = gallop_lower_bound(es, at, d.idx);
-    if (at == held || es[at].idx != d.idx) {
-      ++fresh;
+  for (net::DepReader in = pb.delta_reader(); !in.done();) {
+    const net::DepEntry d = in.next();
+    if (d.host == me) continue;
+    at = gallop_lower_bound(es, at, d.host);
+    if (at == held || es[at].idx != d.host) {
+      fresh.push_back(d);
       continue;
     }
     Entry& e = es[at++];
     if (d.ckpt > e.ckpt) {
       e.ckpt = d.ckpt;
       e.loc = d.loc;
-      e.ver = ++version_[me];
+      e.ver = next_version(me);
     }
   }
-  if (fresh == 0) return;
+  if (fresh.empty()) return;
   // Grow once and merge backwards in place: held entries shift up past
   // the new ones, which start out as the zero entry (no dependency yet)
   // and take the shipped values when those are above it. Writing stops
-  // once the last new host is placed; everything below is already home.
-  es.resize(held + fresh);
+  // once the lowest new host is placed; everything below is already home.
+  es.resize(held + fresh.size());
   usize read = held;
   usize write = es.size();
-  for (auto d = deltas.rbegin(); write != read; ++d) {
-    if (d->idx == me) continue;
-    while (read > 0 && es[read - 1].idx > d->idx) es[--write] = es[--read];
-    if (read > 0 && es[read - 1].idx == d->idx) {
-      es[--write] = es[--read];  // raised by the forward pass
-      continue;
-    }
+  for (auto d = fresh.rbegin(); d != fresh.rend(); ++d) {
+    while (read > 0 && es[read - 1].idx > d->host) es[--write] = es[--read];
     Entry& e = es[--write];
     e = Entry{};
-    e.idx = d->idx;
+    e.idx = d->host;
     if (d->ckpt > 0) {
       e.ckpt = d->ckpt;
       e.loc = d->loc;
-      e.ver = ++version_[me];
+      e.ver = next_version(me);
     }
   }
 }

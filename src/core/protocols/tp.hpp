@@ -27,12 +27,21 @@
 // through delta_reorders(). The phase rule never reads the vectors, so
 // forced checkpoints — and the event trace — do not depend on them.
 //
+// Storage: the entries a message or a checkpoint carries are stored in
+// the encoding they are charged for (net::DepWriter: gap-coded host,
+// ckpt, loc as LEB128 varints), so a piggyback's delta is an exact-size
+// byte vector and a checkpoint snapshot is bytes in the log's arena.
+// Live entries are 16 bytes with a 32-bit version stamp; a host whose
+// version counter would pass 2^32-1 is a std::overflow_error, never a
+// silently short delta.
+//
 // Cost model, for a sender holding m entries and a delta of k:
 // encoding a piggyback walks the sender's entries once, O(m), into a
-// buffer sized once; a receive merges the sorted delta into the
-// receiver's sorted entries in one pass, O(m + k) (O(k log m) for a short
-// delta), growing the list at most once; a checkpoint copies the entries,
-// O(m).
+// per-thread buffer and copies the k encoded entries out exactly; a
+// receive decodes the delta forward and merges it into the receiver's
+// sorted entries in one pass, O(m + k) (O(k log m) for a short delta),
+// growing the list at most once; a checkpoint encodes the entries,
+// O(m), and appends the bytes to the log's arena.
 #pragma once
 
 #include <vector>
@@ -59,6 +68,8 @@ class TpProtocol final : public CheckpointProtocol {
   std::vector<u32> requirement_vector(net::HostId host) const;
   /// Test access: materialised location vector (LOC[]).
   std::vector<u32> location_vector(net::HostId host) const;
+  /// Test access: sets the host's version counter (drives it to the wrap).
+  void set_version(net::HostId host, u32 version) { version_.at(host) = version; }
   /// Deliveries whose per-pair delta sequence arrived out of order (each
   /// one may leave a transient dependency under-estimate).
   u64 delta_reorders() const noexcept { return delta_reorders_; }
@@ -72,13 +83,14 @@ class TpProtocol final : public CheckpointProtocol {
     u32 idx = 0;
     u32 ckpt = 0;
     u32 loc = 0;
-    u64 ver = 0;  ///< Owner's version counter at last change (delta cut-off).
+    u32 ver = 0;  ///< Owner's version counter at last change (delta cut-off).
   };
+  static_assert(sizeof(Entry) == 16);
   /// Sender-side cursor: what dst has already been shipped.
   struct SendCursor {
     u32 dst = 0;
     u32 next_seq = 0;
-    u64 last_ver = 0;
+    u32 last_ver = 0;
   };
   /// Receiver-side cursor: next expected per-pair sequence.
   struct RecvCursor {
@@ -87,8 +99,13 @@ class TpProtocol final : public CheckpointProtocol {
   };
 
   void basic_checkpoint(const net::MobileHost& host);
+  /// Encodes `host`'s entries whose version is at least `min_ver`, and its
+  /// own entry, in host order, into the calling thread's scratch buffer.
+  net::DepWriter encode_entries(const net::MobileHost& host, u64 min_ver) const;
   /// Receive: raises host `me`'s entries to a sorted delta.
-  void merge_deltas(net::HostId me, const std::vector<net::PbDelta>& deltas);
+  void merge_delta(net::HostId me, const net::Piggyback& pb);
+  /// Host `me`'s next version stamp; throws std::overflow_error on a wrap.
+  u32 next_version(net::HostId me);
   void checkpoint(const net::MobileHost& host, CheckpointKind kind, net::MsgId trigger = 0);
 
   SendCursor& send_cursor(net::HostId src, net::HostId dst);
@@ -99,7 +116,7 @@ class TpProtocol final : public CheckpointProtocol {
   std::vector<u64> ckpt_count_;                    ///< Checkpoints taken (= next ordinal).
   std::vector<u32> self_loc_;                      ///< Own MSS at last checkpoint.
   std::vector<std::vector<Entry>> entries_;        ///< Per-host, others only, sorted.
-  std::vector<u64> version_;                       ///< Per-host change counter.
+  std::vector<u32> version_;                       ///< Per-host change counter.
   std::vector<std::vector<SendCursor>> send_cur_;  ///< Per-host, sorted by dst.
   std::vector<std::vector<RecvCursor>> recv_cur_;  ///< Per-host, sorted by src.
   // Relaxed atomic: a rare cross-shard bump (only on an out-of-order

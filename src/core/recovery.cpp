@@ -47,9 +47,15 @@ GlobalCheckpoint tp_recovery_line(const CheckpointLog& log, const CheckpointReco
   cut.index = anchor.ordinal;
   cut.pos.resize(n);
   cut.members.resize(n, nullptr);
+  // Decode the anchor once: O(n + m) for m recorded entries.
+  std::vector<u32> required(n, 0);
+  for (net::DepReader in = anchor.deps(); !in.done();) {
+    const net::DepEntry e = in.next();
+    if (e.host >= n) throw std::invalid_argument("tp_recovery_line: anchor entry beyond its rank");
+    required[e.host] = e.ckpt;
+  }
   for (net::HostId h = 0; h < n; ++h) {
-    const CheckpointRecord* member =
-        h == anchor.host ? &anchor : log.by_ordinal(h, anchor.dep_ckpt_at(h));
+    const CheckpointRecord* member = h == anchor.host ? &anchor : log.by_ordinal(h, required[h]);
     if (member != nullptr) {
       cut.members[h] = member;
       cut.pos[h] = member->event_pos;

@@ -58,7 +58,7 @@ GlobalCheckpoint index_recovery_line(const CheckpointLog& log, u64 index, IndexL
 /// the dependencies recorded in the checkpoint: host j's member is the
 /// checkpoint with ordinal anchor.dep_ckpt_at(j) (virtual if not yet
 /// taken — sound under TP's phase discipline, see
-/// src/core/protocols/tp.hpp).
+/// src/core/protocols/tp.hpp). The anchor is decoded once, O(n + m).
 GlobalCheckpoint tp_recovery_line(const CheckpointLog& log, const CheckpointRecord& anchor,
                                   const std::vector<u64>& current_pos);
 

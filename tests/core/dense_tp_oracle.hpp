@@ -7,9 +7,11 @@
 // phase is SEND, then raises every entry whose shipped ckpt is higher,
 // skipping the receiver's own. A checkpoint records all n entries and
 // resets the phase. There are no cursors, versions or merges: those are
-// exactly what TpProtocol adds, and what the oracle checks. The shipped
-// entries use TpProtocol's PbDelta list, so Piggyback::dense_bytes() prices
-// both protocols the same; only the oracle's wire_bytes() differ.
+// exactly what TpProtocol adds, and what the oracle checks. The oracle
+// encodes and decodes its entries with the same codec (net::DepWriter /
+// net::DepReader) and shares nothing else with TpProtocol, so
+// Piggyback::dense_bytes() prices both protocols the same; only the
+// oracle's wire_bytes() differ.
 #pragma once
 
 #include <vector>
@@ -28,14 +30,15 @@ class DenseTpOracle final : public CheckpointProtocol {
 
   net::Piggyback make_piggyback(const net::MobileHost& host, net::HostId) override {
     const net::HostId me = host.id();
+    std::vector<net::DepEntry> entries = row(me);
+    // A receiver of this message depends on the sender's current interval,
+    // so it will require the checkpoint that closes it.
+    entries[me] = {me, ckpt_count_[me], host.mss()};
     net::Piggyback pb;
     pb.has_delta = true;
     pb.dense_rank = 2 * ctx_.n_hosts;
-    pb.deltas.reserve(ctx_.n_hosts);
-    for (u32 j = 0; j < ctx_.n_hosts; ++j) pb.deltas.push_back({j, req_[me][j], loc_[me][j]});
-    // A receiver of this message depends on the sender's current interval,
-    // so it will require the checkpoint that closes it.
-    pb.deltas[me] = {me, ckpt_count_[me], host.mss()};
+    pb.delta = net::encode_deps(entries);
+    pb.delta_count = ctx_.n_hosts;
     phase_send_[me] = true;
     return pb;
   }
@@ -44,10 +47,11 @@ class DenseTpOracle final : public CheckpointProtocol {
                       const net::Piggyback& pb) override {
     const net::HostId me = host.id();
     if (phase_send_[me]) checkpoint(host, CheckpointKind::kForced, msg.id);
-    for (const net::PbDelta& d : pb.deltas) {
-      if (d.idx == me || d.ckpt <= req_[me][d.idx]) continue;
-      req_[me][d.idx] = d.ckpt;
-      loc_[me][d.idx] = d.loc;
+    for (net::DepReader in = pb.delta_reader(); !in.done();) {
+      const net::DepEntry d = in.next();
+      if (d.host == me || d.ckpt <= req_[me][d.host]) continue;
+      req_[me][d.host] = d.ckpt;
+      loc_[me][d.host] = d.loc;
     }
   }
 
@@ -72,17 +76,25 @@ class DenseTpOracle final : public CheckpointProtocol {
   }
 
  private:
+  /// All n entries of host `me`'s CKPT[] and LOC[] rows, in host order.
+  std::vector<net::DepEntry> row(net::HostId me) const {
+    std::vector<net::DepEntry> out;
+    out.reserve(ctx_.n_hosts);
+    for (u32 j = 0; j < ctx_.n_hosts; ++j) out.push_back({j, req_[me][j], loc_[me][j]});
+    return out;
+  }
+
   void checkpoint(const net::MobileHost& host, CheckpointKind kind, net::MsgId trigger = 0) {
     const net::HostId me = host.id();
     loc_[me][me] = host.mss();
-    std::vector<DepEntry> deps;
-    deps.reserve(ctx_.n_hosts);
-    for (u32 j = 0; j < ctx_.n_hosts; ++j) deps.push_back({j, req_[me][j], loc_[me][j]});
+    std::vector<net::DepEntry> deps = row(me);
     deps[me].ckpt = ckpt_count_[me];  // the anchor's own ordinal
+    const std::vector<u8> bytes = net::encode_deps(deps);
     const obs::ForcedRule rule = kind == CheckpointKind::kForced
                                      ? obs::ForcedRule::kReceiveAfterSend
                                      : obs::ForcedRule::kNone;
-    take_checkpoint(host, kind, ckpt_count_[me], std::move(deps), ctx_.n_hosts, rule, trigger);
+    take_checkpoint(host, kind, ckpt_count_[me], bytes.data(), bytes.size(), ctx_.n_hosts,
+                    ctx_.n_hosts, rule, trigger);
     ++ckpt_count_[me];
     phase_send_[me] = false;
   }

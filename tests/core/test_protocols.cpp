@@ -2,6 +2,10 @@
 // (§4.1, §4.2), driven through a tiny real network.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "core/harness.hpp"
 #include "core/protocols/basic_only.hpp"
 #include "core/protocols/bcs.hpp"
@@ -140,9 +144,10 @@ TEST_F(TpTest, SparsePiggybackCarriesDeltas) {
   const net::Piggyback pb = tp.make_piggyback(net_.host(0), 1);
   EXPECT_TRUE(pb.has_delta);
   // Nothing learned yet: only the sender's own entry travels.
-  ASSERT_EQ(pb.deltas.size(), 1u);
-  EXPECT_EQ(pb.deltas[0].idx, 0u);
-  EXPECT_EQ(pb.deltas[0].ckpt, 1u);  // the checkpoint closing 0's interval
+  ASSERT_EQ(pb.delta_count, 1u);
+  const net::DepEntry own = pb.delta_reader().next();
+  EXPECT_EQ(own.host, 0u);
+  EXPECT_EQ(own.ckpt, 1u);  // the checkpoint closing 0's interval
   EXPECT_EQ(pb.dense_bytes(), 6 * sizeof(u32));
   EXPECT_LE(pb.wire_bytes(), pb.dense_bytes());
 }
@@ -152,17 +157,39 @@ TEST_F(TpTest, SparseDeltaShipsOnlyChangesPerDestination) {
   transfer(0, 1);  // 1 learns about 0
   // First message 1 -> 2 carries 1's own entry plus the learned entry.
   net::Piggyback first = tp.make_piggyback(net_.host(1), 2);
-  ASSERT_EQ(first.deltas.size(), 2u);
+  ASSERT_EQ(first.delta_count, 2u);
   EXPECT_EQ(first.delta_seq, 0u);
   // Nothing changed since: the next message to the same destination
   // carries only the (always-fresh) own entry, and the sequence advances.
   net::Piggyback second = tp.make_piggyback(net_.host(1), 2);
-  ASSERT_EQ(second.deltas.size(), 1u);
-  EXPECT_EQ(second.deltas[0].idx, 1u);
+  ASSERT_EQ(second.delta_count, 1u);
+  EXPECT_EQ(second.delta_reader().next().host, 1u);
   EXPECT_EQ(second.delta_seq, 1u);
   // A different destination has seen nothing and gets the full set.
   net::Piggyback other = tp.make_piggyback(net_.host(1), 0);
-  EXPECT_EQ(other.deltas.size(), 2u);
+  EXPECT_EQ(other.delta_count, 2u);
+}
+
+TEST_F(TpTest, VersionWrapIsANamedError) {
+  // Versions are 32-bit: the last stamp is usable, and the raise that
+  // would wrap the counter throws, naming the host, instead of cutting
+  // later deltas short.
+  TpProtocol& tp = install<TpProtocol>();
+  net::AppMessage msg;
+  msg.src = 0;
+  msg.dst = 1;
+  tp.set_version(1, std::numeric_limits<u32>::max() - 1);
+  msg.id = 1;
+  tp.handle_receive(net_.host(1), msg, tp.make_piggyback(net_.host(0), 1));  // 1 learns 0
+  EXPECT_EQ(tp.requirement_vector(1)[0], 1u);
+  net_.switch_cell(0, 1);  // 0's next interval: its shipped ckpt rises to 2
+  msg.id = 2;
+  try {
+    tp.handle_receive(net_.host(1), msg, tp.make_piggyback(net_.host(0), 1));
+    FAIL() << "a version wrap must throw";
+  } catch (const std::overflow_error& e) {
+    EXPECT_NE(std::string(e.what()).find("host 1"), std::string::npos) << e.what();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 namespace mobichk::core {
 namespace {
@@ -85,7 +86,11 @@ TEST(TpRecoveryLine, FollowsDependencyVectors) {
   log.append(make(2, 0, 0, CheckpointKind::kInitial));
   log.append(make(1, 1, 14));
   CheckpointRecord anchor = make(0, 1, 10);
-  anchor.sparse_deps = {{0, 1, 0}, {1, 1, 0}};  // needs own #1, host1's #1, host2's #0
+  // Needs its own #1, host1's #1 and host2's #0. Built outside a log, so
+  // the test owns the bytes the record points at.
+  const std::vector<u8> deps = net::encode_deps({{0, 1, 0}, {1, 1, 0}});
+  anchor.dep_bytes = deps.data();
+  anchor.dep_count = 2;
   anchor.dep_rank = 3;
   const CheckpointRecord& stored = log.append(std::move(anchor));
   const auto cut = tp_recovery_line(log, stored, {20, 20, 20});
@@ -99,7 +104,10 @@ TEST(TpRecoveryLine, MissingRequiredCheckpointIsVirtual) {
   log.append(make(0, 0, 0, CheckpointKind::kInitial));
   log.append(make(1, 0, 0, CheckpointKind::kInitial));
   CheckpointRecord anchor = make(0, 1, 10);
-  anchor.sparse_deps = {{0, 1, 0}, {1, 1, 0}};  // host1's #1 does not exist yet
+  // host1's #1 is not taken yet.
+  const std::vector<u8> deps = net::encode_deps({{0, 1, 0}, {1, 1, 0}});
+  anchor.dep_bytes = deps.data();
+  anchor.dep_count = 2;
   anchor.dep_rank = 2;
   const CheckpointRecord& stored = log.append(std::move(anchor));
   const auto cut = tp_recovery_line(log, stored, {10, 33});
@@ -111,6 +119,13 @@ TEST(TpRecoveryLine, RequiresDependencyVectors) {
   CheckpointLog log(2);
   const CheckpointRecord& anchor = log.append(make(0, 0, 0));
   EXPECT_THROW(tp_recovery_line(log, anchor, {0, 0}), std::invalid_argument);
+  // An entry for a host past the anchor's rank is malformed, not read.
+  CheckpointRecord beyond = make(1, 0, 0);
+  const std::vector<u8> deps = net::encode_deps({{1, 0, 0}, {2, 1, 0}});
+  beyond.dep_bytes = deps.data();
+  beyond.dep_count = 2;
+  beyond.dep_rank = 2;
+  EXPECT_THROW(tp_recovery_line(log, log.append(beyond), {0, 0}), std::invalid_argument);
 }
 
 TEST(FindOrphans, DetectsExactlyTheCrossingMessages) {

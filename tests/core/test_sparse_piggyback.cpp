@@ -34,6 +34,23 @@
 namespace mobichk::core {
 namespace {
 
+/// The entries `pb`'s delta carries, decoded.
+std::vector<net::DepEntry> entries_of(const net::Piggyback& pb) {
+  std::vector<net::DepEntry> out;
+  for (net::DepReader in = pb.delta_reader(); !in.done();) out.push_back(in.next());
+  return out;
+}
+
+/// A TP-shaped piggyback carrying `entries` (strictly ascending by host).
+net::Piggyback piggyback_of(const std::vector<net::DepEntry>& entries, u32 n_hosts) {
+  net::Piggyback pb;
+  pb.has_delta = true;
+  pb.dense_rank = 2 * n_hosts;
+  pb.delta = net::encode_deps(entries);
+  pb.delta_count = static_cast<u32>(entries.size());
+  return pb;
+}
+
 /// Five hosts over three MSSs; slot 0 = dense oracle, slot 1 = TP.
 class SparseDiffFixture : public ::testing::Test {
  protected:
@@ -134,7 +151,7 @@ TEST_F(SparseDiffFixture, RepeatedPairReusesDeltas) {
   // carry only the sender's own movement, and the views keep agreeing.
   for (int i = 0; i < 6; ++i) transfer(0, 1);
   net::Piggyback pb = sparse().make_piggyback(net_.host(0), 1);
-  EXPECT_EQ(pb.deltas.size(), 1u);  // own entry only: nothing else changed
+  EXPECT_EQ(pb.delta_count, 1u);  // own entry only: nothing else changed
   expect_encoded_bounded();
 }
 
@@ -281,10 +298,10 @@ class TpReferenceModel {
     u64 ver = 0;
   };
 
-  void receive(net::HostId me, const std::vector<net::PbDelta>& deltas) {
-    for (const net::PbDelta& d : deltas) {
-      if (d.idx == me) continue;
-      Ref& e = entries_[me][d.idx];
+  void receive(net::HostId me, const std::vector<net::DepEntry>& deltas) {
+    for (const net::DepEntry& d : deltas) {
+      if (d.host == me) continue;
+      Ref& e = entries_[me][d.host];
       if (d.ckpt > e.ckpt) {
         e.ckpt = d.ckpt;
         e.loc = d.loc;
@@ -294,9 +311,9 @@ class TpReferenceModel {
   }
 
   /// What a send from `me` to `dst` ships, the sender's own entry aside.
-  std::vector<net::PbDelta> send(net::HostId me, net::HostId dst) {
+  std::vector<net::DepEntry> send(net::HostId me, net::HostId dst) {
     u64& last = last_ver_[{me, dst}];
-    std::vector<net::PbDelta> out;
+    std::vector<net::DepEntry> out;
     for (const auto& [idx, e] : entries_[me]) {
       if (e.ver > last) out.push_back({idx, e.ckpt, e.loc});
     }
@@ -364,21 +381,17 @@ class SparseMergeDiff : public ::testing::TestWithParam<u64> {
   /// Delivers the same control information to `dst` in both encodings and
   /// in the reference model, then checks the three views agree. The
   /// oracle gets all n entries, zero where the delta has none.
-  void deliver(net::HostId src, net::HostId dst, const std::vector<net::PbDelta>& deltas) {
+  void deliver(net::HostId src, net::HostId dst, const std::vector<net::DepEntry>& deltas) {
     net::AppMessage msg;
     msg.id = ++next_id_;
     msg.src = src;
     msg.dst = dst;
-    net::Piggyback dense_pb;
-    dense_pb.has_delta = true;
-    dense_pb.dense_rank = 2 * kHosts;
-    for (u32 idx = 0; idx < kHosts; ++idx) dense_pb.deltas.push_back({idx, 0, 0});
-    for (const net::PbDelta& d : deltas) dense_pb.deltas[d.idx] = d;
-    net::Piggyback sparse_pb;
-    sparse_pb.has_delta = true;
-    sparse_pb.dense_rank = 2 * kHosts;
+    std::vector<net::DepEntry> all(kHosts);
+    for (u32 idx = 0; idx < kHosts; ++idx) all[idx].host = idx;
+    for (const net::DepEntry& d : deltas) all[d.host] = d;
+    const net::Piggyback dense_pb = piggyback_of(all, kHosts);
+    net::Piggyback sparse_pb = piggyback_of(deltas, kHosts);
     sparse_pb.delta_seq = seq_[{src, dst}]++;
-    sparse_pb.deltas = deltas;
     dense().handle_receive(net_.host(dst), msg, dense_pb);
     sparse().handle_receive(net_.host(dst), msg, sparse_pb);
     ref_.receive(dst, deltas);
@@ -402,14 +415,15 @@ class SparseMergeDiff : public ::testing::TestWithParam<u64> {
   void expect_send_matches(net::HostId src, net::HostId dst) {
     const net::Piggyback dense_pb = dense().make_piggyback(net_.host(src), dst);
     const net::Piggyback sparse_pb = sparse().make_piggyback(net_.host(src), dst);
-    const std::vector<net::PbDelta> want = ref_.send(src, dst);
-    std::vector<net::PbDelta> got;
+    const std::vector<net::DepEntry> want = ref_.send(src, dst);
+    const std::vector<net::DepEntry> dense_entries = entries_of(dense_pb);
+    std::vector<net::DepEntry> got;
     usize own = 0;
-    for (const net::PbDelta& d : sparse_pb.deltas) {
-      if (d.idx == src) {
+    for (const net::DepEntry& d : entries_of(sparse_pb)) {
+      if (d.host == src) {
         ++own;
-        EXPECT_EQ(d.ckpt, dense_pb.deltas[src].ckpt);
-        EXPECT_EQ(d.loc, dense_pb.deltas[src].loc);
+        EXPECT_EQ(d.ckpt, dense_entries[src].ckpt);
+        EXPECT_EQ(d.loc, dense_entries[src].loc);
       } else {
         got.push_back(d);
       }
@@ -417,7 +431,7 @@ class SparseMergeDiff : public ::testing::TestWithParam<u64> {
     EXPECT_EQ(own, 1u) << "the sender's own entry rides every delta";
     ASSERT_EQ(got.size(), want.size()) << "send " << src << "->" << dst;
     for (usize i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(got[i].idx, want[i].idx) << "send " << src << "->" << dst << " entry " << i;
+      EXPECT_EQ(got[i].host, want[i].host) << "send " << src << "->" << dst << " entry " << i;
       EXPECT_EQ(got[i].ckpt, want[i].ckpt) << "send " << src << "->" << dst << " entry " << i;
       EXPECT_EQ(got[i].loc, want[i].loc) << "send " << src << "->" << dst << " entry " << i;
     }
@@ -445,7 +459,7 @@ TEST_P(SparseMergeDiff, MergeIntoHeldEntriesMatchesDenseAndReference) {
   // Every receiver first holds every third host of the middle band, so
   // later deltas put new hosts before, between and after held ones.
   for (const net::HostId r : receivers) {
-    std::vector<net::PbDelta> held;
+    std::vector<net::DepEntry> held;
     for (u32 idx = 16; idx < 80; idx += 3) {
       held.push_back({idx, 1 + static_cast<u32>(draw(4)), static_cast<u32>(draw(kMss))});
     }
@@ -457,7 +471,7 @@ TEST_P(SparseMergeDiff, MergeIntoHeldEntriesMatchesDenseAndReference) {
     const net::HostId r = receivers[draw(kReceivers)];
     auto src = static_cast<net::HostId>(draw(kHosts));
     if (src == r) src = (src + 1) % kHosts;
-    std::vector<net::PbDelta> deltas;
+    std::vector<net::DepEntry> deltas;
     for (u32 idx = 0; idx < kHosts; ++idx) {
       if (idx != r && draw(10) >= 4) continue;  // about 40% of hosts, r every time
       const auto loc = static_cast<u32>(draw(kMss));

@@ -1,5 +1,6 @@
 #include "core/harness.hpp"
 
+#include <cassert>
 #include <stdexcept>
 
 #include "storage/data_plane.hpp"
@@ -53,9 +54,6 @@ void ProtocolHarness::on_host_init(net::MobileHost& host) {
 }
 
 void ProtocolHarness::enable_sharding(u32 n_shards) {
-  if (retain_piggybacks_) {
-    throw std::logic_error("ProtocolHarness: duplicate-exposing runs are sequential-only");
-  }
   slices_.clear();
   slices_.resize(n_shards);
   for (auto& slot : slots_) slot->log.enable_sharding(n_shards);
@@ -65,18 +63,10 @@ void ProtocolHarness::enable_sharding(u32 n_shards) {
   }
 }
 
-void ProtocolHarness::merge_window(const std::unordered_map<u64, u64>& idmap) {
-  // Sends first (the map is order-independent), translated to final ids.
-  for (auto& sl : slices_) {
-    for (const SendRec& s : sl.sends) {
-      const auto it = idmap.find(s.id);
-      msg_log_.note_send(it != idmap.end() ? it->second : s.id, s.src, s.dst, s.pos);
-    }
-    sl.sends.clear();
-  }
+void ProtocolHarness::merge_window() {
   // Deliveries in merged (time, shard) order — the sequential append
-  // order the rollback machinery scans. Ids seen at receive time are
-  // already final: the send merged at least one barrier earlier.
+  // order the rollback machinery scans. A delivered message's id is
+  // already final: its send merged at least one barrier earlier.
   const u32 n = static_cast<u32>(slices_.size());
   std::vector<usize> head(n, 0);
   for (;;) {
@@ -86,8 +76,7 @@ void ProtocolHarness::merge_window(const std::unordered_map<u64, u64>& idmap) {
       if (best == n || slices_[s].recvs[head[s]].t < slices_[best].recvs[head[best]].t) best = s;
     }
     if (best == n) break;
-    const RecvRec& r = slices_[best].recvs[head[best]++];
-    msg_log_.note_receive(r.id, r.pos, r.sn);
+    msg_log_.note_delivery(slices_[best].recvs[head[best]++].d);
   }
   for (auto& sl : slices_) sl.recvs.clear();
 }
@@ -106,29 +95,16 @@ void ProtocolHarness::finalize_sharding() {
 void ProtocolHarness::on_send(net::MobileHost& host, net::AppMessage& msg) {
   obs::ProfLane* plane = prof_ != nullptr ? &prof_->lane() : nullptr;
   obs::ProfScope prof_enc(plane != nullptr ? &plane->pb_encode : nullptr);
-  // Sharded runs: the piggybacks travel by value with the message (the
-  // sender's and receiver's shards share no parking pool), per-slot bytes
-  // go to the executing shard's slice, and the MessageLog update is
-  // journaled for the barrier. Sequential runs park them in the pool.
-  const bool sharded = !slices_.empty();
-  des::ShardContext* c = sharded ? des::current_shard() : nullptr;
-  u32 idx = 0;
-  if (!sharded) {
-    if (!park_free_.empty()) {
-      idx = park_free_.back();
-      park_free_.pop_back();
-    } else {
-      idx = static_cast<u32>(park_.size());
-      park_.emplace_back();
-    }
-  }
-  std::vector<net::Piggyback>& pbs = sharded ? msg.pbs : park_[idx].pbs;
-  pbs.resize(slots_.size());
+  // Every slot's piggyback rides the message. Sharded runs count the
+  // per-slot bytes in the executing shard's slice.
+  des::ShardContext* c = slices_.empty() ? nullptr : des::current_shard();
+  msg.pbs.resize(slots_.size());
   for (usize k = 0; k < slots_.size(); ++k) {
     obs::ProfScope prof_slot(slot_acc(plane, k));
-    pbs[k] = slots_[k]->protocol->make_piggyback(host, msg.dst);
-    const u64 wire = pbs[k].wire_bytes();
-    const u64 dense = pbs[k].dense_bytes();
+    net::Piggyback& pb = msg.pbs[k];
+    pb = slots_[k]->protocol->make_piggyback(host, msg.dst);
+    const u64 wire = pb.wire_bytes();
+    const u64 dense = pb.dense_bytes();
     if (c != nullptr) {
       slices_[c->shard].pb_bytes[k] += wire;
       slices_[c->shard].pb_dense_bytes[k] += dense;
@@ -136,54 +112,31 @@ void ProtocolHarness::on_send(net::MobileHost& host, net::AppMessage& msg) {
       slots_[k]->pb_bytes += wire;
       slots_[k]->pb_dense_bytes += dense;
     }
-    if (k == 0) {  // slot 0 rides the wire
-      msg.sn = pbs[k].sn;
-      msg.has_sn = pbs[k].has_sn;
+    if (k == 0) {  // slot 0 is charged on the wire
+      msg.sn = pb.sn;
+      msg.has_sn = pb.has_sn;
       msg.pb_bytes = wire;
       msg.pb_dense_bytes = dense;
     }
   }
-  // The send event will occupy the next position (see Network::send_app_message).
-  if (c != nullptr) {
-    slices_[c->shard].sends.push_back(SendRec{msg.id, msg.src, msg.dst, host.event_pos() + 1});
-  } else {
-    msg_log_.note_send(msg.id, msg.src, msg.dst, host.event_pos() + 1);
-  }
-  if (!sharded) in_flight_.emplace(msg.id, idx);
 }
 
 void ProtocolHarness::on_receive(net::MobileHost& host, const net::AppMessage& msg) {
   obs::ProfLane* plane = prof_ != nullptr ? &prof_->lane() : nullptr;
   obs::ProfScope prof_merge(plane != nullptr ? &plane->pb_merge : nullptr);
-  if (!slices_.empty()) {
-    for (usize k = 0; k < slots_.size(); ++k) {
-      obs::ProfScope prof_slot(slot_acc(plane, k));
-      slots_[k]->protocol->handle_receive(host, msg, msg.pbs[k]);
-    }
-    if (des::ShardContext* c = des::current_shard()) {
-      slices_[c->shard].recvs.push_back(
-          RecvRec{c->sim->now(), msg.id, host.event_pos() + 1, msg.sn});
-    } else {
-      msg_log_.note_receive(msg.id, host.event_pos() + 1, msg.sn);
-    }
-    return;
-  }
-  const auto it = in_flight_.find(msg.id);
-  if (it == in_flight_.end()) {
-    throw std::logic_error(
-        "ProtocolHarness: piggybacks for a delivered message are gone; "
-        "call retain_piggybacks(true) when the network exposes duplicates");
-  }
-  const std::vector<net::Piggyback>& pbs = park_[it->second].pbs;
+  assert(msg.pbs.size() == slots_.size() && "the message was sent through this harness");
   for (usize k = 0; k < slots_.size(); ++k) {
     obs::ProfScope prof_slot(slot_acc(plane, k));
-    slots_[k]->protocol->handle_receive(host, msg, pbs[k]);
+    slots_[k]->protocol->handle_receive(host, msg, msg.pbs[k]);
   }
   // The receive event will occupy the next position (see Network::consume_one).
-  msg_log_.note_receive(msg.id, host.event_pos() + 1, msg.sn);
-  if (!retain_piggybacks_) {
-    park_free_.push_back(it->second);
-    in_flight_.erase(it);
+  const MessageLog::Delivery d{msg.id, msg.src, msg.dst, msg.send_pos, host.event_pos() + 1,
+                               msg.sn};
+  des::ShardContext* c = slices_.empty() ? nullptr : des::current_shard();
+  if (c != nullptr) {
+    slices_[c->shard].recvs.push_back(RecvRec{c->sim->now(), d});
+  } else {
+    msg_log_.note_delivery(d);
   }
 }
 

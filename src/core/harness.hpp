@@ -6,18 +6,19 @@
 // sound — and statistically ideal — to run every protocol against the
 // same trace: each protocol keeps its own per-host state and its own
 // CheckpointLog, and produces its own piggyback for every
-// message (the harness routes each protocol its own control information
-// at receive time). Slot 0 is the "primary" protocol whose piggyback
-// physically rides on the wire (and is counted by NetworkStats); the
-// harness additionally accounts per-protocol piggyback bytes so overhead
-// comparisons cover every slot.
+// message. Every slot's piggyback rides the message (AppMessage::pbs),
+// so at receive time each protocol reads its own control information
+// off the message and the harness holds no per-message state. Slot 0 is
+// the "primary" protocol whose piggyback sizes are charged on the wire
+// (and counted by NetworkStats); the harness additionally accounts
+// per-protocol piggyback bytes so overhead comparisons cover every slot.
 //
-// The harness also maintains the MessageLog — the send/receive position
-// oracle used by the consistency checker and the rollback machinery.
+// The harness also maintains the MessageLog — the record of deliveries
+// the consistency checker and the rollback machinery read — from the
+// delivered message itself.
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "core/checkpoint_log.hpp"
@@ -55,10 +56,6 @@ class ProtocolHarness final : public net::HostEventHandler {
   /// builders use it for virtual (current-state) members.
   std::vector<u64> current_positions() const;
 
-  /// Keep per-message piggybacks after first delivery (required when the
-  /// network exposes duplicate deliveries to the application).
-  void retain_piggybacks(bool retain) noexcept { retain_piggybacks_ = retain; }
-
   /// Routes checkpoint-timeline probes into `timeline` (nullptr = off).
   /// Must be called before add_protocol; later slots inherit it.
   void set_timeline(obs::Timeline* timeline) noexcept { timeline_ = timeline; }
@@ -77,19 +74,15 @@ class ProtocolHarness final : public net::HostEventHandler {
   // -- spatial sharding -------------------------------------------------
 
   /// Switches the harness into shard-parallel mode (call after every
-  /// add_protocol): piggybacks travel by value on messages instead of
-  /// through the pooled shared parking, per-slot piggyback bytes go to
-  /// per-shard slices, each slot's log stores snapshots in per-shard
-  /// arenas, and MessageLog updates are journaled per shard for the
-  /// barrier merge.
+  /// add_protocol): per-slot piggyback bytes go to per-shard slices, each
+  /// slot's log stores snapshots in per-shard arenas, and deliveries are
+  /// journaled per shard for the barrier merge.
   void enable_sharding(u32 n_shards);
 
-  /// Barrier-time merge (coordinator, shards parked): folds this window's
-  /// send/receive journals into the MessageLog — sends first, translated
-  /// through `idmap` (provisional -> final message ids), then deliveries
-  /// in merged (time, shard) order, which is the sequential order the
-  /// rollback machinery depends on.
-  void merge_window(const std::unordered_map<u64, u64>& idmap);
+  /// Barrier-time merge (coordinator, shards parked): appends this
+  /// window's delivery journals to the MessageLog in merged (time, shard)
+  /// order, which is the sequential order the rollback machinery scans.
+  void merge_window();
 
   /// End-of-run fold of the per-shard piggyback byte slices.
   void finalize_sharding();
@@ -110,31 +103,13 @@ class ProtocolHarness final : public net::HostEventHandler {
     u64 pb_dense_bytes = 0;
   };
 
-  /// Pooled per-message piggyback parking: an entry is recycled after
-  /// delivery, so its per-slot vector is sized once. The piggybacks in it
-  /// are replaced by each send's make_piggyback result, so their own
-  /// buffers (TP's encoded delta, exactly its wire size) are allocated per
-  /// send.
-  struct Parked {
-    std::vector<net::Piggyback> pbs;
-  };
-
-  struct SendRec {
-    u64 id = 0;  ///< Provisional message id (finalized at the barrier).
-    net::HostId src = 0;
-    net::HostId dst = 0;
-    u64 pos = 0;
-  };
   struct RecvRec {
     des::Time t = 0.0;  ///< Receive time (merge key).
-    u64 id = 0;         ///< Final message id (assigned before delivery).
-    u64 pos = 0;
-    u64 sn = 0;
+    MessageLog::Delivery d;
   };
 
   /// Per-shard journal + hot-counter slice, padded against false sharing.
   struct alignas(64) Slice {
-    std::vector<SendRec> sends;       ///< This window's sends.
     std::vector<RecvRec> recvs;       ///< This window's deliveries.
     std::vector<u64> pb_bytes;        ///< Per protocol slot, whole run.
     std::vector<u64> pb_dense_bytes;  ///< Per protocol slot, whole run.
@@ -149,12 +124,6 @@ class ProtocolHarness final : public net::HostEventHandler {
   /// which must stay stable as more slots are added.
   std::vector<std::unique_ptr<Slot>> slots_;
   MessageLog msg_log_;
-  /// msg id -> pool index; the pool entry holds one piggyback per slot,
-  /// parked between send and receive.
-  std::unordered_map<u64, u32> in_flight_;
-  std::vector<Parked> park_;
-  std::vector<u32> park_free_;
-  bool retain_piggybacks_ = false;
   std::vector<Slice> slices_;  ///< Non-empty exactly in sharded mode.
 };
 

@@ -1,11 +1,11 @@
-// Record of every application message's send/receive positions.
+// Record of every application message's delivery, with the send and
+// receive positions the delivered message carried.
 //
 // This is instrumentation, not part of any protocol: it is the oracle the
 // consistency checker and the rollback machinery use to decide whether a
 // message is orphan with respect to a global checkpoint.
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "des/types.hpp"
@@ -26,45 +26,12 @@ class MessageLog {
     u64 sn = 0;        ///< Piggybacked index (diagnostics).
   };
 
-  void note_send(u64 msg_id, net::HostId src, net::HostId dst, u64 send_pos) {
-    sends_.emplace(msg_id, Send{src, dst, send_pos});
-  }
-
-  /// Records a delivery; the send must have been noted first.
-  void note_receive(u64 msg_id, u64 recv_pos, u64 sn) {
-    const auto it = sends_.find(msg_id);
-    if (it == sends_.end()) return;  // foreign message (not tracked)
-    deliveries_.push_back(
-        Delivery{msg_id, it->second.src, it->second.dst, it->second.send_pos, recv_pos, sn});
-  }
+  /// Appends a delivery; the caller fills it from the delivered message.
+  void note_delivery(const Delivery& d) { deliveries_.push_back(d); }
 
   const std::vector<Delivery>& deliveries() const noexcept { return deliveries_; }
 
-  u64 sends_recorded() const noexcept { return sends_.size(); }
-
-  /// Messages sent but never delivered to the application (in flight or
-  /// buffered when the run ended).
-  u64 undelivered() const noexcept { return sends_.size() - delivered_ids(); }
-
  private:
-  struct Send {
-    net::HostId src;
-    net::HostId dst;
-    u64 send_pos;
-  };
-
-  u64 delivered_ids() const noexcept {
-    // Deliveries may contain duplicates of one id; count distinct lazily.
-    // (Cheap here: duplicates only exist in dedup-off test runs.)
-    u64 distinct = 0;
-    std::unordered_map<u64, bool> seen;
-    for (const auto& d : deliveries_) {
-      if (seen.emplace(d.msg_id, true).second) ++distinct;
-    }
-    return distinct;
-  }
-
-  std::unordered_map<u64, Send> sends_;
   std::vector<Delivery> deliveries_;
 };
 

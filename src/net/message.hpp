@@ -186,28 +186,28 @@ struct Piggyback {
   }
 };
 
-/// An application message in flight or in a mailbox.
+/// An application message in flight or in a mailbox: the one record of
+/// itself from send to receive.
 ///
-/// The message carries what the network reads of the piggyback on the
-/// wire — slot 0's `sn` and its encoded and dense-equivalent sizes — not
-/// the piggyback itself. The send handler sets those fields; the protocols'
-/// control information stays with the handler (parked between send and
-/// receive) except in sharded runs, where it rides in `pbs`.
+/// Every protocol slot's piggyback rides the message in `pbs`; the send
+/// handler also copies what the network reads of slot 0's on the wire —
+/// its `sn` and its encoded and dense-equivalent sizes — into the flat
+/// fields. The receive handler reads the piggybacks back off the message,
+/// and the delivery record takes `id`, `src`, `dst` and `send_pos` from it.
 struct AppMessage {
-  u64 id = 0;               ///< Globally unique message id.
+  u64 id = 0;               ///< Globally unique message id (a sharded window-time send
+                            ///< gets it at the next barrier).
   HostId src = 0;
   HostId dst = 0;
   u32 payload_bytes = 0;    ///< Application payload size (excl. piggyback).
   bool has_sn = false;      ///< Whether the piggyback carries `sn`.
   des::Time sent_at = 0.0;
-  u64 send_pos = 0;         ///< Sender's event position at send (consistency oracle).
+  u64 send_pos = 0;         ///< Position the send event took at the sender.
   u64 sn = 0;               ///< Piggybacked sequence number (index-based protocols).
   u64 pb_bytes = 0;         ///< Piggyback bytes on the wire (Piggyback::wire_bytes).
   u64 pb_dense_bytes = 0;   ///< Dense-equivalent piggyback bytes (Piggyback::dense_bytes).
-  /// Sharded runs only: every protocol slot's piggyback travels by value
-  /// with the message (sender and receiver may live on different shards,
-  /// so the harness cannot park them in a shared pool). Sequential runs
-  /// leave this empty and use the pooled parking path.
+  /// One piggyback per protocol slot, by value: the receiver reads its
+  /// control information here, whatever shard or duplicate copy it gets.
   std::vector<Piggyback> pbs;
 
   usize wire_bytes() const noexcept { return payload_bytes + pb_bytes; }

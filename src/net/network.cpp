@@ -172,17 +172,12 @@ void Network::send_app_message(HostId src, HostId dst, u32 payload_bytes) {
   assert(dst < cfg_.n_hosts && dst != src);
 
   AppMessage msg;
+  // A window-time send carries no id until the next barrier, which
+  // assigns it in merged (time, shard) order — the order the sequential
+  // engine would have executed these sends in — and writes it where the
+  // message waits and into its kSend trace record.
   des::ShardContext* shard = des::current_shard();
-  if (shard != nullptr) {
-    // Window-time send: the global id is assigned at the next barrier in
-    // merged (time, shard) order — the order the sequential engine would
-    // have executed these sends in — and patched everywhere it was
-    // recorded. Until then the message carries a provisional id.
-    ShardSlice& sl = slices_[shard->shard];
-    msg.id = kProvisionalBit | (static_cast<u64>(shard->shard) << 40) | sl.next_provisional++;
-  } else {
-    msg.id = next_msg_id_++;
-  }
+  if (shard == nullptr) msg.id = next_msg_id_++;
   msg.src = src;
   msg.dst = dst;
   msg.payload_bytes = payload_bytes;
@@ -194,11 +189,8 @@ void Network::send_app_message(HostId src, HostId dst, u32 payload_bytes) {
   msg.send_pos = s.advance_pos();
   observe_message(obs::ProbeKind::kSend, msg, src, dst);
 
-  if (shard != nullptr) {
-    // The kSend record emitted next is the patch site for the final id.
-    slices_[shard->shard].sends.push_back(
-        SendReg{msg.sent_at, msg.id, mux_->buffered(shard->shard)});
-  }
+  // In a window, the kSend record emitted next is a patch site for the id.
+  const usize send_trace_idx = shard != nullptr ? mux_->buffered(shard->shard) : 0;
   trace(des::TraceKind::kSend, src, msg.id, dst);
   NetworkStats& ns = st();
   ++ns.app_sent;
@@ -225,14 +217,17 @@ void Network::send_app_message(HostId src, HostId dst, u32 payload_bytes) {
     // cross-shard case is the one egress channel in the system.
     const u32 dst_shard = owner_shard_[dst];
     ShardSlice& sl = slices_[shard->shard];
+    const des::Time now = shard->sim->now();
+    u32 idx = 0;
     if (dst_shard == shard->shard) {
-      const u32 idx = park(sl.pool, std::move(msg));
-      sl.provisional_parked.push_back(idx);
+      idx = park(sl.pool, std::move(msg));
       shard->sim->schedule_after(uplink, hop_payload(kSubUplink, src_mss, idx, false));
     } else {
+      idx = static_cast<u32>(sl.egress[dst_shard].size());
       sl.egress[dst_shard].push_back(
-          EgressLeg{shard->sim->now() + uplink, src_mss, kSubUplink, false, std::move(msg)});
+          EgressLeg{now + uplink, src_mss, kSubUplink, false, std::move(msg)});
     }
+    sl.sends.push_back(SendReg{now, send_trace_idx, dst_shard, idx});
   } else {
     // Coordinator-side send in a sharded run (not produced by the stock
     // drivers, kept correct): the id is already final and the shards are
@@ -451,14 +446,13 @@ void Network::enable_sharding(des::ShardedSimulator* sharded, des::ShardTraceMux
   for (auto& sl : slices_) sl.egress.resize(n_shards);
 }
 
-const std::unordered_map<u64, u64>& Network::merge_window() {
-  window_idmap_.clear();
+void Network::merge_window() {
   const u32 n = static_cast<u32>(slices_.size());
   // 1. Final message ids, assigned in merged (time, shard) order — the
   //    order the sequential engine executed these sends in (cross-shard
   //    equal-time ties have measure zero; the shard index breaks them
-  //    deterministically). Each kSend trace record is patched in place
-  //    before the mux flush hashes it.
+  //    deterministically). Each goes into the message where it waits
+  //    and into its kSend trace record before the mux flush hashes it.
   std::vector<usize> head(n, 0);
   for (;;) {
     u32 best = n;
@@ -467,24 +461,18 @@ const std::unordered_map<u64, u64>& Network::merge_window() {
       if (best == n || slices_[s].sends[head[s]].t < slices_[best].sends[head[best]].t) best = s;
     }
     if (best == n) break;
-    const SendReg& reg = slices_[best].sends[head[best]++];
+    ShardSlice& sl = slices_[best];
+    const SendReg& reg = sl.sends[head[best]++];
     const u64 final_id = next_msg_id_++;
-    window_idmap_.emplace(reg.provisional, final_id);
+    AppMessage& msg = reg.dst_shard == best ? sl.pool.parked[reg.idx]
+                                            : sl.egress[reg.dst_shard][reg.idx].msg;
+    msg.id = final_id;
     mux_->patch_a(best, reg.trace_idx, final_id);
   }
   for (auto& sl : slices_) sl.sends.clear();
-  // 2. Same-shard uplink legs still in flight carry provisional ids.
-  for (auto& sl : slices_) {
-    for (const u32 idx : sl.provisional_parked) {
-      AppMessage& m = sl.pool.parked[idx];
-      m.id = window_idmap_.at(m.id);
-    }
-    sl.provisional_parked.clear();
-  }
-  // 3. Cross-shard legs: patch ids, then hand each to its owner shard in
-  //    (time, source shard) order. Every leg's arrival time is at or past
-  //    the window horizon (delay >= lookahead), so the owner's clock has
-  //    not passed it.
+  // 2. Cross-shard legs: hand each to its owner shard in (time, source
+  //    shard) order. Every leg's arrival time is at or past the window
+  //    horizon (delay >= lookahead), so the owner's clock has not passed it.
   for (u32 dst = 0; dst < n; ++dst) {
     std::fill(head.begin(), head.end(), usize{0});
     for (;;) {
@@ -496,15 +484,13 @@ const std::unordered_map<u64, u64>& Network::merge_window() {
       }
       if (best == n) break;
       EgressLeg& leg = slices_[best].egress[dst][head[best]++];
-      if ((leg.msg.id & kProvisionalBit) != 0) leg.msg.id = window_idmap_.at(leg.msg.id);
       const u32 idx = park(slices_[dst].pool, std::move(leg.msg));
       sharded_->shard_sim(dst).schedule_at(leg.t, hop_payload(leg.sub, leg.at, idx, leg.flag));
     }
     for (u32 s = 0; s < n; ++s) slices_[s].egress[dst].clear();
   }
-  // 4. Publish this window's trace records downstream, time-merged.
+  // 3. Publish this window's trace records downstream, time-merged.
   mux_->flush();
-  return window_idmap_;
 }
 
 void Network::finalize_sharding() {

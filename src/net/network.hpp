@@ -19,7 +19,6 @@
 #pragma once
 
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -143,11 +142,10 @@ class Network final : public des::EventTarget {
 
   /// Barrier-time merge, run on the coordinator with all shards parked:
   /// assigns final message ids to this window's sends in global
-  /// (time, shard) order, patches parked/egress messages and buffered
-  /// kSend trace records, drains cross-shard egress legs into their owner
-  /// queues, and flushes the trace mux. Returns the provisional -> final
-  /// id map for this window (the harness merges its journals through it).
-  const std::unordered_map<u64, u64>& merge_window();
+  /// (time, shard) order, writing each into the waiting message and its
+  /// buffered kSend trace record, drains cross-shard egress legs into
+  /// their owner queues, and flushes the trace mux.
+  void merge_window();
 
   /// End-of-run fold: sums per-shard counter slices into stats() and
   /// replays the delivery-latency journals into the Tally in global
@@ -252,12 +250,16 @@ class Network final : public des::EventTarget {
     std::vector<u32> free;
   };
 
-  /// A send registered during a shard window, awaiting its final message
-  /// id at the barrier.
+  /// A send made during a shard window, awaiting its final message id at
+  /// the barrier, and where the message waits for it: slot `idx` of the
+  /// sending shard's pool when `dst_shard` is the sending shard, else
+  /// entry `idx` of its egress channel to `dst_shard`. The uplink takes at
+  /// least the lookahead, so the message is still there at the barrier.
   struct SendReg {
     des::Time t = 0.0;       ///< Send time (merge key).
-    u64 provisional = 0;     ///< Shard-local id stamped at send.
     usize trace_idx = 0;     ///< Buffered kSend record to patch.
+    u32 dst_shard = 0;
+    u32 idx = 0;
   };
 
   /// A message leg crossing shards (only the send uplink can): handed to
@@ -273,17 +275,12 @@ class Network final : public des::EventTarget {
   /// Everything one shard touches during a window, padded to keep the
   /// hot counters off other shards' cache lines.
   struct alignas(64) ShardSlice {
-    NetworkStats stats;                   ///< Counter slice (Tally unused — see latency).
-    Pool pool;                            ///< In-flight legs owned by this shard.
-    std::vector<u32> provisional_parked;  ///< Pool slots holding provisional ids.
-    std::vector<SendReg> sends;           ///< This window's sends, in time order.
+    NetworkStats stats;          ///< Counter slice (Tally unused — see latency).
+    Pool pool;                   ///< In-flight legs owned by this shard.
+    std::vector<SendReg> sends;  ///< This window's sends, in time order.
     std::vector<std::pair<des::Time, f64>> latency;  ///< Delivery-latency journal.
     std::vector<std::vector<EgressLeg>> egress;      ///< Per destination shard.
-    u64 next_provisional = 0;
   };
-
-  /// High bit marks a provisional (not yet merged) message id.
-  static constexpr u64 kProvisionalBit = u64{1} << 63;
 
   /// The pool serving the calling context (TLS shard slice or global).
   Pool& cur_pool();
@@ -378,7 +375,6 @@ class Network final : public des::EventTarget {
   des::ShardTraceMux* mux_ = nullptr;
   std::vector<u32> owner_shard_;           ///< host -> owner shard.
   std::vector<ShardSlice> slices_;
-  std::unordered_map<u64, u64> window_idmap_;  ///< provisional -> final, per window.
 };
 
 }  // namespace mobichk::net

@@ -109,12 +109,10 @@ Experiment::Experiment(SimConfig cfg, ExperimentOptions opts)
     }
     opts_.profiler->set_slot_names(std::move(slot_names));
   }
-  if (cfg_.network.duplicate_prob > 0.0 && !cfg_.network.transport_dedup) {
-    harness_->retain_piggybacks(true);
-  }
   if (shards_ > 1) {
-    // After every slot exists (the harness sizes per-slot byte slices) and
-    // after the duplicate gate above (both ends validate it).
+    // After every slot exists (the harness sizes per-slot byte slices).
+    // The network refuses sequential-only configs (duplicating channels,
+    // bandwidth caps) before anything else is switched over.
     net_->enable_sharding(sharded_.get(), mux_.get());
     harness_->enable_sharding(shards_);
     if (data_plane_ != nullptr) data_plane_->enable_sharding(shards_);

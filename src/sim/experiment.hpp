@@ -141,16 +141,17 @@ class Experiment {
   core::ProtocolKind kind(usize slot) const { return opts_.protocols.at(slot); }
 
  private:
-  /// ShardHooks impl: drains the network's cross-shard state, then the
-  /// harness journals (translated through the window's id map), at every
-  /// barrier — the order matters, the id map is built by the network.
+  /// ShardHooks impl: at every barrier, drains the network's cross-shard
+  /// state (final message ids, egress legs, trace records), then the
+  /// harness's delivery journals, then the data plane's.
   class WindowMerger final : public des::ShardHooks {
    public:
     WindowMerger(net::Network& net, core::ProtocolHarness& harness,
                  storage::DataPlane* data_plane)
         : net_(net), harness_(harness), data_plane_(data_plane) {}
     void on_window_merge(des::Time) override {
-      harness_.merge_window(net_.merge_window());
+      net_.merge_window();
+      harness_.merge_window();
       // After the harness: data-plane journals were filled by checkpoint
       // and handoff hooks this window; processing them schedules
       // completion events on the (currently parked) main queue.

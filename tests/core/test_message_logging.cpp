@@ -37,12 +37,9 @@ TEST(LoggingRollback, CountsReplayedDeliveries) {
   log.append(make(1, 0, 0));
   log.append(make(1, 1, 10));
   MessageLog messages;
-  messages.note_send(1, 0, 1, 2);
-  messages.note_receive(1, 5, 0);  // before the checkpoint: not replayed
-  messages.note_send(2, 0, 1, 4);
-  messages.note_receive(2, 12, 0);  // between checkpoint and failure: replayed
-  messages.note_send(3, 0, 1, 6);
-  messages.note_receive(3, 30, 0);  // after the failure position: not replayed
+  messages.note_delivery({1, 0, 1, 2, 5, 0});  // before the checkpoint: not replayed
+  messages.note_delivery({2, 0, 1, 4, 12, 0});  // between checkpoint and failure: replayed
+  messages.note_delivery({3, 0, 1, 6, 30, 0});  // after the failure position: not replayed
   const auto result = logging_rollback(log, messages, {40, 20}, 1);
   EXPECT_EQ(result.replayed_deliveries, 1u);
 }
@@ -58,12 +55,9 @@ TEST(LoggingRollback, Validation) {
 
 TEST(LogStorage, CollectsMessagesInsideTheStableLine) {
   MessageLog messages;
-  messages.note_send(1, 0, 1, 2);
-  messages.note_receive(1, 3, 0);  // fully inside
-  messages.note_send(2, 0, 1, 8);
-  messages.note_receive(2, 4, 0);  // send outside (8 > 5)
-  messages.note_send(3, 1, 0, 2);
-  messages.note_receive(3, 9, 0);  // receive outside (9 > 5)
+  messages.note_delivery({1, 0, 1, 2, 3, 0});  // fully inside
+  messages.note_delivery({2, 0, 1, 8, 4, 0});  // send outside (8 > 5)
+  messages.note_delivery({3, 1, 0, 2, 9, 0});  // receive outside (9 > 5)
   GlobalCheckpoint stable;
   stable.pos = {5, 5};
   stable.members = {nullptr, nullptr};

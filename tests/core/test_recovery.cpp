@@ -130,12 +130,10 @@ TEST(TpRecoveryLine, RequiresDependencyVectors) {
 
 TEST(FindOrphans, DetectsExactlyTheCrossingMessages) {
   MessageLog messages;
-  messages.note_send(1, 0, 1, 5);
-  messages.note_receive(1, 6, 0);  // inside-inside
-  messages.note_send(2, 0, 1, 15);
-  messages.note_receive(2, 8, 0);  // sent after cut[0]=10, received before cut[1]=10: orphan
-  messages.note_send(3, 1, 0, 12);
-  messages.note_receive(3, 20, 0);  // sent after, received after: in transit, fine
+  messages.note_delivery({1, 0, 1, 5, 6, 0});  // inside-inside
+  // Sent after cut[0]=10, received before cut[1]=10: orphan.
+  messages.note_delivery({2, 0, 1, 15, 8, 0});
+  messages.note_delivery({3, 1, 0, 12, 20, 0});  // sent after, received after: in transit, fine
   GlobalCheckpoint cut;
   cut.pos = {10, 10};
   cut.members = {nullptr, nullptr};
@@ -149,15 +147,13 @@ TEST(FindOrphans, BoundaryPositionsCountAsInside) {
   MessageLog messages;
   // Received exactly at the cut position: inside. Sent exactly at the cut
   // position: inside (not orphan).
-  messages.note_send(1, 0, 1, 10);
-  messages.note_receive(1, 10, 0);
+  messages.note_delivery({1, 0, 1, 10, 10, 0});
   GlobalCheckpoint cut;
   cut.pos = {10, 10};
   cut.members = {nullptr, nullptr};
   EXPECT_TRUE(find_orphans(messages, cut).empty());
   // Sent one past the cut: orphan.
-  messages.note_send(2, 0, 1, 11);
-  messages.note_receive(2, 10, 0);
+  messages.note_delivery({2, 0, 1, 11, 10, 0});
   EXPECT_EQ(find_orphans(messages, cut).size(), 1u);
 }
 
@@ -168,8 +164,7 @@ TEST(Rollback, NoOrphansMeansLatestCheckpoints) {
   log.append(make(0, 1, 10));
   log.append(make(1, 1, 12));
   MessageLog messages;
-  messages.note_send(1, 0, 1, 4);
-  messages.note_receive(1, 5, 0);
+  messages.note_delivery({1, 0, 1, 4, 5, 0});
   const auto result = rollback_to_consistent(log, messages, {20, 20});
   EXPECT_EQ(result.line.pos[0], 10u);
   EXPECT_EQ(result.line.pos[1], 12u);
@@ -186,8 +181,7 @@ TEST(Rollback, SingleOrphanRollsReceiverOnce) {
   MessageLog messages;
   // Sent by 0 after its last checkpoint, received by 1 before its last
   // checkpoint: 1 must roll back to its initial checkpoint.
-  messages.note_send(1, 0, 1, 12);
-  messages.note_receive(1, 8, 0);
+  messages.note_delivery({1, 0, 1, 12, 8, 0});
   const auto result = rollback_to_consistent(log, messages, {15, 15});
   EXPECT_EQ(result.line.pos[0], 10u);
   EXPECT_EQ(result.line.pos[1], 0u);
@@ -205,14 +199,10 @@ TEST(Rollback, DominoEffectCascadesToInitialCheckpoints) {
   log.append(make(1, 2, 20));
   MessageLog messages;
   // A chain of crossings that unravels everything (the domino effect).
-  messages.note_send(1, 0, 1, 21);
-  messages.note_receive(1, 19, 0);  // rolls 1 to pos 10
-  messages.note_send(2, 1, 0, 12);
-  messages.note_receive(2, 15, 0);  // rolls 0 to pos 10
-  messages.note_send(3, 0, 1, 11);
-  messages.note_receive(3, 9, 0);  // rolls 1 to pos 0
-  messages.note_send(4, 1, 0, 1);
-  messages.note_receive(4, 5, 0);  // rolls 0 to pos 0
+  messages.note_delivery({1, 0, 1, 21, 19, 0});  // rolls 1 to pos 10
+  messages.note_delivery({2, 1, 0, 12, 15, 0});  // rolls 0 to pos 10
+  messages.note_delivery({3, 0, 1, 11, 9, 0});  // rolls 1 to pos 0
+  messages.note_delivery({4, 1, 0, 1, 5, 0});  // rolls 0 to pos 0
   const auto result = rollback_to_consistent(log, messages, {25, 25});
   EXPECT_EQ(result.line.pos[0], 0u);
   EXPECT_EQ(result.line.pos[1], 0u);
@@ -249,8 +239,8 @@ TEST(Rollback, ReceiveAtPositionZeroCannotUnderflow) {
   log.append(make(1, 0, 0, CheckpointKind::kInitial));
   log.append(make(0, 1, 10));
   MessageLog messages;
-  messages.note_send(1, 0, 1, 11);  // sent beyond host 0's recovery line...
-  messages.note_receive(1, 0, 0);   // ...received at host 1's position 0
+  // Sent beyond host 0's recovery line, received at host 1's position 0.
+  messages.note_delivery({1, 0, 1, 11, 0, 0});
   const auto result = rollback_to_consistent(log, messages, {11, 5}, net::HostId{0});
   EXPECT_EQ(result.line.pos[0], 10u);
   EXPECT_EQ(result.line.pos[1], 5u);  // cannot roll under a pos-0 receive

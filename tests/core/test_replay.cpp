@@ -94,14 +94,10 @@ TEST(PlanRecovery, ReplayCountsOnlyUndoneDeliveriesOfParticipants) {
   const CheckpointRecord m0 = member_at(0);
   const auto rb = make_rollback({&m0, nullptr}, {5, 20}, {12, 20});
   MessageLog messages;
-  messages.note_send(1, 1, 0, 3);
-  messages.note_receive(1, 4, 0);  // received at pos 4 <= line: state kept
-  messages.note_send(2, 1, 0, 6);
-  messages.note_receive(2, 8, 0);  // undone: 5 < 8 <= 12 — replayed
-  messages.note_send(3, 1, 0, 9);
-  messages.note_receive(3, 14, 0);  // past the failure cut: never happened
-  messages.note_send(4, 0, 1, 2);
-  messages.note_receive(4, 10, 0);  // delivered to a non-participant
+  messages.note_delivery({1, 1, 0, 3, 4, 0});  // received at pos 4 <= line: state kept
+  messages.note_delivery({2, 1, 0, 6, 8, 0});  // undone: 5 < 8 <= 12 — replayed
+  messages.note_delivery({3, 1, 0, 9, 14, 0});  // past the failure cut: never happened
+  messages.note_delivery({4, 0, 1, 2, 10, 0});  // delivered to a non-participant
   const auto plan = plan_recovery(rb, messages, {true, false}, {0, 0}, 1);
   EXPECT_EQ(plan.replayed_messages, 1u);
   EXPECT_EQ(plan.hosts[0].replayed_messages, 1u);

@@ -23,8 +23,7 @@ TEST(VcOracle, NoMessagesMeansLocalKnowledgeOnly) {
 
 TEST(VcOracle, DirectMessagePropagatesKnowledge) {
   MessageLog messages;
-  messages.note_send(1, 0, 1, 5);
-  messages.note_receive(1, 3, 0);
+  messages.note_delivery({1, 0, 1, 5, 3, 0});
   VcOracle oracle(2, messages);
   EXPECT_EQ(oracle.vc_at(1, 2), (std::vector<u64>{0, 2}));  // before the receive
   EXPECT_EQ(oracle.vc_at(1, 3), (std::vector<u64>{5, 3}));  // after it
@@ -35,10 +34,8 @@ TEST(VcOracle, DirectMessagePropagatesKnowledge) {
 
 TEST(VcOracle, TransitiveKnowledgeThroughAChain) {
   MessageLog messages;
-  messages.note_send(1, 0, 1, 4);
-  messages.note_receive(1, 2, 0);  // 1 learns of 0@4
-  messages.note_send(2, 1, 2, 6);
-  messages.note_receive(2, 3, 0);  // 2 learns of 1@6 and of 0@4 transitively
+  messages.note_delivery({1, 0, 1, 4, 2, 0});  // 1 learns of 0@4
+  messages.note_delivery({2, 1, 2, 6, 3, 0});  // 2 learns of 1@6 and of 0@4 transitively
   VcOracle oracle(3, messages);
   const auto vc = oracle.vc_at(2, 3);
   EXPECT_EQ(vc[0], 4u);
@@ -51,10 +48,8 @@ TEST(VcOracle, SendBeforeLearningDoesNotLeak) {
   // Host 1 sends m2 at position 1, *before* receiving m1 at position 5:
   // m2 must not carry knowledge of host 0.
   MessageLog messages;
-  messages.note_send(1, 0, 1, 9);
-  messages.note_receive(1, 5, 0);
-  messages.note_send(2, 1, 2, 1);
-  messages.note_receive(2, 4, 0);
+  messages.note_delivery({1, 0, 1, 9, 5, 0});
+  messages.note_delivery({2, 1, 2, 1, 4, 0});
   VcOracle oracle(3, messages);
   EXPECT_EQ(oracle.vc_at(2, 4)[0], 0u);
   EXPECT_EQ(oracle.vc_at(2, 4)[1], 1u);
@@ -62,8 +57,7 @@ TEST(VcOracle, SendBeforeLearningDoesNotLeak) {
 
 TEST(VcOracle, DetectsInconsistentCut) {
   MessageLog messages;
-  messages.note_send(1, 0, 1, 10);
-  messages.note_receive(1, 4, 0);
+  messages.note_delivery({1, 0, 1, 10, 4, 0});
   VcOracle oracle(2, messages);
   // Cut includes the receive (pos 4) but not the send (pos 10): orphan.
   EXPECT_FALSE(oracle.consistent(cut_at({5, 4})));
@@ -76,10 +70,8 @@ TEST(VcOracle, OutOfOrderDeliveriesReplayCorrectly) {
   // Two messages 0 -> 1 received out of send order (possible with
   // chasing): the replay must still terminate and merge correctly.
   MessageLog messages;
-  messages.note_send(1, 0, 1, 2);
-  messages.note_send(2, 0, 1, 6);
-  messages.note_receive(2, 3, 0);  // the later send arrives first
-  messages.note_receive(1, 5, 0);
+  messages.note_delivery({2, 0, 1, 6, 3, 0});  // the later send arrives first
+  messages.note_delivery({1, 0, 1, 2, 5, 0});
   VcOracle oracle(2, messages);
   EXPECT_EQ(oracle.vc_at(1, 3)[0], 6u);
   EXPECT_EQ(oracle.vc_at(1, 5)[0], 6u);  // max survives

@@ -48,8 +48,7 @@ TEST(IntervalGraph, NoMessagesNoZPaths) {
 TEST(IntervalGraph, CausalPathIsZPath) {
   TwoHostFixture f;
   // m: sent by 0 in interval 0 (pos 3), received by 1 in interval 0 (pos 4).
-  f.messages.note_send(1, 0, 1, 3);
-  f.messages.note_receive(1, 4, 0);
+  f.messages.note_delivery({1, 0, 1, 3, 4, 0});
   IntervalGraph g(f.log, f.messages);
   // Z-path from C_{0,0} to C_{1,1}: sent after 0's initial, received
   // before 1's pos-10 checkpoint.
@@ -66,10 +65,10 @@ TEST(IntervalGraph, ClassicZCycle) {
   // m1 and is received by 0 in interval 0 (before C_{0,1}). The zigzag
   // m1, m2 cycles through C_{0,1}, so C_{0,1} is useless.
   TwoHostFixture f;
-  f.messages.note_send(1, 0, 1, 12);  // m1: sent in interval 1 of host 0
-  f.messages.note_receive(1, 13, 0);  //     received in interval 1 of host 1
-  f.messages.note_send(2, 1, 0, 11);  // m2: sent in interval 1 of host 1
-  f.messages.note_receive(2, 8, 0);   //     received in interval 0 of host 0
+  // m1: sent in interval 1 of host 0, received in interval 1 of host 1.
+  f.messages.note_delivery({1, 0, 1, 12, 13, 0});
+  // m2: sent in interval 1 of host 1, received in interval 0 of host 0.
+  f.messages.note_delivery({2, 1, 0, 11, 8, 0});
   IntervalGraph g(f.log, f.messages);
   EXPECT_TRUE(g.on_z_cycle(0, 1));
   // Host 1's checkpoint is fine: no chain ends before its pos-10 ckpt.
@@ -85,10 +84,8 @@ TEST(IntervalGraph, ZigzagAllowsSendBeforeReceiveInSameInterval) {
   // received (same interval), so there is NO causal path, yet the
   // zigzag still forms.
   TwoHostFixture f;
-  f.messages.note_send(1, 0, 1, 12);
-  f.messages.note_receive(1, 19, 0);  // received late in interval 1 of host 1
-  f.messages.note_send(2, 1, 0, 11);  // sent earlier in that same interval
-  f.messages.note_receive(2, 8, 0);
+  f.messages.note_delivery({1, 0, 1, 12, 19, 0});  // received late in interval 1 of host 1
+  f.messages.note_delivery({2, 1, 0, 11, 8, 0});  // sent earlier in that same interval
   IntervalGraph g(f.log, f.messages);
   EXPECT_TRUE(g.on_z_cycle(0, 1));
 }
@@ -102,10 +99,8 @@ TEST(IntervalGraph, ThreeHostTransitiveZPath) {
   log.append(make(2, 1, 10));
   // 0 -> 1 (recv interval 1), then 1 -> 2 from interval 1, recv before
   // C_{2,1}: Z-path from C_{0,1} to C_{2,1} via host 1.
-  messages.note_send(1, 0, 1, 11);
-  messages.note_receive(1, 12, 0);
-  messages.note_send(2, 1, 2, 13);
-  messages.note_receive(2, 7, 0);
+  messages.note_delivery({1, 0, 1, 11, 12, 0});
+  messages.note_delivery({2, 1, 2, 13, 7, 0});
   IntervalGraph g(log, messages);
   EXPECT_TRUE(g.z_path_exists(0, 1, 2, 1));
   EXPECT_FALSE(g.z_path_exists(2, 1, 0, 1));
@@ -116,18 +111,17 @@ TEST(IntervalGraph, LaterIntervalContinuation) {
   // m1 received in interval 0 of host 1; m2 sent from interval *1* of
   // host 1 (a later interval): still a valid continuation.
   TwoHostFixture f;
-  f.messages.note_send(1, 0, 1, 11);  // interval 1 of host 0
-  f.messages.note_receive(1, 5, 0);   // interval 0 of host 1
-  f.messages.note_send(2, 1, 0, 15);  // interval 1 of host 1
-  f.messages.note_receive(2, 9, 0);   // interval 0 of host 0: closes the cycle
+  // Interval 1 of host 0 to interval 0 of host 1, then interval 1 of
+  // host 1 to interval 0 of host 0, which closes the cycle.
+  f.messages.note_delivery({1, 0, 1, 11, 5, 0});
+  f.messages.note_delivery({2, 1, 0, 15, 9, 0});
   IntervalGraph g(f.log, f.messages);
   EXPECT_TRUE(g.on_z_cycle(0, 1));
 }
 
 TEST(IntervalGraph, InitialCheckpointsNeverUseless) {
   TwoHostFixture f;
-  f.messages.note_send(1, 0, 1, 2);
-  f.messages.note_receive(1, 3, 0);
+  f.messages.note_delivery({1, 0, 1, 2, 3, 0});
   IntervalGraph g(f.log, f.messages);
   EXPECT_FALSE(g.on_z_cycle(0, 0));
   EXPECT_FALSE(g.on_z_cycle(1, 0));

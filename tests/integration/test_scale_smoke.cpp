@@ -68,13 +68,15 @@ TEST(ScaleSmoke, TenThousandHostsCompleteWithinBudget) {
 TEST(ScaleSmoke, SteadyStateAllocationRateStaysBounded) {
   // Basic-only protocol with probes off: pooled messages, SoA host state,
   // recycled mailboxes and typed event payloads keep the event loop off
-  // the heap. What remains per app message is the consistency oracle's
-  // bookkeeping (one in-flight node in the harness, one send record in
-  // the message log), ~0.9 allocations per event at this config. Gate the
-  // *marginal* rate between two horizons — the 10^4-host startup cost
-  // (initial checkpoints, arenas) cancels out — so a regression to dense
-  // piggybacks (two n-entry vectors per send, >= 2 allocs/event) or any
-  // O(n)-per-event allocation fails loudly.
+  // the heap. What remains per app message is the piggyback vector it
+  // carries from send to receive, plus the amortized growth of the
+  // checkpoint and message logs: 0.58 allocations per event at this
+  // config (the count is deterministic). Keeping a record per message
+  // outside the message, a hash node in the harness and another in the
+  // message log, read 0.86. Gate the *marginal* rate between two horizons
+  // — the 10^4-host startup cost (initial checkpoints, arenas) cancels
+  // out — so a per-message map, dense piggybacks (two n-entry vectors per
+  // send, >= 2 allocs/event) or any O(n)-per-event allocation fails.
   unsigned long long allocs[2];
   u64 events[2];
   const f64 lengths[2] = {5.0, 50.0};
@@ -94,21 +96,20 @@ TEST(ScaleSmoke, SteadyStateAllocationRateStaysBounded) {
   ASSERT_GT(events[1], events[0] + 10'000u);
   const f64 marginal = static_cast<f64>(allocs[1] - allocs[0]) /
                        static_cast<f64>(events[1] - events[0]);
-  EXPECT_LT(marginal, 1.5) << allocs[1] - allocs[0] << " allocations over "
+  EXPECT_LT(marginal, 0.65) << allocs[1] - allocs[0] << " allocations over "
                            << events[1] - events[0] << " steady-state events";
 }
 
 TEST(ScaleSmoke, TpAllocationRateStaysBounded) {
-  // Sparse TP alone: on top of the oracle bookkeeping above, each send
-  // allocates its encoded delta once, at its exact size, and a receive
-  // grows the receiver's entry list at most once. A checkpoint's snapshot
-  // goes to the log's block arena, so it allocates only when a 64 KiB
-  // block fills. The message itself carries only the piggyback's wire
-  // size. 1.32 allocations per event at this config (the count is
-  // deterministic); a snapshot allocated per checkpoint reads 1.41, and
-  // a delta grown byte by byte, or a copy of it riding every message,
-  // puts the rate above 2 and makes it grow with the run as the deltas
-  // lengthen.
+  // Sparse TP alone: on top of the per-message piggyback vector above,
+  // each send allocates its encoded delta once, at its exact size, and
+  // moves it onto the message; a receive grows the receiver's entry list
+  // at most once. A checkpoint's snapshot goes to the log's block arena,
+  // so it allocates only when a 64 KiB block fills. 1.10 allocations per
+  // event at this config (the count is deterministic); parking the
+  // piggybacks in the harness behind a per-message hash map read 1.32,
+  // and a delta grown byte by byte, or copied on every leg, puts the rate
+  // above 2 and makes it grow with the run as the deltas lengthen.
   unsigned long long allocs[2];
   u64 events[2];
   const f64 lengths[2] = {100.0, 200.0};
@@ -128,7 +129,7 @@ TEST(ScaleSmoke, TpAllocationRateStaysBounded) {
   ASSERT_GT(events[1], events[0] + 10'000u);
   const f64 marginal = static_cast<f64>(allocs[1] - allocs[0]) /
                        static_cast<f64>(events[1] - events[0]);
-  EXPECT_LT(marginal, 1.36) << allocs[1] - allocs[0] << " allocations over "
+  EXPECT_LT(marginal, 1.15) << allocs[1] - allocs[0] << " allocations over "
                             << events[1] - events[0] << " steady-state events";
 }
 

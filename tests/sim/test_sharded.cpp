@@ -5,6 +5,8 @@
 // exercise (mobility, disconnections, heterogeneity, crashes).
 #include <gtest/gtest.h>
 
+#include <tuple>
+
 #include "des/rng.hpp"
 #include "sim/experiment.hpp"
 #include "sim/sweep.hpp"
@@ -201,6 +203,44 @@ TEST(Sharded, CellOutageCrashInterleaving) {
   ASSERT_GT(seq.recovery.crashes_executed, 0u);
   const RunResult par = run_with(cfg, 4);
   expect_identical(seq, par, "cell-outage");
+}
+
+TEST(Sharded, MessageLogMatchesSequentialDeliveryForDelivery) {
+  // The merged message log is what rollback and the orphan oracle read.
+  // Each delivery's send record comes off the delivered message and its
+  // id from the barrier's patch sites, so every field must equal the
+  // sequential run's, delivery for delivery, with and without crashes.
+  SimConfig plain = golden_config();
+  plain.sim_length = 6'000.0;
+  plain.t_switch = 200.0;
+  SimConfig crashes = plain;
+  crashes.faults.mode = CrashMode::kMhCrash;
+  crashes.faults.first_crash_at = 1'500.0;
+  crashes.faults.crash_interval = 1'200.0;
+  crashes.faults.max_crashes = 3;
+  const auto key = [](const core::MessageLog::Delivery& d) {
+    return std::make_tuple(d.msg_id, d.src, d.dst, d.send_pos, d.recv_pos, d.sn);
+  };
+  for (const SimConfig& cfg : {plain, crashes}) {
+    const std::string label = cfg.faults.enabled() ? "mh-crash" : "plain";
+    ExperimentOptions par_opts;
+    par_opts.shards = 4;
+    Experiment seq(cfg, ExperimentOptions{});
+    Experiment par(cfg, par_opts);
+    seq.run();
+    par.run();
+    ASSERT_EQ(par.result().shards, 4u) << label;
+    if (cfg.faults.enabled()) {
+      ASSERT_GT(seq.result().recovery.crashes_executed, 0u);
+    }
+    const auto& a = seq.harness().message_log().deliveries();
+    const auto& b = par.harness().message_log().deliveries();
+    ASSERT_GT(a.size(), 100u) << label;
+    ASSERT_EQ(a.size(), b.size()) << label;
+    for (usize i = 0; i < a.size(); ++i) {
+      ASSERT_EQ(key(a[i]), key(b[i])) << label << " delivery " << i;
+    }
+  }
 }
 
 TEST(Sharded, FuzzShardCountPerReplication) {

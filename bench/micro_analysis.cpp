@@ -2,12 +2,11 @@
 //
 // The oracles and recovery tools run over finished traces; this bench
 // documents what they cost so users can size verification runs: orphan
-// scan, vector-clock replay, zigzag analysis, rollback and GC analysis.
+// scan, zigzag analysis, rollback and GC analysis.
 #include <benchmark/benchmark.h>
 
 #include "core/gc.hpp"
 #include "core/recovery.hpp"
-#include "core/vc_oracle.hpp"
 #include "core/zgraph.hpp"
 #include "sim/experiment.hpp"
 
@@ -45,15 +44,6 @@ void BM_OrphanScan(benchmark::State& state) {
                           static_cast<i64>(exp.harness().message_log().deliveries().size()));
 }
 BENCHMARK(BM_OrphanScan);
-
-void BM_VcOracleConstruction(benchmark::State& state) {
-  auto& exp = shared_run();
-  for (auto _ : state) {
-    const core::VcOracle oracle(exp.network().n_hosts(), exp.harness().message_log());
-    benchmark::DoNotOptimize(oracle.n_hosts());
-  }
-}
-BENCHMARK(BM_VcOracleConstruction)->Unit(benchmark::kMillisecond);
 
 void BM_ZigzagUselessScan(benchmark::State& state) {
   auto& exp = shared_run();

@@ -5,22 +5,9 @@
 
 namespace mobichk::obs {
 
-const char* tracker_mode_name(TrackerMode mode) noexcept {
-  switch (mode) {
-    case TrackerMode::kNone: return "none";
-    case TrackerMode::kIndexFirstAtLeast: return "index-first-at-least";
-    case TrackerMode::kIndexLastEqual: return "index-last-equal";
-    case TrackerMode::kTpDependency: return "tp-dependency";
-  }
-  return "none";
-}
-
 RecoveryLineTracker::RecoveryLineTracker(TrackerMode mode, u32 n_hosts)
     : mode_(mode), n_(n_hosts), hosts_(n_hosts) {
   if (n_hosts == 0) throw std::invalid_argument("RecoveryLineTracker: n_hosts is zero");
-  if (mode == TrackerMode::kTpDependency) {
-    for (auto& h : hosts_) h.req.assign(n_, 0);
-  }
 }
 
 void RecoveryLineTracker::resolve_metrics(MetricRegistry& registry, const std::string& prefix) {
@@ -34,14 +21,7 @@ void RecoveryLineTracker::resolve_metrics(MetricRegistry& registry, const std::s
 
 void RecoveryLineTracker::on_checkpoint(u32 host, u64 sn, CkptKind kind, u64 trigger_msg) {
   HostState& h = hosts_.at(host);
-  if (mode_ == TrackerMode::kTpDependency) {
-    // The dependency vector stored with the checkpoint: the running
-    // requirement with the self entry anchored at this ordinal.
-    std::vector<u32> dep = h.req;
-    dep[host] = static_cast<u32>(h.sns.size());
-    h.deps.push_back(std::move(dep));
-    h.phase_send = false;  // a fresh interval has no sends yet
-  }
+  h.phase_send = false;  // a fresh interval has no sends yet
   u32 chain = 0;
   if (kind == CkptKind::kForced) {
     chain = 1;  // marker-forced: the chain starts here
@@ -53,7 +33,6 @@ void RecoveryLineTracker::on_checkpoint(u32 host, u64 sn, CkptKind kind, u64 tri
     max_chain_ = std::max<u64>(max_chain_, chain);
   }
   h.chain = chain;
-  h.chain_depth.push_back(chain);
   h.sns.push_back(sn);
   advance_committed();
 }
@@ -67,41 +46,21 @@ void RecoveryLineTracker::on_sn_promote(u32 host, u64 sn) {
 
 void RecoveryLineTracker::on_send(u32 host, u64 msg_id) {
   HostState& h = hosts_.at(host);
-  MsgInfo info;
-  info.src = host;
-  info.send_interval = h.sns.empty() ? 0 : static_cast<u32>(h.sns.size() - 1);
-  info.chain_at_send = h.chain;
-  if (mode_ == TrackerMode::kTpDependency) {
-    info.dep = h.req;
-    info.dep[host] = static_cast<u32>(h.sns.size());
-    h.phase_send = true;
-  }
-  in_flight_[msg_id] = std::move(info);
+  const u32 si = h.sns.empty() ? 0 : static_cast<u32>(h.sns.size() - 1);
+  in_flight_[msg_id] = MsgInfo{host, si, h.chain};
+  h.phase_send = true;
 }
 
 void RecoveryLineTracker::on_deliver(u32 host, u64 msg_id) {
   const auto it = in_flight_.find(msg_id);
   if (it == in_flight_.end()) return;  // foreign message (manual scripts)
-  MsgInfo& info = it->second;
-  HostState& h = hosts_.at(host);
+  const MsgInfo& info = it->second;
+  const HostState& h = hosts_.at(host);
   const u32 di = h.sns.empty() ? 0 : static_cast<u32>(h.sns.size() - 1);
   edges_.push_back(Edge{info.src, info.send_interval, host, di});
-  if (mode_ == TrackerMode::kTpDependency) {
-    // The forced checkpoint's probe event precedes the deliver event, so
-    // a SEND phase here means the protocol broke Russell's discipline.
-    if (h.phase_send) ++phase_violations_;
-    // Merge the carried requirement once, then drop it: a duplicate copy
-    // carries the same vector and the merge is an idempotent max. The
-    // entry itself stays for chain_at_send lookups by later copies.
-    if (!info.dep.empty()) {
-      for (u32 j = 0; j < n_; ++j) {
-        if (j == host) continue;
-        if (info.dep[j] > h.req[j]) h.req[j] = info.dep[j];
-      }
-      info.dep.clear();
-      info.dep.shrink_to_fit();
-    }
-  }
+  // The forced checkpoint's probe event precedes the deliver event, so a
+  // SEND phase here means a TP protocol broke Russell's discipline.
+  if (mode_ == TrackerMode::kTpDependency && h.phase_send) ++phase_violations_;
 }
 
 void RecoveryLineTracker::advance_committed() {
@@ -163,13 +122,26 @@ std::vector<LineMember> RecoveryLineTracker::tp_line(u32 host, u64 ordinal) cons
   if (mode_ != TrackerMode::kTpDependency) {
     throw std::logic_error("RecoveryLineTracker::tp_line: not a TP tracker");
   }
-  const std::vector<u32>& dep = hosts_.at(host).deps.at(ordinal);
+  if (ordinal >= hosts_.at(host).sns.size()) {
+    throw std::out_of_range("RecoveryLineTracker::tp_line: no such checkpoint");
+  }
+  // reach[j]: one past the latest interval of j with an interval-graph
+  // path into (host, ordinal - 1), i.e. CKPT[j] of the checkpoint. Under
+  // the phase discipline every receive of an interval precedes its sends,
+  // so each message on such a path is delivered before the next one is
+  // sent: a newest-first sweep over the deliveries meets every path's
+  // messages last hop first, and an edge into a reaching interval makes
+  // its source interval reach too.
+  std::vector<u64> reach(n_, 0);
+  reach[host] = ordinal;
+  for (auto e = edges_.rbegin(); e != edges_.rend(); ++e) {
+    if (e->di < reach[e->dst]) reach[e->src] = std::max<u64>(reach[e->src], u64{e->si} + 1);
+  }
   std::vector<LineMember> line(n_);
   for (u32 j = 0; j < n_; ++j) {
     line[j].host = j;
-    const u64 want = j == host ? ordinal : dep[j];
-    if (want < hosts_[j].sns.size()) {
-      line[j].ordinal = want;
+    if (reach[j] < hosts_[j].sns.size()) {
+      line[j].ordinal = reach[j];
     } else {
       // Not yet taken: the host's current state stands in (sound under
       // the phase discipline — it has received nothing since its send).

@@ -3,14 +3,15 @@
 //
 // The paper's central claim for communication-induced checkpointing is
 // that every local checkpoint can be associated with a consistent global
-// checkpoint *on the fly*. The offline oracles (core::VcOracle,
-// core::IntervalGraph) verify this after a run from the message and
-// checkpoint logs; the RecoveryLineTracker here verifies it *during* the
-// run from nothing but the kCheckpoint / kSend / kDeliver / kSnPromote
-// probe events, by re-deriving the protocol's recovery-line rule from the
-// event stream. Reconciling the two (tests/obs/test_causal.cpp) is a
-// three-way theory check: online tracker == index/TP line builders ==
-// VC-consistency / Z-cycle verdicts.
+// checkpoint *on the fly*. The offline oracles (the vector-clock oracle in
+// tests/core/vc_oracle.hpp, core::IntervalGraph, core::find_orphans)
+// verify this after a run from the message and checkpoint logs; the
+// RecoveryLineTracker here verifies it *during* the run from nothing but
+// the kCheckpoint / kSend / kDeliver / kSnPromote probe events, by
+// re-deriving the protocol's recovery-line rule from the event stream.
+// Reconciling the two (tests/obs/test_causal.cpp) is a three-way theory
+// check: online tracker == index/TP line builders == VC-consistency /
+// Z-cycle verdicts.
 //
 // This layer deliberately never includes core headers: it must work from
 // the probe stream alone, or the reconciliation would be circular.
@@ -31,10 +32,8 @@ enum class TrackerMode : u8 {
   kNone = 0,           ///< No on-the-fly recovery line (BASIC, UNCOORD).
   kIndexFirstAtLeast,  ///< BCS / LAZY-BCS / COORD: first checkpoint with sn >= M.
   kIndexLastEqual,     ///< QBC: last checkpoint with sn == M (equivalence rule).
-  kTpDependency,       ///< TP: dependency vectors under the phase discipline.
+  kTpDependency,       ///< TP: causal paths of the interval graph (phase discipline).
 };
-
-const char* tracker_mode_name(TrackerMode mode) noexcept;
 
 /// One member of an online recovery line (mirror of a
 /// core::GlobalCheckpoint member, identified by ordinal instead of by
@@ -90,8 +89,13 @@ class RecoveryLineTracker {
   /// when the host never reached M. Mirrors core::index_recovery_line.
   std::vector<LineMember> index_line(u64 index) const;
 
-  /// The line TP associates with checkpoint (host, ordinal), from the
-  /// dependency vectors re-derived online. Mirrors core::tp_recovery_line.
+  /// The line TP associates with checkpoint (host, ordinal): host j's
+  /// member is one past the latest interval of j with a path into
+  /// (host, ordinal - 1) of the interval graph, virtual when that
+  /// checkpoint is not taken yet. One newest-first sweep over the message
+  /// edges, O(E + n) per query; exact while phase_violations() is 0.
+  /// Mirrors core::tp_recovery_line. Throws std::logic_error on a non-TP
+  /// tracker and std::out_of_range for an unknown checkpoint.
   std::vector<LineMember> tp_line(u32 host, u64 ordinal) const;
 
   /// Whether checkpoint (host, ordinal) lies on a zigzag cycle of the
@@ -111,20 +115,17 @@ class RecoveryLineTracker {
 
  private:
   struct HostState {
-    std::vector<u64> sns;           ///< Checkpoint sn per ordinal (non-decreasing).
-    std::vector<u32> chain_depth;   ///< Forced-chain depth per ordinal.
-    std::vector<std::vector<u32>> deps;  ///< TP: dependency vector per ordinal.
-    std::vector<u32> req;           ///< TP: running requirement vector.
-    bool phase_send = false;        ///< TP: SEND phase flag.
-    u32 chain = 0;                  ///< Forced-chain depth of the open interval.
+    std::vector<u64> sns;     ///< Checkpoint sn per ordinal (non-decreasing).
+    bool phase_send = false;  ///< The open interval has sent (checked in TP mode).
+    u32 chain = 0;            ///< Forced-chain depth of the open interval.
   };
   struct MsgInfo {
     u32 src = 0;
-    u32 send_interval = 0;   ///< Sender's open interval ordinal at send.
-    u32 chain_at_send = 0;   ///< Sender's forced-chain depth at send.
-    std::vector<u32> dep;    ///< TP: carried requirement; emptied at first delivery.
+    u32 send_interval = 0;  ///< Sender's open interval ordinal at send.
+    u32 chain_at_send = 0;  ///< Sender's forced-chain depth at send.
   };
-  /// One interval-graph message edge: (src, si) -> (dst, di).
+  /// One interval-graph message edge: (src, si) -> (dst, di), kept in
+  /// delivery order.
   struct Edge {
     u32 src, si, dst, di;
   };

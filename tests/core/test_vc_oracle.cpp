@@ -1,4 +1,4 @@
-#include "core/vc_oracle.hpp"
+#include "vc_oracle.hpp"
 
 #include <gtest/gtest.h>
 

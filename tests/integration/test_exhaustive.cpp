@@ -7,8 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "core/recovery.hpp"
-#include "core/vc_oracle.hpp"
 #include "sim/experiment.hpp"
+#include "../core/vc_oracle.hpp"
 
 namespace mobichk::sim {
 namespace {

@@ -18,9 +18,9 @@
 
 #include "core/protocols/qbc.hpp"
 #include "core/recovery.hpp"
-#include "core/vc_oracle.hpp"
 #include "core/zgraph.hpp"
 #include "sim/experiment.hpp"
+#include "../core/vc_oracle.hpp"
 
 namespace mobichk::sim {
 namespace {

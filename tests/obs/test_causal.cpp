@@ -14,10 +14,10 @@
 #include "core/protocols/bcs.hpp"
 #include "core/protocols/qbc.hpp"
 #include "core/protocols/tp.hpp"
-#include "core/vc_oracle.hpp"
 #include "core/zgraph.hpp"
 #include "des/event_queue.hpp"
 #include "mobichk.hpp"
+#include "../core/vc_oracle.hpp"
 
 namespace mobichk {
 namespace {
@@ -120,16 +120,19 @@ TEST(CausalReconciliation, OnlineTrackerMatchesOfflineOraclesOnEveryQueueKind) {
   }
 }
 
-// The Z-cycle half of the reconciliation over many seeds, on a clean
-// channel and on a duplicating one the transport does not deduplicate,
-// with protocols that do produce useless checkpoints: every positive AND
-// negative verdict of the tracker's SCC pass must match the offline
-// interval graph's per-checkpoint BFS.
-TEST(CausalReconciliation, ZCycleVerdictsMatchIntervalGraphAcrossSeedsAndChannels) {
+// The Z-cycle and TP-line halves of the reconciliation over many seeds,
+// on a clean channel and on a duplicating one the transport does not
+// deduplicate, with protocols that do produce useless checkpoints: every
+// positive AND negative verdict of the tracker's SCC pass must match the
+// offline interval graph's per-checkpoint BFS, and every TP checkpoint's
+// online line (the tracker's interval-graph sweep) must equal the one
+// core::tp_recovery_line builds from the checkpoint's own dependencies.
+TEST(CausalReconciliation, ZCycleVerdictsAndTpLinesMatchOfflineAcrossSeedsAndChannels) {
   const std::vector<ProtocolKind> protocols = {ProtocolKind::kLazyBcs, ProtocolKind::kCoordinated,
                                                ProtocolKind::kTp, ProtocolKind::kBcs,
                                                ProtocolKind::kQbc};
   u64 total_useless = 0;
+  u64 tp_lines = 0, tp_deep_members = 0, tp_virtual_members = 0;
   for (const bool duplicating : {false, true}) {
     for (u64 seed = 100; seed < 140; ++seed) {
       SCOPED_TRACE("seed " + std::to_string(seed) + (duplicating ? " duplicating" : " clean"));
@@ -148,18 +151,38 @@ TEST(CausalReconciliation, ZCycleVerdictsMatchIntervalGraphAcrossSeedsAndChannel
       exp.run();
 
       const core::MessageLog& messages = exp.harness().message_log();
+      const std::vector<u64> current = exp.harness().current_positions();
       for (usize slot = 0; slot < protocols.size(); ++slot) {
         SCOPED_TRACE(core::protocol_kind_name(protocols[slot]));
         const obs::RecoveryLineTracker* tracker = observer.causal()->tracker(slot);
         ASSERT_NE(tracker, nullptr);
         const core::CheckpointLog& log = exp.log(slot);
         const core::IntervalGraph graph(log, messages);
+        const bool tp = protocols[slot] == ProtocolKind::kTp;
         for (u32 h = 0; h < log.n_hosts(); ++h) {
           ASSERT_EQ(tracker->checkpoints(h), log.of(h).size()) << "host " << h;
           for (u64 x = 1; x < log.of(h).size(); ++x) {
             EXPECT_EQ(tracker->on_z_cycle(h, x), graph.on_z_cycle(h, x))
                 << "checkpoint host " << h << " #" << x;
           }
+          if (!tp) continue;
+          for (const core::CheckpointRecord& rec : log.of(h)) {
+            SCOPED_TRACE("TP line of host " + std::to_string(h) + " #" +
+                         std::to_string(rec.ordinal));
+            const core::GlobalCheckpoint cut = core::tp_recovery_line(log, rec, current);
+            expect_members_match(tracker->tp_line(h, rec.ordinal), cut);
+            for (const core::CheckpointRecord* m : cut.members) {
+              if (m == nullptr) {
+                ++tp_virtual_members;
+              } else if (m->ordinal > 0) {
+                ++tp_deep_members;
+              }
+            }
+            ++tp_lines;
+          }
+        }
+        if (tp) {
+          EXPECT_EQ(tracker->phase_violations(), 0u);
         }
         const u64 useless = graph.useless_count();
         EXPECT_EQ(tracker->useless_count(), useless);
@@ -167,8 +190,12 @@ TEST(CausalReconciliation, ZCycleVerdictsMatchIntervalGraphAcrossSeedsAndChannel
       }
     }
   }
-  // The verdicts compared above include positive ones.
+  // The verdicts compared above include positive ones, and the TP lines
+  // include members past the initial checkpoints and virtual ones.
   EXPECT_GT(total_useless, 0u);
+  EXPECT_GT(tp_lines, 0u);
+  EXPECT_GT(tp_deep_members, 0u);
+  EXPECT_GT(tp_virtual_members, 0u);
 }
 
 TEST(CausalMetrics, RecoveryLineFamiliesAreExportedAndReconcileWithRunStats) {
@@ -496,6 +523,20 @@ TEST(TrackerEdgeCases, ConstructionAndQueriesGuardTheirDomains) {
   // Unknown deliveries (no recorded send) are ignored, not invented.
   index.on_deliver(0, 42);
   EXPECT_EQ(index.max_forced_chain(), 0u);
+
+  // A TP line exists only for a checkpoint the tracker has seen.
+  obs::RecoveryLineTracker tp(obs::TrackerMode::kTpDependency, 2);
+  tp.on_checkpoint(0, 0, obs::CkptKind::kInitial, 0);
+  tp.on_checkpoint(1, 0, obs::CkptKind::kInitial, 0);
+  EXPECT_THROW(tp.tp_line(0, 1), std::out_of_range);  // ordinal not taken
+  EXPECT_THROW(tp.tp_line(2, 0), std::out_of_range);  // host out of range
+  const std::vector<obs::LineMember> initial = tp.tp_line(0, 0);
+  ASSERT_EQ(initial.size(), 2u);
+  for (u32 h = 0; h < 2; ++h) {
+    EXPECT_EQ(initial[h].host, h);
+    EXPECT_EQ(initial[h].ordinal, 0u);
+    EXPECT_FALSE(initial[h].is_virtual);
+  }
 }
 
 // -- scripted Z-cycle analysis -------------------------------------------

@@ -13,6 +13,10 @@
 //  * one TP receive that interleaves k hosts new to the receiver
 //    with the k it holds, at k = 2^13 and 2^14 (median of 5 each):
 //    tp_merge_doubling_ratio must stay <= 3.0, i.e. the merge is linear.
+//    glibc's mmap and trim thresholds are pinned and one untimed 2k
+//    receive runs first, so both sizes grow into memory already touched
+//    whatever earlier phases freed; the minor page faults taken inside
+//    the timed receives are recorded.
 //
 // Output: a BENCH_kernel.json blob on the path given by --out= (default
 // ./BENCH_kernel.json). The CI perf-smoke job archives it per commit so
@@ -35,6 +39,11 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <sys/resource.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "des/event.hpp"
 #include "mobichk.hpp"
@@ -128,12 +137,24 @@ f64 median_of(std::array<f64, N> values) {
   return values[N / 2];
 }
 
-/// Seconds for one sparse TP receive of k entries into a receiver that
-/// holds k others, interleaved: host 0 holds hosts 4i+2 and host 1 ships
-/// it hosts 4i+3, so every shipped host is new and lands between two held
-/// ones. Runs on a fresh TP-only experiment's harness; host 0 never sends,
-/// so neither receive forces a checkpoint.
-f64 tp_merge_seconds(u32 k) {
+/// Minor page faults the process has taken so far.
+i64 minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+struct MergeSample {
+  f64 seconds = 0.0;
+  i64 minor_faults = 0;  ///< Taken inside the timed receive.
+};
+
+/// One sparse TP receive of k entries into a receiver that holds k
+/// others, interleaved: host 0 holds hosts 4i+2 and host 1 ships it hosts
+/// 4i+3, so every shipped host is new and lands between two held ones.
+/// Runs on a fresh TP-only experiment's harness; host 0 never sends, so
+/// neither receive forces a checkpoint.
+MergeSample tp_merge(u32 k) {
   sim::SimConfig c;
   c.network.n_hosts = 4 * k;
   c.network.n_mss = 50;
@@ -161,9 +182,11 @@ f64 tp_merge_seconds(u32 k) {
   tp.handle_receive(host, msg, delta(2, 0));
   const net::Piggyback shipped = delta(3, 1);
   msg.id = 1;
+  const i64 faults_before = minor_faults();
   const auto t = std::chrono::steady_clock::now();
   tp.handle_receive(host, msg, shipped);
-  return seconds_since(t);
+  const f64 seconds = seconds_since(t);
+  return MergeSample{seconds, minor_faults() - faults_before};
 }
 
 /// obs_on_off_ratio floor recorded in a committed baseline JSON; 0.0 = no
@@ -358,21 +381,37 @@ int run(int argc, char** argv) {
   // TP merge scaling: one interleaved receive at k and 2k entries. A
   // linear merge takes about twice the time for twice the entries; a
   // per-entry sorted insert shifts the tail k times and reads about 4x.
-  // Pairs run interleaved, each on a fresh experiment, so both sizes grow
-  // their lists into memory the allocator has already touched: first
-  // touch of fresh pages costs more than the merge itself.
+  // First touch of fresh pages costs more than the merge itself, so both
+  // sizes must grow their lists into memory the allocator has already
+  // touched. With glibc's dynamic thresholds, whether the 2k growth comes
+  // from fresh mmapped pages depends on what the earlier phases freed;
+  // pinned, every list below 4 MiB comes from the heap, which keeps up to
+  // 64 MiB of freed top memory mapped, and one untimed 2k receive touches
+  // that memory first. Pairs run interleaved, each on a fresh experiment.
+#if defined(__GLIBC__)
+  mallopt(M_MMAP_THRESHOLD, 4 << 20);
+  mallopt(M_TRIM_THRESHOLD, 64 << 20);
+#endif
+  (void)tp_merge(2 * kMergeK);
   std::array<f64, kMergeRepeats> merge_k_walls{};
   std::array<f64, kMergeRepeats> merge_2k_walls{};
+  i64 merge_k_faults = 0;
+  i64 merge_2k_faults = 0;
   for (usize i = 0; i < kMergeRepeats; ++i) {
-    merge_k_walls[i] = tp_merge_seconds(kMergeK);
-    merge_2k_walls[i] = tp_merge_seconds(2 * kMergeK);
+    const MergeSample at_k = tp_merge(kMergeK);
+    const MergeSample at_2k = tp_merge(2 * kMergeK);
+    merge_k_walls[i] = at_k.seconds;
+    merge_2k_walls[i] = at_2k.seconds;
+    merge_k_faults += at_k.minor_faults;
+    merge_2k_faults += at_2k.minor_faults;
   }
   const f64 merge_k = median_of(merge_k_walls);
   const f64 merge_2k = median_of(merge_2k_walls);
   const f64 merge_ratio = merge_2k / merge_k;
   std::printf("  tp merge: k=%u %.3gms, k=%u %.3gms (median of %zu): %.2fx for 2x the "
-              "entries\n",
-              kMergeK, merge_k * 1e3, 2 * kMergeK, merge_2k * 1e3, kMergeRepeats, merge_ratio);
+              "entries; minor faults in the timed receives %lld / %lld\n",
+              kMergeK, merge_k * 1e3, 2 * kMergeK, merge_2k * 1e3, kMergeRepeats, merge_ratio,
+              static_cast<long long>(merge_k_faults), static_cast<long long>(merge_2k_faults));
 
   // The same city-scale point at n=10^5 under the spatially sharded
   // engine: shards=1 (sequential path) vs shards=4, with trace hashing on
@@ -453,6 +492,10 @@ int run(int argc, char** argv) {
   std::fprintf(out, "  \"tp_merge_seconds_k\": %.6f,\n", merge_k);
   std::fprintf(out, "  \"tp_merge_seconds_2k\": %.6f,\n", merge_2k);
   std::fprintf(out, "  \"tp_merge_doubling_ratio\": %.3f,\n", merge_ratio);
+  std::fprintf(out, "  \"tp_merge_minor_faults_k\": %lld,\n",
+               static_cast<long long>(merge_k_faults));
+  std::fprintf(out, "  \"tp_merge_minor_faults_2k\": %lld,\n",
+               static_cast<long long>(merge_2k_faults));
   std::fprintf(out, "  \"hardware_threads\": %u,\n", hw_threads);
   std::fprintf(out, "  \"shard_hosts\": %u,\n", shard_cfg.network.n_hosts);
   std::fprintf(out, "  \"shard_count\": 4,\n");

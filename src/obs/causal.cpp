@@ -1,19 +1,22 @@
 #include "obs/causal.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
+#include <unordered_map>
 
 namespace mobichk::obs {
 
 RecoveryLineTracker::RecoveryLineTracker(TrackerMode mode, u32 n_hosts)
-    : mode_(mode), n_(n_hosts), hosts_(n_hosts) {
+    : mode_(mode), n_(n_hosts), hosts_(n_hosts), uninitialized_(n_hosts) {
   if (n_hosts == 0) throw std::invalid_argument("RecoveryLineTracker: n_hosts is zero");
+  lag_hosts_[0] = n_hosts;
 }
 
 void RecoveryLineTracker::resolve_metrics(MetricRegistry& registry, const std::string& prefix) {
   line_index_g_ = &registry.gauge(prefix + ".line_index");
   lag_max_g_ = &registry.gauge(prefix + ".lag_max");
-  lag_h_ = &registry.histogram(prefix + ".lag", 0.0, 64.0, 64);
+  lag_h_ = &registry.histogram(prefix + ".lag", 0.0, kLagBuckets, kLagBuckets);
   chain_h_ = &registry.histogram(prefix + ".forced_chain", 0.0, 32.0, 32);
   useless_c_ = &registry.counter(prefix + ".useless_checkpoints");
   advances_c_ = &registry.counter(prefix + ".line_advances");
@@ -21,69 +24,130 @@ void RecoveryLineTracker::resolve_metrics(MetricRegistry& registry, const std::s
 
 void RecoveryLineTracker::on_checkpoint(u32 host, u64 sn, CkptKind kind, u64 trigger_msg) {
   HostState& h = hosts_.at(host);
+  const HostMark before = mark(host);
+  if (h.sns.empty()) --uninitialized_;
   h.phase_send = false;  // a fresh interval has no sends yet
   u32 chain = 0;
   if (kind == CkptKind::kForced) {
     chain = 1;  // marker-forced: the chain starts here
     if (trigger_msg != 0) {
-      const auto it = in_flight_.find(trigger_msg);
-      if (it != in_flight_.end()) chain = it->second.chain_at_send + 1;
+      if (const MsgInfo* m = sent(trigger_msg)) chain = m->chain_at_send + 1;
     }
     if (chain_h_ != nullptr) chain_h_->add(static_cast<f64>(chain));
     max_chain_ = std::max<u64>(max_chain_, chain);
   }
   h.chain = chain;
   h.sns.push_back(sn);
+  remark(host, before);
   advance_committed();
 }
 
 void RecoveryLineTracker::on_sn_promote(u32 host, u64 sn) {
   HostState& h = hosts_.at(host);
   if (h.sns.empty()) return;
+  const HostMark before = mark(host);
   if (sn > h.sns.back()) h.sns.back() = sn;
+  remark(host, before);
   advance_committed();
 }
 
 void RecoveryLineTracker::on_send(u32 host, u64 msg_id) {
   HostState& h = hosts_.at(host);
   const u32 si = h.sns.empty() ? 0 : static_cast<u32>(h.sns.size() - 1);
-  in_flight_[msg_id] = MsgInfo{host, si, h.chain};
+  if (msg_id >= msgs_.size()) msgs_.resize(msg_id + 1);
+  msgs_[msg_id] = MsgInfo{host, si, h.chain};
   h.phase_send = true;
 }
 
 void RecoveryLineTracker::on_deliver(u32 host, u64 msg_id) {
-  const auto it = in_flight_.find(msg_id);
-  if (it == in_flight_.end()) return;  // foreign message (manual scripts)
-  const MsgInfo& info = it->second;
+  const MsgInfo* info = sent(msg_id);
+  if (info == nullptr) return;  // foreign message (manual scripts)
   const HostState& h = hosts_.at(host);
   const u32 di = h.sns.empty() ? 0 : static_cast<u32>(h.sns.size() - 1);
-  edges_.push_back(Edge{info.src, info.send_interval, host, di});
+  edges_.push_back(Edge{info->src, info->send_interval, host, di});
   // The forced checkpoint's probe event precedes the deliver event, so a
   // SEND phase here means a TP protocol broke Russell's discipline.
   if (mode_ == TrackerMode::kTpDependency && h.phase_send) ++phase_violations_;
 }
 
+const RecoveryLineTracker::MsgInfo* RecoveryLineTracker::sent(u64 msg_id) const {
+  if (msg_id >= msgs_.size() || msgs_[msg_id].src == kNoSend) return nullptr;
+  return &msgs_[msg_id];
+}
+
+/// The index a host has reached: TP mode its deepest ordinal, the index
+/// modes its latest sn. The committed line is the minimum over hosts.
+u64 RecoveryLineTracker::reached(const HostState& h) const {
+  return mode_ == TrackerMode::kTpDependency ? h.sns.size() - 1 : h.sns.back();
+}
+
+RecoveryLineTracker::HostMark RecoveryLineTracker::mark(u32 host) const {
+  const HostState& h = hosts_[host];
+  if (h.sns.empty()) return HostMark{};
+  return HostMark{reached(h) <= committed_, lag(host)};
+}
+
+/// Moves `host` in the tallies from `before` (its mark ahead of an
+/// update) to its current mark.
+void RecoveryLineTracker::remark(u32 host, const HostMark& before) {
+  const HostMark now = mark(host);
+  if (before.holding) --holding_;
+  if (now.holding) ++holding_;
+  if (now.lag == before.lag) return;
+  --lag_hosts_[std::min<u64>(before.lag, kLagBuckets)];
+  ++lag_hosts_[std::min<u64>(now.lag, kLagBuckets)];
+  lag_sum_ = lag_sum_ - before.lag + now.lag;
+  lag_max_ = std::max(lag_max_, now.lag);
+}
+
+/// Rebuilds holding_ and the lag tallies from every host: O(n), once per
+/// line move.
+void RecoveryLineTracker::retally() {
+  holding_ = 0;
+  lag_hosts_.fill(0);
+  lag_sum_ = 0;
+  lag_max_ = 0;
+  for (u32 h = 0; h < n_; ++h) {
+    const HostMark m = mark(h);
+    if (m.holding) ++holding_;
+    ++lag_hosts_[std::min<u64>(m.lag, kLagBuckets)];
+    lag_sum_ += m.lag;
+    lag_max_ = std::max(lag_max_, m.lag);
+  }
+}
+
 void RecoveryLineTracker::advance_committed() {
-  u64 m = ~u64{0};
-  for (const HostState& h : hosts_) {
-    if (h.sns.empty()) return;  // not every host initialized yet
-    const u64 reached =
-        mode_ == TrackerMode::kTpDependency ? h.sns.size() - 1 : h.sns.back();
-    m = std::min(m, reached);
+  if (uninitialized_ > 0) return;  // not every host initialized yet
+  if (holding_ == 0) {
+    // Every host is past the committed index: the line moves up to the
+    // least reached index.
+    u64 m = ~u64{0};
+    for (const HostState& h : hosts_) m = std::min(m, reached(h));
+    if (advances_c_ != nullptr) advances_c_->add(m - committed_);
+    committed_ = m;
+    retally();
+  } else if (committed_ != 0) {
+    return;  // a host still holds the line where it is
   }
-  if (m <= committed_ && !(m == 0 && committed_ == 0)) return;
-  if (advances_c_ != nullptr && m > committed_) advances_c_->add(m - committed_);
-  committed_ = m;
+  // Until the line first moves, every update re-samples it at index 0.
   if (line_index_g_ != nullptr) line_index_g_->set(static_cast<f64>(committed_));
-  if (lag_h_ != nullptr || lag_max_g_ != nullptr) {
-    u64 worst = 0;
-    for (u32 h = 0; h < n_; ++h) {
-      const u64 l = lag(h);
-      worst = std::max(worst, l);
-      if (lag_h_ != nullptr) lag_h_->add(static_cast<f64>(l));
+  sample_lag();
+}
+
+/// Adds one `.lag` value per host, from the tallies.
+void RecoveryLineTracker::sample_lag() {
+  if (lag_h_ != nullptr) {
+    u64 least = 0;
+    while (least < kLagBuckets && lag_hosts_[least] == 0) ++least;
+    if (least == kLagBuckets) {  // every host is in overflow
+      least = ~u64{0};
+      for (u32 h = 0; h < n_; ++h) least = std::min(least, lag(h));
     }
-    if (lag_max_g_ != nullptr) lag_max_g_->set(static_cast<f64>(worst));
+    lag_h_->add_batch(std::span(lag_hosts_).first<kLagBuckets>(), lag_hosts_[kLagBuckets],
+                      static_cast<f64>(lag_sum_), static_cast<f64>(least),
+                      static_cast<f64>(lag_max_));
   }
+  if (lag_max_g_ != nullptr) lag_max_g_->set(static_cast<f64>(lag_max_));
 }
 
 u64 RecoveryLineTracker::lag(u32 host) const {

@@ -17,9 +17,9 @@
 // the probe stream alone, or the reconciliation would be circular.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/metrics.hpp"
@@ -53,10 +53,15 @@ class RecoveryLineTracker {
 
   /// Registers this tracker's metric family under `prefix` (e.g.
   /// "rl.1.BCS"); call once, before events arrive. Without it the
-  /// tracker still answers queries but exports nothing.
+  /// tracker still answers queries but exports nothing. The `.lag`
+  /// histogram gets one sample per host each time the committed line
+  /// moves (and, while the line is still at index 0, at every checkpoint,
+  /// promote and finalize()); a sample costs O(64), not O(n).
   void resolve_metrics(MetricRegistry& registry, const std::string& prefix);
 
   // -- event intake (driven by CausalMonitor) ---------------------------
+  // Message ids index a per-message table, so they must be dense from a
+  // small base, as the network's per-run counter makes them.
   void on_checkpoint(u32 host, u64 sn, CkptKind kind, u64 trigger_msg);
   void on_sn_promote(u32 host, u64 sn);
   void on_send(u32 host, u64 msg_id);
@@ -119,8 +124,11 @@ class RecoveryLineTracker {
     bool phase_send = false;  ///< The open interval has sent (checked in TP mode).
     u32 chain = 0;            ///< Forced-chain depth of the open interval.
   };
+  static constexpr u32 kNoSend = ~u32{0};
+  /// What one send recorded, 12 bytes; src is kNoSend until the send is
+  /// seen, so a delivery of an unknown id is ignored.
   struct MsgInfo {
-    u32 src = 0;
+    u32 src = kNoSend;
     u32 send_interval = 0;  ///< Sender's open interval ordinal at send.
     u32 chain_at_send = 0;  ///< Sender's forced-chain depth at send.
   };
@@ -129,20 +137,42 @@ class RecoveryLineTracker {
   struct Edge {
     u32 src, si, dst, di;
   };
+  /// One host's share of the committed line and of the `.lag` tallies.
+  struct HostMark {
+    bool holding = false;  ///< Has a checkpoint and is not past the committed index.
+    u64 lag = 0;
+  };
+  /// `.lag` buckets: lags 0..63 one each, 64 and above in overflow.
+  static constexpr u32 kLagBuckets = 64;
 
+  const MsgInfo* sent(u64 msg_id) const;
+  u64 reached(const HostState& h) const;
+  HostMark mark(u32 host) const;
+  void remark(u32 host, const HostMark& before);
+  void retally();
   void advance_committed();
+  void sample_lag();
   usize node_id(u32 host, u64 interval) const;
 
   TrackerMode mode_;
   u32 n_;
   std::vector<HostState> hosts_;
-  std::unordered_map<u64, MsgInfo> in_flight_;
+  std::vector<MsgInfo> msgs_;  ///< Indexed by message id.
   std::vector<Edge> edges_;
   u64 committed_ = 0;
   u64 useless_ = 0;
   u64 max_chain_ = 0;
   u64 phase_violations_ = 0;
   bool finalized_ = false;
+  // Kept current at every host update and rebuilt when the line moves,
+  // so advance_committed() touches all hosts only when the line moves.
+  // Sns never decrease, so between moves a host's lag only grows and the
+  // running maximum stays exact.
+  u32 uninitialized_ = 0;  ///< Hosts without a checkpoint.
+  u32 holding_ = 0;        ///< Hosts whose HostMark::holding is set.
+  std::array<u64, kLagBuckets + 1> lag_hosts_{};  ///< Hosts per lag; the last entry is lag >= 64.
+  u64 lag_sum_ = 0;
+  u64 lag_max_ = 0;
   // Finalize-time graph layout (parallel to IntervalGraph's node space).
   std::vector<usize> node_base_;
   std::vector<u8> z_cycle_;  ///< Per node: on a Z-cycle (after finalize).

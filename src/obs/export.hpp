@@ -10,7 +10,10 @@
 //
 // The obs layer sits below sim/, so these implement their own minimal
 // JSON emission (escaping + shortest-round-trip doubles) rather than
-// reusing sim::JsonWriter.
+// reusing sim::JsonWriter. Each document is serialized into a fixed
+// 64 KiB block handed to the stream one write() at a time, so the bytes
+// never depend on the stream's locale or format flags and no export
+// holds the whole document in memory.
 #pragma once
 
 #include <iosfwd>

@@ -34,6 +34,26 @@ void FixedHistogram::add(f64 x) noexcept {
   }
 }
 
+void FixedHistogram::add_batch(std::span<const u64> buckets, u64 overflow, f64 sum, f64 min,
+                               f64 max) noexcept {
+  u64 n = overflow;
+  for (usize i = 0; i < buckets.size() && i < counts_.size(); ++i) {
+    counts_[i] += buckets[i];
+    n += buckets[i];
+  }
+  if (n == 0) return;
+  if (count_ == 0) {
+    min_ = min;
+    max_ = max;
+  } else {
+    if (min < min_) min_ = min;
+    if (max > max_) max_ = max;
+  }
+  count_ += n;
+  sum_ += sum;
+  overflow_ += overflow;
+}
+
 f64 FixedHistogram::quantile(f64 q) const noexcept {
   if (count_ == 0) return 0.0;
   q = std::clamp(q, 0.0, 1.0);

@@ -14,6 +14,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -53,6 +54,14 @@ class FixedHistogram {
   FixedHistogram(f64 lo, f64 hi, u32 buckets);
 
   void add(f64 x) noexcept;
+
+  /// Adds a whole batch at once: buckets[i] values in bucket i (one entry
+  /// per bucket), `overflow` values at or above hi and none below lo,
+  /// summing to `sum` with extremes `min` and `max`. The result is the
+  /// one add() per value gives whenever the values are integers and every
+  /// running sum stays below 2^53, so that each partial sum is exact.
+  void add_batch(std::span<const u64> buckets, u64 overflow, f64 sum, f64 min,
+                 f64 max) noexcept;
 
   u64 count() const noexcept { return count_; }
   f64 sum() const noexcept { return sum_; }

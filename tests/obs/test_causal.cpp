@@ -6,7 +6,9 @@
 // causal-chain explainer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -537,6 +539,111 @@ TEST(TrackerEdgeCases, ConstructionAndQueriesGuardTheirDomains) {
     EXPECT_EQ(initial[h].ordinal, 0u);
     EXPECT_FALSE(initial[h].is_virtual);
   }
+}
+
+// -- the `.lag` sample ----------------------------------------------------
+
+/// The `.lag` rule as a per-host rescan: once every host has a
+/// checkpoint, whenever the least reached index m passes the committed
+/// one (or both are still 0) the line moves to m and every host's lag is
+/// added one value at a time. TP reaches its deepest ordinal, the index
+/// modes their latest sn.
+struct LagRescan {
+  obs::TrackerMode mode;
+  std::vector<std::vector<u64>> sns;
+  u64 committed = 0;
+  u64 advances = 0;
+  u64 worst = 0;  ///< The last sample's largest lag.
+  obs::FixedHistogram hist{0.0, 64.0, 64};
+
+  u64 lag(usize h) const {
+    if (sns[h].empty()) return 0;
+    if (mode == obs::TrackerMode::kTpDependency) {
+      const u64 deepest = sns[h].size() - 1;
+      return deepest > committed ? deepest - committed : 0;
+    }
+    u64 beyond = 0;
+    for (const u64 sn : sns[h]) beyond += sn > committed ? 1 : 0;
+    return beyond;
+  }
+  void update() {
+    u64 m = ~u64{0};
+    for (const std::vector<u64>& s : sns) {
+      if (s.empty()) return;
+      m = std::min<u64>(m, mode == obs::TrackerMode::kTpDependency ? s.size() - 1 : s.back());
+    }
+    if (m <= committed && !(m == 0 && committed == 0)) return;
+    advances += m - committed;
+    committed = m;
+    worst = 0;
+    for (usize h = 0; h < sns.size(); ++h) {
+      hist.add(static_cast<f64>(lag(h)));
+      worst = std::max(worst, lag(h));
+    }
+  }
+};
+
+TEST(TrackerLag, TalliedSamplesMatchAPerHostRescanOnRandomScripts) {
+  // Host 0 checkpoints rarely, so the line stalls while the others run
+  // far ahead (lags of 64 and more land in overflow), then jumps when
+  // host 0 catches up. Promotes may offer a smaller sn, which is ignored.
+  constexpr u32 kHosts = 5;
+  u64 overflowed = 0, advanced = 0, stalled_samples = 0;
+  for (const obs::TrackerMode mode :
+       {obs::TrackerMode::kIndexFirstAtLeast, obs::TrackerMode::kIndexLastEqual,
+        obs::TrackerMode::kTpDependency}) {
+    for (u64 seed = 1; seed <= 5; ++seed) {
+      SCOPED_TRACE(testing::Message() << "mode " << static_cast<int>(mode) << " seed " << seed);
+      obs::MetricRegistry registry;
+      obs::RecoveryLineTracker t(mode, kHosts);
+      t.resolve_metrics(registry, "rl.0.X");
+      const obs::FixedHistogram& got = *registry.find_histogram("rl.0.X.lag");
+      const obs::Gauge& lag_max = *registry.find_gauge("rl.0.X.lag_max");
+      const obs::Counter& advances = *registry.find_counter("rl.0.X.line_advances");
+      LagRescan want{mode, std::vector<std::vector<u64>>(kHosts)};
+      std::mt19937_64 rng(seed);
+      const auto expect_same = [&](int step) {
+        ASSERT_EQ(t.line_index(), want.committed) << step;
+        ASSERT_EQ(advances.value(), want.advances) << step;
+        ASSERT_EQ(got.count(), want.hist.count()) << step;
+        ASSERT_EQ(got.sum(), want.hist.sum()) << step;
+        ASSERT_EQ(got.min(), want.hist.min()) << step;
+        ASSERT_EQ(got.max(), want.hist.max()) << step;
+        ASSERT_EQ(got.overflow(), want.hist.overflow()) << step;
+        ASSERT_EQ(lag_max.value(), static_cast<f64>(want.worst)) << step;
+      };
+      for (int step = 0; step < 4'000; ++step) {
+        u32 host = static_cast<u32>(rng() % kHosts);
+        if (host == 0 && rng() % 40 != 0) host = 1 + static_cast<u32>(rng() % (kHosts - 1));
+        std::vector<u64>& sns = want.sns[host];
+        if (rng() % 5 != 0) {
+          const u64 sn = sns.empty() ? rng() % 2 : sns.back() + rng() % 3;
+          t.on_checkpoint(host, sn, obs::CkptKind::kBasic, 0);
+          sns.push_back(sn);
+          want.update();
+        } else {
+          const u64 sn = sns.empty() ? 0 : sns.back() + rng() % 4;
+          const u64 offered = sn > 0 ? sn - 1 : 0;
+          t.on_sn_promote(host, offered);
+          if (!sns.empty()) {
+            sns.back() = std::max(sns.back(), offered);
+            want.update();
+          }
+        }
+        expect_same(step);
+        if (want.committed == 0 && want.hist.count() > 0) ++stalled_samples;
+      }
+      t.finalize();
+      want.update();
+      expect_same(-1);
+      for (usize b = 0; b < 64; ++b) ASSERT_EQ(got.bucket_count(b), want.hist.bucket_count(b)) << b;
+      overflowed += got.overflow();
+      advanced += want.advances;
+    }
+  }
+  EXPECT_GT(overflowed, 0u);
+  EXPECT_GT(advanced, 0u);
+  EXPECT_GT(stalled_samples, 0u);
 }
 
 // -- scripted Z-cycle analysis -------------------------------------------

@@ -5,14 +5,18 @@
 // Chrome-trace file for a tiny deterministic run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <fstream>
+#include <locale>
+#include <map>
 #include <new>
 #include <set>
 #include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "des/event.hpp"
 #include "des/rng.hpp"
@@ -115,6 +119,40 @@ TEST(Metrics, HistogramBucketsAndQuantiles) {
   // Median of a uniform fill sits near the middle of the range.
   EXPECT_NEAR(h.quantile(0.5), 5.0, 1.0);
   EXPECT_LE(h.quantile(0.0), h.quantile(1.0));
+}
+
+TEST(Metrics, BatchAddOfIntegersMatchesOneAddPerValue) {
+  // Three batches of integer values, several at or above hi: the batch
+  // path must leave every field where one add() per value leaves it.
+  obs::FixedHistogram one(0.0, 8.0, 8);
+  obs::FixedHistogram batch(0.0, 8.0, 8);
+  const std::vector<std::vector<u64>> samples = {{3, 0, 9, 3, 7}, {12, 1, 1}, {0, 8, 5, 5, 2, 40}};
+  for (const std::vector<u64>& values : samples) {
+    std::vector<u64> buckets(8, 0);
+    u64 overflow = 0, sum = 0;
+    for (const u64 v : values) {
+      one.add(static_cast<f64>(v));
+      if (v < 8) {
+        ++buckets[v];
+      } else {
+        ++overflow;
+      }
+      sum += v;
+    }
+    const auto [lo, hi] = std::minmax_element(values.begin(), values.end());
+    batch.add_batch(buckets, overflow, static_cast<f64>(sum), static_cast<f64>(*lo),
+                    static_cast<f64>(*hi));
+  }
+  batch.add_batch(std::vector<u64>(8, 0), 0, 0.0, 0.0, 0.0);  // empty: no change
+  EXPECT_EQ(batch.count(), one.count());
+  EXPECT_EQ(batch.sum(), one.sum());
+  EXPECT_EQ(batch.min(), one.min());
+  EXPECT_EQ(batch.max(), one.max());
+  EXPECT_EQ(batch.underflow(), 0u);
+  EXPECT_EQ(batch.overflow(), one.overflow());
+  for (usize i = 0; i < 8; ++i) EXPECT_EQ(batch.bucket_count(i), one.bucket_count(i)) << i;
+  EXPECT_EQ(batch.quantile(0.5), one.quantile(0.5));
+  EXPECT_EQ(batch.quantile(0.95), one.quantile(0.95));
 }
 
 TEST(Metrics, SnapshotKeepsRegistrationOrderAndExpandsHistograms) {
@@ -666,6 +704,123 @@ TEST(ObsGolden, FlowEventsJsonlOfTinyRunMatchesCommittedFile) {
   want << file.rdbuf();
   EXPECT_EQ(got.str(), want.str())
       << "jsonl output changed; delete " << path << " and re-run to regenerate";
+}
+
+// ---------------------------------------------------------------------------
+// Exports larger than one output block, and the caller's stream state
+// ---------------------------------------------------------------------------
+
+/// FNV-1a 64 of a whole document.
+u64 fnv1a(const std::string& s) {
+  u64 h = 0xCBF29CE484222325ULL;
+  for (const char c : s) h = (h ^ static_cast<unsigned char>(c)) * 0x100000001B3ULL;
+  return h;
+}
+
+struct ExportDigest {
+  usize jsonl_bytes;
+  u64 jsonl_hash;
+  usize chrome_bytes;
+  u64 chrome_hash;
+};
+
+/// An L=20000 run at seed 42, observed; `faulty` adds duplicate
+/// deliveries without transport dedup and independent MH crashes.
+void run_observed(obs::RunObserver& observer, bool faulty) {
+  sim::SimConfig cfg;
+  cfg.sim_length = 20'000.0;
+  cfg.seed = 42;
+  if (faulty) {
+    cfg.network.duplicate_prob = 0.2;
+    cfg.network.transport_dedup = false;
+    cfg.faults.mode = sim::CrashMode::kMhCrash;
+    cfg.faults.crash_interval = 2'000.0;
+  }
+  sim::ExperimentOptions opts;
+  opts.observer = &observer;
+  (void)sim::run_experiment(cfg, opts);
+}
+
+TEST(ObsExport, MultiBlockExportsMatchPinnedDigests) {
+  // The goldens above fit in one output block; these documents span 9 to
+  // 45 blocks of 64 KiB. Each pin is the byte count and FNV-1a of one
+  // export, recorded before exports were written in blocks.
+  struct Case {
+    bool faulty;
+    usize timeline_cap;
+    ExportDigest want;
+  };
+  const Case cases[] = {
+      {false, 0, {1'351'849, 0xa1b6e89b66fa4ae5ULL, 2'911'977, 0xc00c7b5e75a5e5fcULL}},
+      {true, 0, {1'418'144, 0xfe21f17455228c6cULL, 2'958'007, 0x57a6b2be778dda1bULL}},
+      {true, 5'000, {560'061, 0x45bd2c86b454c303ULL, 1'156'901, 0x90f346c3e4a093a1ULL}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(testing::Message() << "faulty " << c.faulty << ", cap " << c.timeline_cap);
+    obs::RunObserver observer;
+    observer.set_timeline_capacity(c.timeline_cap);
+    run_observed(observer, c.faulty);
+    std::ostringstream jsonl, chrome;
+    obs::write_metrics_jsonl(jsonl, observer);
+    obs::write_chrome_trace(chrome, observer);
+    EXPECT_EQ(jsonl.str().size(), c.want.jsonl_bytes);
+    EXPECT_EQ(fnv1a(jsonl.str()), c.want.jsonl_hash);
+    EXPECT_EQ(chrome.str().size(), c.want.chrome_bytes);
+    EXPECT_EQ(fnv1a(chrome.str()), c.want.chrome_hash);
+
+    if (c.faulty && c.timeline_cap == 0) {
+      // The pins cover what they claim: duplicate deliveries (each one's
+      // flow arrow finishes once) and a crash paired with its recovery.
+      std::map<u64, u64> deliveries;
+      u64 crashes = 0, recovers = 0;
+      for (const obs::ProbeEvent& e : observer.timeline().events()) {
+        if (e.kind == obs::ProbeKind::kDeliver) ++deliveries[e.a];
+        crashes += e.kind == obs::ProbeKind::kCrash ? 1 : 0;
+        recovers += e.kind == obs::ProbeKind::kRecover ? 1 : 0;
+      }
+      u64 repeated = 0;
+      for (const auto& [id, n] : deliveries) repeated += n > 1 ? 1 : 0;
+      EXPECT_EQ(repeated, 786u);
+      EXPECT_EQ(crashes, 1u);
+      EXPECT_EQ(recovers, 1u);
+    }
+    if (c.timeline_cap != 0) {
+      EXPECT_GT(observer.timeline().dropped(), 0u);
+    }
+  }
+}
+
+/// Groups thousands with ',' under any locale that installs it.
+struct ThousandsGrouping final : std::numpunct<char> {
+  char do_thousands_sep() const override { return ','; }
+  std::string do_grouping() const override { return "\3"; }
+};
+
+TEST(ObsExport, OutputIgnoresTheStreamsLocaleAndFormatFlags) {
+  // Ids and counts above 999 would print as "1,234" through a grouping
+  // locale (invalid JSON) and as hex under std::hex; neither may reach
+  // an export.
+  obs::RunObserver observer;
+  run_observed(observer, false);
+  std::ostringstream plain_jsonl, plain_chrome;
+  obs::write_metrics_jsonl(plain_jsonl, observer);
+  obs::write_chrome_trace(plain_chrome, observer);
+  ASSERT_NE(plain_jsonl.str().find("\"msg\":1234,"), std::string::npos);
+
+  std::ostringstream grouped_jsonl, grouped_chrome, hex_jsonl, hex_chrome;
+  const std::locale grouping(std::locale::classic(), new ThousandsGrouping);
+  grouped_jsonl.imbue(grouping);
+  grouped_chrome.imbue(grouping);
+  hex_jsonl << std::hex;
+  hex_chrome << std::hex;
+  obs::write_metrics_jsonl(grouped_jsonl, observer);
+  obs::write_chrome_trace(grouped_chrome, observer);
+  obs::write_metrics_jsonl(hex_jsonl, observer);
+  obs::write_chrome_trace(hex_chrome, observer);
+  EXPECT_TRUE(grouped_jsonl.str() == plain_jsonl.str());
+  EXPECT_TRUE(grouped_chrome.str() == plain_chrome.str());
+  EXPECT_TRUE(hex_jsonl.str() == plain_jsonl.str());
+  EXPECT_TRUE(hex_chrome.str() == plain_chrome.str());
 }
 
 }  // namespace

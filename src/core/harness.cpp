@@ -3,6 +3,7 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "des/shard_merge.hpp"
 #include "storage/data_plane.hpp"
 
 namespace mobichk::core {
@@ -67,17 +68,10 @@ void ProtocolHarness::merge_window() {
   // Deliveries in merged (time, shard) order — the sequential append
   // order the rollback machinery scans. A delivered message's id is
   // already final: its send merged at least one barrier earlier.
-  const u32 n = static_cast<u32>(slices_.size());
-  std::vector<usize> head(n, 0);
-  for (;;) {
-    u32 best = n;
-    for (u32 s = 0; s < n; ++s) {
-      if (head[s] >= slices_[s].recvs.size()) continue;
-      if (best == n || slices_[s].recvs[head[s]].t < slices_[best].recvs[head[best]].t) best = s;
-    }
-    if (best == n) break;
-    msg_log_.note_delivery(slices_[best].recvs[head[best]++].d);
-  }
+  cross_shard_ties_ += des::merge_shard_journals(
+      slices_.size(), [this](usize s) -> auto& { return slices_[s].recvs; },
+      [](const RecvRec& r) { return r.t; },
+      [this](usize, const RecvRec& r) { msg_log_.note_delivery(r.d); });
   for (auto& sl : slices_) sl.recvs.clear();
 }
 

@@ -87,6 +87,10 @@ class ProtocolHarness final : public net::HostEventHandler {
   /// End-of-run fold of the per-shard piggyback byte slices.
   void finalize_sharding();
 
+  /// Delivery merges that broke an equal-time tie by shard index
+  /// (des::merge_shard_journals). 0 in sequential runs.
+  u64 cross_shard_ties() const noexcept { return cross_shard_ties_; }
+
   // -- net::HostEventHandler --------------------------------------------
   void on_host_init(net::MobileHost& host) override;
   void on_send(net::MobileHost& host, net::AppMessage& msg) override;
@@ -125,6 +129,7 @@ class ProtocolHarness final : public net::HostEventHandler {
   std::vector<std::unique_ptr<Slot>> slots_;
   MessageLog msg_log_;
   std::vector<Slice> slices_;  ///< Non-empty exactly in sharded mode.
+  u64 cross_shard_ties_ = 0;
 };
 
 }  // namespace mobichk::core

@@ -145,25 +145,26 @@ constexpr u64 kTuneWindow = 1024;
 constexpr f64 kScanPerPopLimit = 4.0;
 }  // namespace
 
-CalendarQueue::CalendarQueue() { buckets_.resize(kInitialBuckets); }
+CalendarQueue::CalendarQueue() { heads_.assign(kInitialBuckets, kNil); }
 
 usize CalendarQueue::bucket_of(Time t) const noexcept {
   const f64 virtual_bucket = std::floor(t / bucket_width_);
-  return static_cast<usize>(std::fmod(virtual_bucket, static_cast<f64>(buckets_.size())));
+  return static_cast<usize>(std::fmod(virtual_bucket, static_cast<f64>(heads_.size())));
 }
 
-void CalendarQueue::insert_sorted(std::vector<EventEntry>& bucket, EventEntry entry) {
-  // Buckets are kept sorted in *descending* (time, seq) order so the next
-  // event to fire is at the back (O(1) removal).
-  const auto pos = std::upper_bound(
-      bucket.begin(), bucket.end(), entry,
-      [](const EventEntry& a, const EventEntry& b) { return b < a; });
-  bucket.insert(pos, std::move(entry));
+void CalendarQueue::link_sorted(u32 slot) {
+  // Lists are ascending in (time, seq), so the next event to fire is the
+  // head (O(1) removal); a new node goes in front of the first later one.
+  Node& node = nodes_[slot];
+  u32* link = &heads_[bucket_of(node.time)];
+  while (*link != kNil && before(nodes_[*link], node)) link = &nodes_[*link].next;
+  node.next = *link;
+  *link = slot;
 }
 
 void CalendarQueue::reposition(Time t) noexcept {
   cursor_time_ = t;
-  const f64 year_len = bucket_width_ * static_cast<f64>(buckets_.size());
+  const f64 year_len = bucket_width_ * static_cast<f64>(heads_.size());
   current_year_start_ = std::floor(t / year_len) * year_len;
   current_bucket_ = bucket_of(t);
 }
@@ -175,10 +176,16 @@ EventHandle CalendarQueue::push(EventEntry entry) {
   // skip the new event.
   if (entry.time < cursor_time_) reposition(entry.time);
   const EventHandle handle = slots_.acquire();
-  entry.slot = handle.slot;
-  insert_sorted(buckets_[bucket_of(entry.time)], std::move(entry));
+  // Slots are handed out densely, so a fresh one is always the next node.
+  assert(handle.slot <= nodes_.size());
+  if (handle.slot == nodes_.size()) nodes_.emplace_back();
+  Node& node = nodes_[handle.slot];
+  node.time = entry.time;
+  node.seq = entry.seq;
+  node.payload = entry.payload;
+  link_sorted(handle.slot);
   ++live_;
-  if (live_ > 2 * buckets_.size()) resize(buckets_.size() * 2);
+  if (live_ > 2 * heads_.size()) resize(heads_.size() * 2);
   return handle;
 }
 
@@ -193,31 +200,38 @@ bool CalendarQueue::cancel(EventHandle handle) {
   return true;
 }
 
-void CalendarQueue::purge_tail(std::vector<EventEntry>& bucket) {
-  while (!bucket.empty() && slots_.is_cancelled(bucket.back().slot)) {
-    slots_.release(bucket.back().slot);
+void CalendarQueue::purge_head(usize bucket) {
+  u32& head = heads_[bucket];
+  while (head != kNil && slots_.is_cancelled(head)) {
+    const u32 slot = head;
+    head = nodes_[slot].next;
+    slots_.release(slot);
     --dead_;
-    bucket.pop_back();
   }
 }
 
 void CalendarQueue::compact() {
-  // Erase every cancelled entry in place; buckets stay sorted, so pop
+  // Unlink every cancelled node in place; lists stay sorted, so pop
   // order is unaffected.
   ++compactions_;
-  for (auto& bucket : buckets_) {
-    std::erase_if(bucket, [this](const EventEntry& e) {
-      if (!slots_.is_cancelled(e.slot)) return false;
-      slots_.release(e.slot);
-      return true;
-    });
+  for (u32& head : heads_) {
+    u32* link = &head;
+    while (*link != kNil) {
+      const u32 slot = *link;
+      if (slots_.is_cancelled(slot)) {
+        *link = nodes_[slot].next;
+        slots_.release(slot);
+      } else {
+        link = &nodes_[slot].next;
+      }
+    }
   }
   dead_ = 0;
 }
 
 usize CalendarQueue::seek_min() {
   assert(live_ > 0 && "seek_min() on empty queue");
-  const usize nb = buckets_.size();
+  const usize nb = heads_.size();
   for (;;) {
     const Time year_len = bucket_width_ * static_cast<f64>(nb);
     // Scan up to one full year starting at the cursor.
@@ -226,48 +240,55 @@ usize CalendarQueue::seek_min() {
       const usize raw = current_bucket_ + k;
       const bool wrapped = raw >= nb;
       const usize b = raw % nb;
-      auto& bucket = buckets_[b];
-      // Purge cancelled entries at the tail (the earliest events).
-      purge_tail(bucket);
+      // Purge cancelled nodes at the head (the earliest events).
+      purge_head(b);
+      const u32 head = heads_[b];
       const Time year_start = current_year_start_ + (wrapped ? year_len : 0.0);
       const Time bucket_top = year_start + bucket_width_ * static_cast<f64>(b + 1);
-      if (!bucket.empty() && bucket.back().time < bucket_top) {
+      if (head != kNil && nodes_[head].time < bucket_top) {
         if (wrapped) current_year_start_ += year_len;
         current_bucket_ = b;
         // Commit the cursor time too: a later push of an earlier event
         // must see a cursor it has to pull back, even when the found
         // minimum was only peeked and not removed.
-        cursor_time_ = bucket.back().time;
+        cursor_time_ = nodes_[head].time;
         return b;
       }
     }
     // Nothing due within a year: jump directly to the global minimum.
     scan_steps_ += nb;
-    const EventEntry* min_entry = nullptr;
-    for (auto& bucket : buckets_) {
-      purge_tail(bucket);
-      if (!bucket.empty() && (min_entry == nullptr || bucket.back() < *min_entry)) {
-        min_entry = &bucket.back();
+    u32 min_slot = kNil;
+    for (usize b = 0; b < nb; ++b) {
+      purge_head(b);
+      const u32 head = heads_[b];
+      if (head != kNil && (min_slot == kNil || before(nodes_[head], nodes_[min_slot]))) {
+        min_slot = head;
       }
     }
-    assert(min_entry != nullptr);
-    reposition(min_entry->time);
+    assert(min_slot != kNil);
+    reposition(nodes_[min_slot].time);
     // Loop re-runs the scan; it will now find the minimum immediately.
   }
 }
 
 EventEntry CalendarQueue::pop() {
   assert(live_ > 0 && "pop() on empty queue");
-  auto& bucket = buckets_[seek_min()];
-  EventEntry out = std::move(bucket.back());
-  bucket.pop_back();
+  const usize b = seek_min();
+  const u32 slot = heads_[b];
+  const Node& node = nodes_[slot];
+  heads_[b] = node.next;
+  EventEntry out;
+  out.time = node.time;
+  out.seq = node.seq;
+  out.slot = slot;
+  out.payload = node.payload;
   cursor_time_ = out.time;
   last_popped_ = out.time;
-  slots_.release(out.slot);
+  slots_.release(slot);
   --live_;
   ++pops_;
-  if (live_ < buckets_.size() / 2 && buckets_.size() > kMinBuckets) {
-    resize(buckets_.size() / 2);
+  if (live_ < heads_.size() / 2 && heads_.size() > kMinBuckets) {
+    resize(heads_.size() / 2);
   } else if (pops_ - pops_at_tune_ >= kTuneWindow) {
     // Scan-cost monitor: when seek_min walked too many buckets per pop
     // over the last window, the width no longer matches the live event
@@ -276,7 +297,7 @@ EventEntry CalendarQueue::pop() {
     if (static_cast<f64>(window_scans) >
         kScanPerPopLimit * static_cast<f64>(pops_ - pops_at_tune_)) {
       ++retunes_;
-      resize(buckets_.size());
+      resize(heads_.size());
     }
     pops_at_tune_ = pops_;
     scan_at_tune_ = scan_steps_;
@@ -289,66 +310,74 @@ Time CalendarQueue::peek_time() {
   // seek_min commits the cursor to the minimum's bucket, which the
   // following pop re-uses; it never removes the entry, so a push of an
   // earlier event in between still pulls the cursor back.
-  return buckets_[seek_min()].back().time;
+  return nodes_[heads_[seek_min()]].time;
 }
 
 Time CalendarQueue::peek_time_below(Time bound) {
   if (live_ == 0) return kNoEventBelow;
   // seek_min only moves the cursor and purges tombstones; the minimum
-  // entry stays in place, so this probe cannot perturb pop order or
+  // node stays linked, so this probe cannot perturb pop order or
   // invalidate live handles (push pulls the cursor back when an earlier
   // event arrives later).
-  const Time t = buckets_[seek_min()].back().time;
+  const Time t = nodes_[heads_[seek_min()]].time;
   return t < bound ? t : kNoEventBelow;
 }
 
 void CalendarQueue::resize(usize new_bucket_count) {
-  // Estimate a bucket width from the spacing of the earliest events.
-  std::vector<EventEntry> all;
-  all.reserve(live_);
-  for (auto& bucket : buckets_) {
-    for (auto& e : bucket) {
-      if (slots_.is_cancelled(e.slot)) {
-        slots_.release(e.slot);
+  // Gather the live slots (releasing tombstones on the way) and sort them
+  // by (time, seq); nodes stay where they are.
+  std::vector<u32> order;
+  order.reserve(live_);
+  for (const u32 head : heads_) {
+    for (u32 slot = head; slot != kNil;) {
+      const u32 next = nodes_[slot].next;
+      if (slots_.is_cancelled(slot)) {
+        slots_.release(slot);
         --dead_;
-        continue;
+      } else {
+        order.push_back(slot);
       }
-      all.push_back(std::move(e));
+      slot = next;
     }
-    bucket.clear();
   }
   assert(dead_ == 0);
-  std::sort(all.begin(), all.end());
-  if (all.size() >= 2) {
+  assert(order.size() == live_);
+  std::sort(order.begin(), order.end(),
+            [this](u32 a, u32 b) { return before(nodes_[a], nodes_[b]); });
+  const auto time_at = [this, &order](usize i) { return nodes_[order[i]].time; };
+  if (order.size() >= 2) {
     // Estimate the typical event spacing from adjacent gaps sampled
     // evenly across the whole pending set, and take their median: robust
     // both to a cluster of simultaneous events (zero gaps) and to a lone
     // far-future outlier (one huge gap), either of which would wreck a
     // mean-of-first-k estimate.
-    const usize samples = std::min<usize>(all.size() - 1, kWidthSamples);
-    const usize stride = (all.size() - 1) / samples;
+    const usize samples = std::min<usize>(order.size() - 1, kWidthSamples);
+    const usize stride = (order.size() - 1) / samples;
     f64 gaps[kWidthSamples];
     for (usize s = 0; s < samples; ++s) {
       const usize i = s * stride;
-      gaps[s] = all[i + 1].time - all[i].time;
+      gaps[s] = time_at(i + 1) - time_at(i);
     }
     std::sort(gaps, gaps + samples);
     f64 gap = gaps[samples / 2];
     if (gap <= 0.0) {
       // Median gap is zero (mostly-simultaneous events): fall back to the
       // mean over the sampled span, then to the last known width.
-      const f64 span = all[(samples - 1) * stride + 1].time - all[0].time;
+      const f64 span = time_at((samples - 1) * stride + 1) - time_at(0);
       gap = span > 0.0 ? span / static_cast<f64>(samples) : bucket_width_ / 3.0;
     }
     bucket_width_ = 3.0 * gap;
   }
-  buckets_.assign(new_bucket_count, {});
-  live_ = 0;
+  heads_.assign(new_bucket_count, kNil);
   // Reset the cursor to the earliest pending event (or keep current epoch).
-  reposition(all.empty() ? last_popped_ : all.front().time);
-  for (auto& e : all) {
-    insert_sorted(buckets_[bucket_of(e.time)], std::move(e));
-    ++live_;
+  reposition(order.empty() ? last_popped_ : time_at(0));
+  // Re-link latest first: prepending in descending order leaves every
+  // bucket list ascending without a walk.
+  for (usize i = order.size(); i-- > 0;) {
+    const u32 slot = order[i];
+    u32& head = heads_[bucket_of(nodes_[slot].time)];
+    nodes_[slot].next = head;
+    head = slot;
   }
 }
 

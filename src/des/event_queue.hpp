@@ -56,7 +56,7 @@ struct EventEntry {
   }
 };
 
-// Every push, heap sift, bucket insert and pop copies entries: keep them
+// Every push, heap sift, node store and pop copies entries: keep them
 // small PODs so those moves stay plain memcpys.
 static_assert(std::is_trivially_copyable_v<EventEntry>, "EventEntry must stay a POD");
 static_assert(sizeof(EventEntry) <= 56, "EventEntry grew past 56 bytes");
@@ -110,6 +110,11 @@ class SlotTable {
 
   /// Slots currently allocated (capacity high-water mark, for tests).
   usize capacity() const noexcept { return recs_.size(); }
+
+  /// Bytes the table's arrays hold (capacities, not sizes).
+  usize held_bytes() const noexcept {
+    return recs_.capacity() * sizeof(Rec) + free_.capacity() * sizeof(u32);
+  }
 
  private:
   enum class State : u8 { kFree, kPending, kCancelled };
@@ -209,6 +214,12 @@ class BinaryHeapQueue final : public EventQueue {
   u64 compactions() const noexcept override { return compactions_; }
   const char* name() const noexcept override { return "binary-heap"; }
 
+  /// Bytes the queue's arrays hold (capacities x element sizes, slot
+  /// table included). Pull-based, for memory tests.
+  usize held_bytes() const noexcept {
+    return heap_.capacity() * sizeof(EventEntry) + slots_.held_bytes();
+  }
+
  private:
   void sift_up(usize i);
   void sift_down(usize i);
@@ -223,9 +234,17 @@ class BinaryHeapQueue final : public EventQueue {
 };
 
 /// Brown's calendar queue: an array of day-buckets covering a rotating
-/// "year"; each bucket holds a sorted list of events. Resizes itself to
-/// keep ~1 event per bucket. Cancellation is lazy and handle-based, with
-/// the same dead-entry bound as the binary heap.
+/// "year"; each bucket is an ascending singly-linked list of events.
+/// Resizes itself to keep ~1 event per bucket. Cancellation is lazy and
+/// handle-based, with the same dead-entry bound as the binary heap.
+///
+/// Storage is one node pool indexed by SlotTable slot: every stored
+/// entry lives exactly once, in the node its slot names, and a bucket is
+/// just the u32 slot of its earliest node (kNil when empty). pop unlinks
+/// a head, tombstone purges unlink in place, and a resize re-links slots
+/// rather than copying entries, so the queue holds O(stored high-water)
+/// nodes plus 4 bytes per bucket whatever its bucket history — a bucket
+/// that was once crowded keeps no capacity of its own.
 ///
 /// The queue self-tunes from the live event population: every resize
 /// re-estimates the bucket width from an even sample of pending-event
@@ -249,8 +268,15 @@ class CalendarQueue final : public EventQueue {
   u64 compactions() const noexcept override { return compactions_; }
   const char* name() const noexcept override { return "calendar"; }
 
+  /// Bytes the queue's arrays hold (capacities x element sizes, slot
+  /// table included). Pull-based, for memory tests.
+  usize held_bytes() const noexcept {
+    return nodes_.capacity() * sizeof(Node) + heads_.capacity() * sizeof(u32) +
+           slots_.held_bytes();
+  }
+
   // -- tuning observability (pull-based, read by probes and benches) ----
-  usize bucket_count() const noexcept { return buckets_.size(); }
+  usize bucket_count() const noexcept { return heads_.size(); }
   f64 bucket_width() const noexcept { return bucket_width_; }
   /// Buckets examined across all seek_min scans (the queue's dominant
   /// cost; ~1 per pop when well tuned).
@@ -260,19 +286,41 @@ class CalendarQueue final : public EventQueue {
   u64 retunes() const noexcept { return retunes_; }
 
  private:
+  /// End-of-list link and empty-bucket head.
+  static constexpr u32 kNil = std::numeric_limits<u32>::max();
+
+  /// A stored entry. The node's index is its slot, so the entry's `slot`
+  /// field gives way to the bucket-list link and a node is no bigger
+  /// than an EventEntry.
+  struct Node {
+    Time time = 0.0;
+    u64 seq = 0;
+    u32 next = kNil;  ///< Next (later) node in the same bucket, or kNil.
+    EventPayload payload;
+  };
+  static_assert(sizeof(Node) <= sizeof(EventEntry), "a node must fit in an entry's footprint");
+
+  /// (time, seq) order, as EventEntry::operator<.
+  static bool before(const Node& a, const Node& b) noexcept {
+    if (a.time != b.time) return a.time < b.time;
+    return a.seq < b.seq;
+  }
+
   usize bucket_of(Time t) const noexcept;
   void resize(usize new_bucket_count);
-  void insert_sorted(std::vector<EventEntry>& bucket, EventEntry entry);
+  /// Links node `slot` into its bucket's list, keeping the list ascending.
+  void link_sorted(u32 slot);
   /// Moves the search cursor (bucket + year) to cover time `t`.
   void reposition(Time t) noexcept;
-  /// Advances the cursor to the bucket whose tail is the next live event
+  /// Advances the cursor to the bucket whose head is the next live event
   /// and returns that bucket's index. Pre: live_ > 0.
   usize seek_min();
-  /// Pops cancelled entries off a bucket's tail, releasing their slots.
-  void purge_tail(std::vector<EventEntry>& bucket);
+  /// Unlinks cancelled nodes off a bucket's head, releasing their slots.
+  void purge_head(usize bucket);
   void compact();
 
-  std::vector<std::vector<EventEntry>> buckets_;
+  std::vector<Node> nodes_;  ///< Indexed by slot; only stored slots are linked.
+  std::vector<u32> heads_;   ///< Per bucket: earliest node's slot, or kNil.
   SlotTable slots_;
   f64 bucket_width_ = 1.0;
   usize current_bucket_ = 0;  ///< Bucket the search cursor is on.
@@ -280,7 +328,7 @@ class CalendarQueue final : public EventQueue {
   Time cursor_time_ = 0.0;    ///< Virtual time the cursor has reached.
   Time last_popped_ = 0.0;
   usize live_ = 0;  ///< Entries neither cancelled nor popped.
-  usize dead_ = 0;  ///< Cancelled entries still bucketed.
+  usize dead_ = 0;  ///< Cancelled entries still linked.
   u64 compactions_ = 0;
   u64 scan_steps_ = 0;         ///< Buckets examined by seek_min, cumulative.
   u64 pops_ = 0;               ///< Events popped, cumulative.

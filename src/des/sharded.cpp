@@ -4,6 +4,8 @@
 #include <cassert>
 #include <chrono>
 
+#include "des/shard_merge.hpp"
+
 namespace mobichk::des {
 
 namespace {
@@ -40,24 +42,10 @@ ShardTraceMux::ShardTraceMux(u32 n_shards, TraceSink* downstream)
     : downstream_(downstream), buffers_(n_shards) {}
 
 void ShardTraceMux::flush() {
-  // K-way merge over the (already time-ordered) shard buffers; the shard
-  // index breaks exact-time ties, matching the documented cross-shard
-  // tie-break. Shard counts are single digits, so a linear head scan per
-  // record beats a heap.
-  const usize n = buffers_.size();
-  std::vector<usize> head(n, 0);
-  for (;;) {
-    usize best = n;
-    for (usize s = 0; s < n; ++s) {
-      if (head[s] >= buffers_[s].recs.size()) continue;
-      if (best == n || buffers_[s].recs[head[s]].time < buffers_[best].recs[head[best]].time) {
-        best = s;
-      }
-    }
-    if (best == n) break;
-    downstream_->record(buffers_[best].recs[head[best]]);
-    ++head[best];
-  }
+  cross_shard_ties_ += merge_shard_journals(
+      buffers_.size(), [this](usize s) -> auto& { return buffers_[s].recs; },
+      [](const TraceRecord& r) { return r.time; },
+      [this](usize, const TraceRecord& r) { downstream_->record(r); });
   for (auto& b : buffers_) b.recs.clear();
 }
 

@@ -28,11 +28,14 @@
 // against all shard work.
 //
 // Determinism: shard queues order by (time, seq) exactly like the
-// sequential engine; the barrier merge is the cross-shard tie-break on
-// (time, src shard, src index). All stochastic event times are
-// continuous draws, so cross-shard ties have measure zero and the merged
-// trace reproduces the sequential trace bit-identically — the audit and
-// the golden Fig.1 hash hold for every shard count and queue kind.
+// sequential engine; the barrier merge (des/shard_merge.hpp) is the
+// cross-shard tie-break on (time, src shard, src index). The merged
+// trace reproduces the sequential trace bit-identically as long as that
+// tie-break never decides anything, i.e. no two shards journal entries at
+// the same time. Stochastic event times are continuous draws, so such
+// ties should not occur, and the merge counts them instead of assuming
+// so: RunResult::cross_shard_ties must read 0, and the determinism audit
+// fails a sharded run whose count is not.
 #pragma once
 
 #include <atomic>
@@ -99,6 +102,10 @@ class ShardTraceMux final : public TraceSink {
   /// Merges all buffers into the downstream sink and clears them.
   void flush();
 
+  /// Records flushed at a time another shard's buffer head shared
+  /// (merge_shard_journals), summed over every flush so far.
+  u64 cross_shard_ties() const noexcept { return cross_shard_ties_; }
+
  private:
   struct alignas(64) Buffer {
     std::vector<TraceRecord> recs;
@@ -106,6 +113,7 @@ class ShardTraceMux final : public TraceSink {
 
   TraceSink* downstream_;
   std::vector<Buffer> buffers_;
+  u64 cross_shard_ties_ = 0;
 };
 
 /// Coordinates N shard Simulators against a main Simulator with the

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "des/shard_merge.hpp"
+
 namespace mobichk::net {
 
 void NetworkConfig::validate() const {
@@ -449,44 +451,34 @@ void Network::enable_sharding(des::ShardedSimulator* sharded, des::ShardTraceMux
 void Network::merge_window() {
   const u32 n = static_cast<u32>(slices_.size());
   // 1. Final message ids, assigned in merged (time, shard) order — the
-  //    order the sequential engine executed these sends in (cross-shard
-  //    equal-time ties have measure zero; the shard index breaks them
-  //    deterministically). Each goes into the message where it waits
-  //    and into its kSend trace record before the mux flush hashes it.
-  std::vector<usize> head(n, 0);
-  for (;;) {
-    u32 best = n;
-    for (u32 s = 0; s < n; ++s) {
-      if (head[s] >= slices_[s].sends.size()) continue;
-      if (best == n || slices_[s].sends[head[s]].t < slices_[best].sends[head[best]].t) best = s;
-    }
-    if (best == n) break;
-    ShardSlice& sl = slices_[best];
-    const SendReg& reg = sl.sends[head[best]++];
-    const u64 final_id = next_msg_id_++;
-    AppMessage& msg = reg.dst_shard == best ? sl.pool.parked[reg.idx]
-                                            : sl.egress[reg.dst_shard][reg.idx].msg;
-    msg.id = final_id;
-    mux_->patch_a(best, reg.trace_idx, final_id);
-  }
+  //    order the sequential engine executed these sends in (the merge
+  //    counts any equal-time pick the shard index had to break). Each
+  //    goes into the message where it waits and into its kSend trace
+  //    record before the mux flush hashes it.
+  cross_shard_ties_ += des::merge_shard_journals(
+      n, [this](usize s) -> auto& { return slices_[s].sends; },
+      [](const SendReg& reg) { return reg.t; },
+      [this](usize s, const SendReg& reg) {
+        ShardSlice& sl = slices_[s];
+        const u64 final_id = next_msg_id_++;
+        AppMessage& msg = reg.dst_shard == s ? sl.pool.parked[reg.idx]
+                                             : sl.egress[reg.dst_shard][reg.idx].msg;
+        msg.id = final_id;
+        mux_->patch_a(static_cast<u32>(s), reg.trace_idx, final_id);
+      });
   for (auto& sl : slices_) sl.sends.clear();
   // 2. Cross-shard legs: hand each to its owner shard in (time, source
   //    shard) order. Every leg's arrival time is at or past the window
   //    horizon (delay >= lookahead), so the owner's clock has not passed it.
   for (u32 dst = 0; dst < n; ++dst) {
-    std::fill(head.begin(), head.end(), usize{0});
-    for (;;) {
-      u32 best = n;
-      for (u32 s = 0; s < n; ++s) {
-        const auto& eg = slices_[s].egress[dst];
-        if (head[s] >= eg.size()) continue;
-        if (best == n || eg[head[s]].t < slices_[best].egress[dst][head[best]].t) best = s;
-      }
-      if (best == n) break;
-      EgressLeg& leg = slices_[best].egress[dst][head[best]++];
-      const u32 idx = park(slices_[dst].pool, std::move(leg.msg));
-      sharded_->shard_sim(dst).schedule_at(leg.t, hop_payload(leg.sub, leg.at, idx, leg.flag));
-    }
+    cross_shard_ties_ += des::merge_shard_journals(
+        n, [this, dst](usize s) -> auto& { return slices_[s].egress[dst]; },
+        [](const EgressLeg& leg) { return leg.t; },
+        [this, dst](usize, EgressLeg& leg) {
+          const u32 idx = park(slices_[dst].pool, std::move(leg.msg));
+          sharded_->shard_sim(dst).schedule_at(leg.t,
+                                               hop_payload(leg.sub, leg.at, idx, leg.flag));
+        });
     for (u32 s = 0; s < n; ++s) slices_[s].egress[dst].clear();
   }
   // 3. Publish this window's trace records downstream, time-merged.
@@ -519,20 +511,11 @@ void Network::finalize_sharding() {
   // Delivery latencies replay into the Tally in merged (time, shard)
   // order — the sequential insertion order, so mean/variance are
   // bit-identical, not just permutation-equal.
-  const u32 n = static_cast<u32>(slices_.size());
-  std::vector<usize> head(n, 0);
-  for (;;) {
-    u32 best = n;
-    for (u32 s = 0; s < n; ++s) {
-      if (head[s] >= slices_[s].latency.size()) continue;
-      if (best == n ||
-          slices_[s].latency[head[s]].first < slices_[best].latency[head[best]].first) {
-        best = s;
-      }
-    }
-    if (best == n) break;
-    stats_.delivery_latency.add(slices_[best].latency[head[best]++].second);
-  }
+  using Sample = std::pair<des::Time, f64>;
+  cross_shard_ties_ += des::merge_shard_journals(
+      slices_.size(), [this](usize s) -> auto& { return slices_[s].latency; },
+      [](const Sample& sample) { return sample.first; },
+      [this](usize, const Sample& sample) { stats_.delivery_latency.add(sample.second); });
   for (auto& sl : slices_) sl.latency.clear();
 }
 

@@ -152,6 +152,11 @@ class Network final : public des::EventTarget {
   /// time order (bit-identical to the sequential insertion order).
   void finalize_sharding();
 
+  /// Barrier-merge picks (send ids, egress legs, latency replay) whose
+  /// time another shard's journal head shared; the trace mux counts its
+  /// own. 0 in sequential runs.
+  u64 cross_shard_ties() const noexcept { return cross_shard_ties_; }
+
   /// Owner shard of `host` (valid after enable_sharding).
   u32 owner_shard(HostId host) const { return owner_shard_[host]; }
 
@@ -375,6 +380,7 @@ class Network final : public des::EventTarget {
   des::ShardTraceMux* mux_ = nullptr;
   std::vector<u32> owner_shard_;           ///< host -> owner shard.
   std::vector<ShardSlice> slices_;
+  u64 cross_shard_ties_ = 0;
 };
 
 }  // namespace mobichk::net

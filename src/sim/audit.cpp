@@ -14,6 +14,7 @@ AuditRun to_audit_run(const RunResult& r, const char* queue_name) {
   run.events_executed = r.events_executed;
   run.workload_ops = r.workload_ops;
   run.invariants_ok = r.invariants_ok;
+  run.cross_shard_ties = r.cross_shard_ties;
   run.n_tot.reserve(r.protocols.size());
   for (const auto& p : r.protocols) run.n_tot.emplace_back(p.name, p.n_tot);
   return run;
@@ -52,6 +53,13 @@ AuditReport audit_determinism(const SimConfig& cfg, ExperimentOptions opts) {
   for (const AuditRun& run : report.runs) {
     if (!run.invariants_ok) {
       report.mismatches.push_back(run.queue_name + ": invariant ledger did not reconcile");
+    }
+    // A tie the shard index broke may order two entries differently from
+    // the sequential engine, so a sharded run only counts as reproduced
+    // when none occurred — even if the hashes happen to agree.
+    if (run.cross_shard_ties != 0) {
+      report.mismatches.push_back(run.queue_name + ": " + std::to_string(run.cross_shard_ties) +
+                                  " cross-shard tie(s) broken by shard index");
     }
     if (&run == &base) continue;
     check_equal(report.mismatches, base, run, "trace hash", base.trace_hash, run.trace_hash);

@@ -27,6 +27,8 @@ struct AuditRun {
   u64 events_executed = 0;
   u64 workload_ops = 0;
   bool invariants_ok = true;
+  /// Barrier-merge ties the shard index broke (0 for sequential runs).
+  u64 cross_shard_ties = 0;
   /// (protocol name, N_tot) in slot order.
   std::vector<std::pair<std::string, u64>> n_tot;
 };

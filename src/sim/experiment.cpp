@@ -182,6 +182,9 @@ void Experiment::run() {
   if (sharded_ != nullptr) {
     result_.sync_rounds = sharded_->sync_rounds();
     result_.barrier_stall_seconds = sharded_->barrier_stall_seconds();
+    result_.cross_shard_ties = mux_->cross_shard_ties() + net_->cross_shard_ties() +
+                               harness_->cross_shard_ties() +
+                               (data_plane_ != nullptr ? data_plane_->cross_shard_ties() : 0);
   }
   result_.protocols.clear();
   result_.protocols.reserve(opts_.protocols.size());

@@ -102,6 +102,11 @@ struct RunResult {
   bool invariants_ok = true;      ///< Scheduled/executed/cancelled ledger reconciled.
   u32 shards = 1;                 ///< Shard count the run actually used.
   u64 sync_rounds = 0;            ///< Barrier windows (0 when sequential).
+  /// Barrier-merge picks whose time another shard's journal head shared,
+  /// so the shard index decided their order (des/shard_merge.hpp). The
+  /// sharded engine matches the sequential one only while this reads 0;
+  /// always 0 when sequential.
+  u64 cross_shard_ties = 0;
   f64 barrier_stall_seconds = 0.0;  ///< Coordinator wait at barriers (wall, non-deterministic).
   /// Metric snapshot (registration order); empty when no observer was
   /// attached.

@@ -109,6 +109,7 @@ void write_json(std::ostream& os, const RunResult& result) {
   if (result.shards > 1) {
     w.field("shards", static_cast<u64>(result.shards))
         .field("sync_rounds", result.sync_rounds)
+        .field("cross_shard_ties", result.cross_shard_ties)
         .field("barrier_stall_seconds", result.barrier_stall_seconds);
   }
   if (!result.metrics.empty()) {
@@ -292,6 +293,7 @@ RunResult run_result_from_json(const JsonValue& json) {
   }
   if (const JsonValue* v = json.find("shards")) result.shards = static_cast<u32>(v->as_u64());
   if (const JsonValue* v = json.find("sync_rounds")) result.sync_rounds = v->as_u64();
+  if (const JsonValue* v = json.find("cross_shard_ties")) result.cross_shard_ties = v->as_u64();
   if (const JsonValue* v = json.find("barrier_stall_seconds")) {
     result.barrier_stall_seconds = v->as_f64();
   }

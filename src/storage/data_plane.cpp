@@ -3,6 +3,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "des/shard_merge.hpp"
 #include "des/sharded.hpp"
 #include "net/network.hpp"
 #include "obs/timeline.hpp"
@@ -103,25 +104,13 @@ void DataPlane::enable_sharding(u32 n_shards) { slices_.resize(n_shards); }
 
 void DataPlane::merge_window() {
   obs::ProfScope prof_scope(prof_ != nullptr ? &prof_->lane().storage : nullptr);
-  usize remaining = 0;
-  for (const Slice& s : slices_) remaining += s.ops.size();
-  if (remaining == 0) return;
   // K-way merge on (time, shard, index): each slice is time-ordered by
   // construction, so the merged order equals the sequential processing
   // order and the FIFO admissions / placement moves reproduce exactly.
-  std::vector<usize> cur(slices_.size(), 0);
-  while (remaining > 0) {
-    usize best = slices_.size();
-    for (usize s = 0; s < slices_.size(); ++s) {
-      if (cur[s] >= slices_[s].ops.size()) continue;
-      if (best == slices_.size() || slices_[s].ops[cur[s]].t < slices_[best].ops[cur[best]].t) {
-        best = s;
-      }
-    }
-    process(slices_[best].ops[cur[best]]);
-    ++cur[best];
-    --remaining;
-  }
+  cross_shard_ties_ += des::merge_shard_journals(
+      slices_.size(), [this](usize s) -> auto& { return slices_[s].ops; },
+      [](const PendingOp& op) { return op.t; },
+      [this](usize, const PendingOp& op) { process(op); });
   for (Slice& s : slices_) s.ops.clear();
 }
 

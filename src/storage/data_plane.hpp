@@ -155,6 +155,9 @@ class DataPlane final : public des::EventTarget {
   /// Drains the journals in merged (time, shard, index) order. Called on
   /// the coordinator at every window barrier.
   void merge_window();
+  /// Journal merges that broke an equal-time tie by shard index
+  /// (des::merge_shard_journals). 0 in sequential runs.
+  u64 cross_shard_ties() const noexcept { return cross_shard_ties_; }
 
   /// Transfer-completion dispatch (EventKind::kCheckpointTransfer).
   void on_event(const des::EventPayload& payload) override;
@@ -222,6 +225,7 @@ class DataPlane final : public des::EventTarget {
   std::unique_ptr<StableStorage> storage_;
   std::vector<net::MssId> placement_;  ///< Per host: where its recovery image lives.
   std::vector<Slice> slices_;
+  u64 cross_shard_ties_ = 0;
   std::vector<Transfer> pending_;
   std::vector<u32> free_;
   DataPlaneStats stats_;

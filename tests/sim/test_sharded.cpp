@@ -6,8 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "des/rng.hpp"
+#include "des/shard_merge.hpp"
 #include "sim/experiment.hpp"
 #include "sim/sweep.hpp"
 
@@ -41,6 +44,7 @@ RunResult run_with(const SimConfig& cfg, u32 shards,
 /// sequential and the merged sharded run (wall clock and barrier stall
 /// are explicitly excluded — they are host-time measurements).
 void expect_identical(const RunResult& seq, const RunResult& par, const std::string& label) {
+  EXPECT_EQ(par.cross_shard_ties, 0u) << label;
   EXPECT_EQ(seq.trace_hash, par.trace_hash) << label;
   EXPECT_EQ(seq.events_executed, par.events_executed) << label;
   EXPECT_EQ(seq.workload_ops, par.workload_ops) << label;
@@ -83,7 +87,23 @@ TEST(Sharded, GoldenFig1HashEveryShardCount) {
     if (shards > 1) {
       EXPECT_GT(r.sync_rounds, 0u) << "shards=" << shards;
     }
+    EXPECT_EQ(r.cross_shard_ties, 0u) << "shards=" << shards;
   }
+}
+
+TEST(Sharded, BarrierMergeCountsAnEqualTimeTie) {
+  // Three shard journals with one equal-time pair, across shards 0 and
+  // 2: the merge emits in (time, shard) order, the lower shard first on
+  // the tie, and counts exactly that one pick.
+  const std::vector<std::vector<des::Time>> journals{{1.0, 3.0}, {2.0}, {3.0, 4.0}};
+  std::vector<std::pair<usize, des::Time>> order;
+  const u64 ties = des::merge_shard_journals(
+      journals.size(), [&](usize s) -> auto& { return journals[s]; },
+      [](des::Time t) { return t; }, [&](usize s, des::Time t) { order.emplace_back(s, t); });
+  EXPECT_EQ(ties, 1u);
+  const std::vector<std::pair<usize, des::Time>> want{
+      {0, 1.0}, {1, 2.0}, {0, 3.0}, {2, 3.0}, {2, 4.0}};
+  EXPECT_EQ(order, want);
 }
 
 TEST(Sharded, GoldenFig1HashEveryQueueKind) {

@@ -24,26 +24,27 @@ constexpr const char* checkpoint_kind_name(CheckpointKind kind) noexcept {
   return "?";
 }
 
-/// One local checkpoint C_{i,x}.
+/// One local checkpoint C_{i,x}. The fields run from 8-byte to 1-byte
+/// ones, so the record packs into 64 bytes on LP64: a run keeps every
+/// record until it ends.
 struct CheckpointRecord {
-  net::HostId host = 0;
   u64 ordinal = 0;       ///< Per-host creation order (0-based, includes initial).
   u64 sn = 0;            ///< Protocol index: sequence number (BCS/QBC), checkpoint
                          ///< count (TP), snapshot round (coordinated), = ordinal otherwise.
-  CheckpointKind kind = CheckpointKind::kInitial;
   des::Time time = 0.0;
-  net::MssId location = 0;  ///< MSS whose stable storage holds it.
-  u64 event_pos = 0;        ///< Host events with position <= event_pos precede it.
-  bool replaced_predecessor = false;  ///< QBC equivalence rule fired (same sn as predecessor).
-
+  u64 event_pos = 0;     ///< Host events with position <= event_pos precede it.
   /// TP: the transitive dependencies recorded with the checkpoint, only
   /// the entries actually depended on: `dep_count` entries in the
   /// DepWriter encoding (net/message.hpp) at `dep_bytes`, which the
   /// CheckpointLog's snapshot arena owns (or, for a record built outside a
   /// log, its builder). `dep_rank` is the logical vector length (n_hosts).
   const u8* dep_bytes = nullptr;
+  net::HostId host = 0;
+  net::MssId location = 0;  ///< MSS whose stable storage holds it.
   u32 dep_count = 0;
   u32 dep_rank = 0;
+  CheckpointKind kind = CheckpointKind::kInitial;
+  bool replaced_predecessor = false;  ///< QBC equivalence rule fired (same sn as predecessor).
 
   /// True when the record carries TP dependency information. Readers must
   /// go through `deps()` or the `dep_*_at` accessors.

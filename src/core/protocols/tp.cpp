@@ -1,6 +1,7 @@
 #include "core/protocols/tp.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -20,23 +21,56 @@ T& flat_map_get(std::vector<T>& v, Key T::* key, Key k) {
   return *v.insert(it, fresh);
 }
 
-/// First position in [from, v.size()) whose idx is >= key. Gallops from
-/// `from` (1, 2, 4, ... ahead) before a binary search, so walking a sorted
-/// run of keys costs O(log gap) each: O(m + k) for k keys over m entries,
-/// and O(k log m) when k is small.
-template <typename T>
-usize gallop_lower_bound(const std::vector<T>& v, usize from, u32 key) {
-  usize lo = from;
-  usize hi = from;
-  for (usize step = 1; hi < v.size() && v[hi].idx < key; step *= 2) {
-    lo = hi + 1;
-    hi += step;
+/// A live list's header, three LEB128 varints at the front of its
+/// buffer (the entry count, the bytes the entries take, the highest host
+/// held), decoded with the offsets they imply. An empty list is an empty
+/// buffer.
+struct ListHead {
+  u32 count = 0;
+  u32 last = 0;
+  usize ents = 0;   ///< Offset of the first entry (the header's size).
+  usize split = 0;  ///< Offset of the first version (the entries' end).
+};
+
+/// Most bytes a header takes.
+constexpr usize kHeadMaxBytes = 15;
+/// Most bytes a version stamp (a u32 LEB128 varint) takes.
+constexpr usize kVersionMaxBytes = 5;
+
+ListHead head_of(const std::vector<u8>& list) noexcept {
+  ListHead head;
+  if (list.empty()) return head;
+  const u8* in = list.data();
+  u32 ents_bytes = 0;
+  in = net::get_varint(in, head.count);
+  in = net::get_varint(in, ents_bytes);
+  in = net::get_varint(in, head.last);
+  head.ents = static_cast<usize>(in - list.data());
+  head.split = head.ents + ents_bytes;
+  return head;
+}
+
+/// The held entries of `list`, in host order.
+net::DepReader held_entries(const std::vector<u8>& list) noexcept {
+  const ListHead head = head_of(list);
+  return {list.data() + head.ents, head.count};
+}
+
+/// The byte after the LEB128 varint at `in`.
+const u8* skip_varint(const u8* in) noexcept {
+  while (*in++ >= 0x80) {
   }
-  hi = std::min(hi, v.size());
-  const auto it = std::lower_bound(v.begin() + static_cast<std::ptrdiff_t>(lo),
-                                   v.begin() + static_cast<std::ptrdiff_t>(hi), key,
-                                   [](const T& e, u32 x) { return e.idx < x; });
-  return static_cast<usize>(it - v.begin());
+  return in;
+}
+
+/// Reads the held entry at `in` that follows host `prev` in its list;
+/// returns the byte after it.
+const u8* read_entry(const u8* in, u32 prev, net::DepEntry& e) noexcept {
+  u32 gap = 0;
+  in = net::get_varint(in, gap);
+  e.host = prev + gap;
+  in = net::get_varint(in, e.ckpt);
+  return net::get_varint(in, e.loc);
 }
 
 /// The calling thread's encode buffer, with room for `entries` entries.
@@ -55,7 +89,7 @@ void TpProtocol::do_bind() {
   phase_send_.assign(ctx_.n_hosts, 0);
   ckpt_count_.assign(ctx_.n_hosts, 0);
   self_loc_.assign(ctx_.n_hosts, 0);
-  entries_.assign(ctx_.n_hosts, {});
+  lists_.assign(ctx_.n_hosts, {});
   version_.assign(ctx_.n_hosts, 0);
   send_cur_.assign(ctx_.n_hosts, {});
   recv_cur_.assign(ctx_.n_hosts, {});
@@ -95,17 +129,69 @@ void TpProtocol::checkpoint(const net::MobileHost& host, CheckpointKind kind, ne
 
 net::DepWriter TpProtocol::encode_entries(const net::MobileHost& host, u64 min_ver) const {
   const net::HostId me = host.id();
-  const std::vector<Entry>& es = entries_[me];
-  net::DepWriter w(encode_scratch(es.size() + 1));
+  const u32 own_ckpt = static_cast<u32>(ckpt_count_[me]);
+  const std::vector<u8>& list = lists_[me];
+  const ListHead head = head_of(list);
+  net::DepWriter w(encode_scratch(head.count + 1));
+  // No entry's version is above the host's counter, so past it only the
+  // own entry ships.
+  if (head.count == 0 || min_ver > version_[me]) {
+    w.put(me, own_ckpt, host.mss());
+    return w;
+  }
+  const u8* const ents = list.data() + head.ents;
+  const u8* const vers = list.data() + head.split;
+  // A snapshot ships every held entry, and so does a delta from version 1
+  // unless an entry is still at version 0 (held at ckpt 0; a canonical
+  // LEB128 holds a zero byte only when its value is 0). Then the bytes
+  // below and above the own entry are copied as they are, and only the
+  // first entry above it is re-gapped.
+  if (min_ver == 0 || (min_ver == 1 && std::memchr(vers, 0, list.size() - head.split) == nullptr)) {
+    if (me > head.last) {
+      w.append(ents, head.split - head.ents, head.count, head.last);
+      w.put(me, own_ckpt, host.mss());
+      return w;
+    }
+    const u8* above = ents;  // the first entry above the own host
+    u32 below = 0;
+    u32 prev = 0;
+    for (u32 gap = 0;; ++below) {
+      const u8* const fields = net::get_varint(above, gap);
+      if (prev + gap > me) break;
+      prev += gap;
+      above = skip_varint(skip_varint(fields));
+    }
+    net::DepEntry e;
+    const u8* const rest = read_entry(above, prev, e);
+    w.append(ents, static_cast<usize>(above - ents), below, prev);
+    w.put(me, own_ckpt, host.mss());
+    w.put(e.host, e.ckpt, e.loc);
+    w.append(rest, static_cast<usize>(vers - rest), head.count - below - 1, head.last);
+    return w;
+  }
+  // Otherwise walk the entries and their versions side by side and keep
+  // those changed since `min_ver`.
+  const u8* p = ents;
+  const u8* v = vers;
+  net::DepEntry e;
   bool own_emitted = false;
-  for (const Entry& e : es) {
-    if (!own_emitted && e.idx > me) {
-      w.put(me, static_cast<u32>(ckpt_count_[me]), host.mss());
+  for (u32 i = 0; i < head.count; ++i) {
+    u32 ver = 0;
+    v = net::get_varint(v, ver);
+    if (ver < min_ver) {
+      u32 gap = 0;
+      p = skip_varint(skip_varint(net::get_varint(p, gap)));
+      e.host += gap;
+      continue;
+    }
+    p = read_entry(p, e.host, e);
+    if (!own_emitted && e.host > me) {
+      w.put(me, own_ckpt, host.mss());
       own_emitted = true;
     }
-    if (e.ver >= min_ver) w.put(e.idx, e.ckpt, e.loc);
+    w.put(e.host, e.ckpt, e.loc);
   }
-  if (!own_emitted) w.put(me, static_cast<u32>(ckpt_count_[me]), host.mss());
+  if (!own_emitted) w.put(me, own_ckpt, host.mss());
   return w;
 }
 
@@ -153,62 +239,192 @@ u32 TpProtocol::next_version(net::HostId me) {
 }
 
 void TpProtocol::merge_delta(net::HostId me, const net::Piggyback& pb) {
-  // Both lists are sorted by host. The forward pass decodes the delta,
-  // raises the entries the receiver already holds, in place, and sets the
-  // hosts new to it aside (per thread: shard workers receive
-  // concurrently).
-  thread_local std::vector<net::DepEntry> fresh;
-  fresh.clear();
-  std::vector<Entry>& es = entries_[me];
-  const usize held = es.size();
-  usize at = 0;
-  for (net::DepReader in = pb.delta_reader(); !in.done();) {
+  std::vector<u8>& list = lists_[me];
+  const ListHead head = head_of(list);
+  net::DepReader in = pb.delta_reader();
+  if (head.count == 0) {
+    rebuild(me, nullptr, nullptr, 0, 0, in, pb.delta_count);
+    return;
+  }
+  // Both lists are sorted by host. Patch the held entries in place while
+  // the delta names only held hosts and every raise keeps the byte
+  // lengths of its ckpt, loc and version varints; at the first delta
+  // entry that does not, hand the rest to rebuild().
+  u8* const base = list.data();
+  const u8* at = base + head.ents;  // the next held entry
+  const u8* v = base + head.split;  // its version
+  u32 passed = 0;                   // held entries before `at`
+  u32 prev = 0;                     // the host of the last of them
+  while (!in.done()) {
+    const net::DepReader at_d = in;
     const net::DepEntry d = in.next();
     if (d.host == me) continue;
-    at = gallop_lower_bound(es, at, d.host);
-    if (at == held || es[at].idx != d.host) {
-      fresh.push_back(d);
-      continue;
+    if (d.host > head.last) {
+      // New past every held host: all of them stay as they are.
+      rebuild(me, base + head.split, base + list.size(), head.count, head.last, at_d,
+              pb.delta_count);
+      return;
     }
-    Entry& e = es[at++];
-    if (d.ckpt > e.ckpt) {
-      e.ckpt = d.ckpt;
-      e.loc = d.loc;
-      e.ver = next_version(me);
+    // Pass the held entries below d.host, reading only their gaps.
+    u32 gap = 0;
+    const u8* ckpt_at = net::get_varint(at, gap);
+    while (prev + gap < d.host) {
+      prev += gap;
+      at = skip_varint(skip_varint(ckpt_at));
+      v = skip_varint(v);
+      ++passed;
+      ckpt_at = net::get_varint(at, gap);
     }
+    if (prev + gap != d.host) {
+      rebuild(me, at, v, passed, prev, at_d, pb.delta_count);  // a host new to `me`
+      return;
+    }
+    u32 ckpt = 0;
+    const u8* const loc_at = net::get_varint(ckpt_at, ckpt);
+    const u8* const next = skip_varint(loc_at);
+    const u8* const next_v = skip_varint(v);
+    if (d.ckpt > ckpt) {
+      if (net::varint_bytes(d.ckpt) != static_cast<usize>(loc_at - ckpt_at) ||
+          net::varint_bytes(d.loc) != static_cast<usize>(next - loc_at) ||
+          net::varint_bytes(u64{version_[me]} + 1) != static_cast<usize>(next_v - v)) {
+        rebuild(me, at, v, passed, prev, at_d, pb.delta_count);
+        return;
+      }
+      const u32 ver = next_version(me);
+      net::put_varint(base + (ckpt_at - base), d.ckpt);
+      net::put_varint(base + (loc_at - base), d.loc);
+      net::put_varint(base + (v - base), ver);
+    }
+    prev = d.host;
+    at = next;
+    v = next_v;
+    ++passed;
   }
-  if (fresh.empty()) return;
-  // Grow once and merge backwards in place: held entries shift up past
-  // the new ones, which start out as the zero entry (no dependency yet)
-  // and take the shipped values when those are above it. Writing stops
-  // once the lowest new host is placed; everything below is already home.
-  es.resize(held + fresh.size());
-  usize read = held;
-  usize write = es.size();
-  for (auto d = fresh.rbegin(); d != fresh.rend(); ++d) {
-    while (read > 0 && es[read - 1].idx > d->host) es[--write] = es[--read];
-    Entry& e = es[--write];
-    e = Entry{};
-    e.idx = d->host;
-    if (d->ckpt > 0) {
-      e.ckpt = d->ckpt;
-      e.loc = d->loc;
-      e.ver = next_version(me);
-    }
+}
+
+void TpProtocol::rebuild(net::HostId me, const u8* rest, const u8* rest_vers, u32 passed,
+                         u32 prev, net::DepReader in, u32 delta_count) {
+  // Per thread: shard workers receive concurrently.
+  thread_local std::vector<u8> ents_buf;
+  thread_local std::vector<u8> vers_buf;
+  std::vector<u8>& list = lists_[me];
+  const ListHead head = head_of(list);
+  const usize most = usize{head.count} + delta_count;
+  if (ents_buf.size() < kHeadMaxBytes + most * net::kDepEntryMaxBytes) {
+    ents_buf.resize(kHeadMaxBytes + most * net::kDepEntryMaxBytes);
   }
+  if (vers_buf.size() < most * kVersionMaxBytes) vers_buf.resize(most * kVersionMaxBytes);
+  // The header goes in front of the entries once its values are known.
+  u8* const ents_out = ents_buf.data() + kHeadMaxBytes;
+  net::DepWriter w(ents_out);
+  u8* vout = vers_buf.data();
+  if (passed > 0) {
+    // The entries before the cursor, and their versions, stay as they are.
+    const u8* const ents = list.data() + head.ents;
+    const u8* const vers = list.data() + head.split;
+    w.append(ents, static_cast<usize>(rest - ents), passed, prev);
+    std::memcpy(vout, vers, static_cast<usize>(rest_vers - vers));
+    vout += rest_vers - vers;
+  }
+  // One forward merge: held entries below the next delta host are copied,
+  // a held host the delta names is raised when the shipped ckpt is above
+  // it, and a host new to the receiver starts as the zero entry (no
+  // dependency yet, version 0) and takes the shipped values when those
+  // are above it. Each raise takes the host's next version.
+  u32 left = head.count - passed;  // held entries from `rest` on
+  net::DepEntry e{prev, 0, 0};     // the next held entry, while has_e
+  bool has_e = false;
+  const auto next_held = [&] {
+    has_e = left > 0;
+    if (has_e) {
+      rest = read_entry(rest, e.host, e);
+      --left;
+    }
+  };
+  next_held();
+  u32 last = prev;
+  while (!in.done()) {
+    const net::DepEntry d = in.next();
+    if (d.host == me) continue;
+    while (has_e && e.host < d.host) {
+      u32 held_ver = 0;
+      rest_vers = net::get_varint(rest_vers, held_ver);
+      w.put(e.host, e.ckpt, e.loc);
+      vout = net::put_varint(vout, held_ver);
+      next_held();
+    }
+    net::DepEntry out{d.host, 0, 0};
+    u32 ver = 0;
+    if (has_e && e.host == d.host) {
+      out = e;
+      rest_vers = net::get_varint(rest_vers, ver);
+      next_held();
+    }
+    if (d.ckpt > out.ckpt) {
+      out.ckpt = d.ckpt;
+      out.loc = d.loc;
+      ver = next_version(me);
+    }
+    w.put(out.host, out.ckpt, out.loc);
+    vout = net::put_varint(vout, ver);
+    last = d.host;
+  }
+  if (has_e) {
+    // Held entries above the last delta host: the first is re-gapped, the
+    // rest are copied as they are.
+    const u8* const vers_end = list.data() + list.size();
+    w.put(e.host, e.ckpt, e.loc);
+    w.append(rest, static_cast<usize>(list.data() + head.split - rest), left, head.last);
+    std::memcpy(vout, rest_vers, static_cast<usize>(vers_end - rest_vers));
+    vout += vers_end - rest_vers;
+    last = head.last;
+  }
+  if (w.count() == 0) return;
+  const auto ents_bytes = static_cast<u32>(w.size());
+  u8* const begin = ents_out - (net::varint_bytes(w.count()) + net::varint_bytes(ents_bytes) +
+                                net::varint_bytes(last));
+  net::put_varint(net::put_varint(net::put_varint(begin, w.count()), ents_bytes), last);
+  const usize size = static_cast<usize>(ents_out - begin) + ents_bytes +
+                     static_cast<usize>(vout - vers_buf.data());
+  if (size > list.capacity()) {
+    // Grow by half rather than double: the lists are most of TP's memory.
+    std::vector<u8> grown;
+    grown.reserve(std::max(size, list.capacity() + list.capacity() / 2));
+    list.swap(grown);
+  }
+  list.assign(begin, ents_out + ents_bytes);
+  list.insert(list.end(), vers_buf.data(), vout);
 }
 
 std::vector<u32> TpProtocol::requirement_vector(net::HostId host) const {
   std::vector<u32> out(ctx_.n_hosts, 0);
-  for (const Entry& e : entries_.at(host)) out[e.idx] = e.ckpt;
+  for (net::DepReader in = held_entries(lists_.at(host)); !in.done();) {
+    const net::DepEntry e = in.next();
+    out[e.host] = e.ckpt;
+  }
   return out;
 }
 
 std::vector<u32> TpProtocol::location_vector(net::HostId host) const {
   std::vector<u32> out(ctx_.n_hosts, 0);
-  for (const Entry& e : entries_.at(host)) out[e.idx] = e.loc;
+  for (net::DepReader in = held_entries(lists_.at(host)); !in.done();) {
+    const net::DepEntry e = in.next();
+    out[e.host] = e.loc;
+  }
   out[host] = self_loc_[host];
   return out;
+}
+
+u64 TpProtocol::live_list_bytes() const noexcept {
+  u64 bytes = 0;
+  for (const std::vector<u8>& list : lists_) bytes += list.capacity();
+  return bytes;
+}
+
+u64 TpProtocol::live_entries() const noexcept {
+  u64 entries = 0;
+  for (const std::vector<u8>& list : lists_) entries += head_of(list).count;
+  return entries;
 }
 
 void TpProtocol::basic_checkpoint(const net::MobileHost& host) {

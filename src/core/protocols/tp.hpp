@@ -30,18 +30,30 @@
 // Storage: the entries a message or a checkpoint carries are stored in
 // the encoding they are charged for (net::DepWriter: gap-coded host,
 // ckpt, loc as LEB128 varints), so a piggyback's delta is an exact-size
-// byte vector and a checkpoint snapshot is bytes in the log's arena.
-// Live entries are 16 bytes with a 32-bit version stamp; a host whose
+// byte vector and a checkpoint snapshot is bytes in the log's arena. A
+// host's live list is one byte buffer in the same codec: a header of
+// three varints (the entry count, the bytes the entries take, the
+// highest host held), the held entries in ascending host order without
+// the own entry, then one LEB128 version stamp per entry in the same
+// order. An empty list is an empty buffer. Versions are 32-bit; a host whose
 // version counter would pass 2^32-1 is a std::overflow_error, never a
 // silently short delta.
 //
-// Cost model, for a sender holding m entries and a delta of k:
-// encoding a piggyback walks the sender's entries once, O(m), into a
-// per-thread buffer and copies the k encoded entries out exactly; a
-// receive decodes the delta forward and merges it into the receiver's
-// sorted entries in one pass, O(m + k) (O(k log m) for a short delta),
-// growing the list at most once; a checkpoint encodes the entries,
-// O(m), and appends the bytes to the log's arena.
+// Cost model, for a sender holding m entries and a delta of k: a
+// checkpoint, and a delta that ships every held entry (a pair's first
+// message while no held entry is at version 0), copies the list's bytes
+// around the own entry, O(m) bytes moved and the entries below the own
+// host skipped over; a delta past the host's version counter is the own
+// entry alone; any other delta decodes the entries and their versions
+// side by side and re-encodes those changed since the pair's last
+// message, O(m). Either way the bytes go to a per-thread buffer and the
+// k encoded entries are copied out exactly. A receive patches
+// the list in place while the delta adds no host and every raise keeps
+// the byte lengths of its ckpt, loc and version varints; otherwise it
+// keeps the bytes before the first change, decodes, merges and
+// re-encodes the rest into per-thread scratch in one forward pass,
+// O(m + k), and copies the result back, growing the buffer by half when
+// it does not fit.
 #pragma once
 
 #include <vector>
@@ -73,19 +85,15 @@ class TpProtocol final : public CheckpointProtocol {
   /// Deliveries whose per-pair delta sequence arrived out of order (each
   /// one may leave a transient dependency under-estimate).
   u64 delta_reorders() const noexcept { return delta_reorders_; }
+  /// Bytes the live-list buffers hold (their capacities).
+  u64 live_list_bytes() const noexcept;
+  /// Entries the live lists hold, over all hosts.
+  u64 live_entries() const noexcept;
 
  protected:
   void do_bind() override;
 
  private:
-  /// Per-host dependency entry (others only, sorted by idx).
-  struct Entry {
-    u32 idx = 0;
-    u32 ckpt = 0;
-    u32 loc = 0;
-    u32 ver = 0;  ///< Owner's version counter at last change (delta cut-off).
-  };
-  static_assert(sizeof(Entry) == 16);
   /// Sender-side cursor: what dst has already been shipped.
   struct SendCursor {
     u32 dst = 0;
@@ -104,6 +112,13 @@ class TpProtocol final : public CheckpointProtocol {
   net::DepWriter encode_entries(const net::MobileHost& host, u64 min_ver) const;
   /// Receive: raises host `me`'s entries to a sorted delta.
   void merge_delta(net::HostId me, const net::Piggyback& pb);
+  /// The rest of a receive that cannot patch `me`'s list in place: keeps
+  /// the `passed` held entries before the byte `rest` (the last of them
+  /// host `prev`) and their versions before `rest_vers`, merges the held
+  /// entries from `rest` on with the delta entries `in` still reads, and
+  /// writes the list back.
+  void rebuild(net::HostId me, const u8* rest, const u8* rest_vers, u32 passed, u32 prev,
+               net::DepReader in, u32 delta_count);
   /// Host `me`'s next version stamp; throws std::overflow_error on a wrap.
   u32 next_version(net::HostId me);
   void checkpoint(const net::MobileHost& host, CheckpointKind kind, net::MsgId trigger = 0);
@@ -115,7 +130,7 @@ class TpProtocol final : public CheckpointProtocol {
   std::vector<u8> phase_send_;                     ///< init: RECV (0).
   std::vector<u64> ckpt_count_;                    ///< Checkpoints taken (= next ordinal).
   std::vector<u32> self_loc_;                      ///< Own MSS at last checkpoint.
-  std::vector<std::vector<Entry>> entries_;        ///< Per-host, others only, sorted.
+  std::vector<std::vector<u8>> lists_;             ///< Per-host live list (see Storage).
   std::vector<u32> version_;                       ///< Per-host change counter.
   std::vector<std::vector<SendCursor>> send_cur_;  ///< Per-host, sorted by dst.
   std::vector<std::vector<RecvCursor>> recv_cur_;  ///< Per-host, sorted by src.

@@ -14,7 +14,8 @@ namespace {
 /// Cancelled entries tolerated in a structure beyond the live count before
 /// a compaction pass reclaims them. Keeps stored entries <= 2*live + slack
 /// so cancel-heavy runs cannot grow the queues without bound, while small
-/// queues never thrash on compaction.
+/// queues never thrash on compaction. Checked after every cancel and every
+/// pop: a pop lowers the live count just as a cancel does.
 constexpr usize kDeadSlack = 64;
 }  // namespace
 
@@ -52,6 +53,7 @@ EventEntry BinaryHeapQueue::pop() {
   slots_.release(out.slot);
   --live_;
   assert(heap_.size() == live_ + dead_);
+  if (dead_ > live_ + kDeadSlack) compact();
   return out;
 }
 
@@ -287,6 +289,7 @@ EventEntry CalendarQueue::pop() {
   slots_.release(slot);
   --live_;
   ++pops_;
+  if (dead_ > live_ + kDeadSlack) compact();
   if (live_ < heads_.size() / 2 && heads_.size() > kMinBuckets) {
     resize(heads_.size() / 2);
   } else if (pops_ - pops_at_tune_ >= kTuneWindow) {

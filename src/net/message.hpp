@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstddef>
+#include <cstring>
 #include <vector>
 
 #include "des/types.hpp"
@@ -80,6 +81,18 @@ class DepWriter {
     out_ = put_varint(out_, loc);
     prev_ = host;
     ++count_;
+  }
+
+  /// Appends `count` entries another DepWriter encoded, `size` bytes at
+  /// `bytes`, as they are: their first gap must be relative to this
+  /// writer's last host, and `last` is the host of their final entry.
+  void append(const u8* bytes, usize size, u32 count, u32 last) noexcept {
+    if (count == 0) return;
+    assert((count_ == 0 || last > prev_) && "a dependency list is strictly ascending by host");
+    std::memcpy(out_, bytes, size);
+    out_ += size;
+    prev_ = last;
+    count_ += count;
   }
 
   /// The bytes written so far, `size()` of them.

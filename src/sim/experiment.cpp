@@ -5,6 +5,7 @@
 #include <iterator>
 #include <stdexcept>
 
+#include "core/protocols/tp.hpp"
 #include "core/recovery.hpp"
 
 namespace mobichk::sim {
@@ -202,6 +203,10 @@ void Experiment::run() {
     stats.piggyback_bytes = harness_->piggyback_bytes(slot);
     stats.piggyback_dense_bytes = harness_->piggyback_dense_bytes(slot);
     stats.control_messages = harness_->protocol(slot).control_messages();
+    if (stats.kind == core::ProtocolKind::kTp) {
+      stats.delta_reorders =
+          static_cast<const core::TpProtocol&>(harness_->protocol(slot)).delta_reorders();
+    }
     const core::StorageTraffic traffic = core::storage_traffic(log, opts_.data_plane);
     stats.storage_wireless_bytes = traffic.wireless_bytes;
     stats.storage_wired_bytes = traffic.wired_bytes;

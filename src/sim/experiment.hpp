@@ -87,6 +87,9 @@ struct ProtocolRunStats {
   u64 storage_transfers = 0;
   u64 lines_checked = 0;       ///< Recovery lines sampled by the oracle.
   u64 orphans_found = 0;       ///< Must be 0 for a sound protocol.
+  /// TP: deliveries whose per-pair delta arrived out of sequence
+  /// (core::TpProtocol::delta_reorders()); 0 for the other protocols.
+  u64 delta_reorders = 0;
 };
 
 /// Aggregate outcome of one run.

@@ -93,7 +93,8 @@ void write_json(std::ostream& os, const RunResult& result) {
         .field("storage_wired_bytes", p.storage_wired_bytes)
         .field("storage_transfers", p.storage_transfers)
         .field("lines_checked", p.lines_checked)
-        .field("orphans_found", p.orphans_found);
+        .field("orphans_found", p.orphans_found)
+        .field("delta_reorders", p.delta_reorders);
     w.end_object();
   }
   w.end_array();
@@ -274,6 +275,7 @@ RunResult run_result_from_json(const JsonValue& json) {
       if (const JsonValue* v = entry.find("storage_transfers")) p.storage_transfers = v->as_u64();
       if (const JsonValue* v = entry.find("lines_checked")) p.lines_checked = v->as_u64();
       if (const JsonValue* v = entry.find("orphans_found")) p.orphans_found = v->as_u64();
+      if (const JsonValue* v = entry.find("delta_reorders")) p.delta_reorders = v->as_u64();
       result.protocols.push_back(std::move(p));
     }
   }

@@ -16,7 +16,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -348,25 +350,26 @@ class TpReferenceModel {
   std::map<std::pair<net::HostId, net::HostId>, u64> last_ver_;
 };
 
-/// 96 hosts over four MSSs; slot 0 = dense oracle, slot 1 = TP. The
-/// protocols receive hand-built piggybacks directly, so a delta can carry
-/// any mix of held and new hosts.
-class SparseMergeDiff : public ::testing::TestWithParam<u64> {
+/// TP and the dense oracle over `n` hosts on four MSSs; slot 0 = dense
+/// oracle, slot 1 = TP. The protocols receive hand-built piggybacks
+/// directly, so a delta can carry any mix of held and new hosts and any
+/// values.
+class HandBuiltDeltaFixture : public ::testing::Test {
  protected:
-  static constexpr u32 kHosts = 96;
   static constexpr u32 kMss = 4;
 
-  SparseMergeDiff() : net_(sim_, config(), 1), harness_(net_), rng_(GetParam(), "tp-merge") {
+  explicit HandBuiltDeltaFixture(u32 n_hosts)
+      : n_hosts_(n_hosts), net_(sim_, config(n_hosts), 1), harness_(net_) {
     dense_slot_ = harness_.add_protocol(std::make_unique<DenseTpOracle>());
     sparse_slot_ = harness_.add_protocol(std::make_unique<TpProtocol>());
-    std::vector<net::MssId> placement(kHosts);
-    for (u32 h = 0; h < kHosts; ++h) placement[h] = h % kMss;
+    std::vector<net::MssId> placement(n_hosts);
+    for (u32 h = 0; h < n_hosts; ++h) placement[h] = h % kMss;
     net_.start(placement);
   }
 
-  static net::NetworkConfig config() {
+  static net::NetworkConfig config(u32 n_hosts) {
     net::NetworkConfig cfg;
-    cfg.n_hosts = kHosts;
+    cfg.n_hosts = n_hosts;
     cfg.n_mss = kMss;
     return cfg;
   }
@@ -376,37 +379,60 @@ class SparseMergeDiff : public ::testing::TestWithParam<u64> {
   }
   TpProtocol& sparse() { return static_cast<TpProtocol&>(harness_.protocol(sparse_slot_)); }
 
-  u64 draw(u64 mod) { return rng_.next_u64() % mod; }
-
-  /// Delivers the same control information to `dst` in both encodings and
-  /// in the reference model, then checks the three views agree. The
-  /// oracle gets all n entries, zero where the delta has none.
+  /// Delivers the same control information to `dst` in both encodings,
+  /// then checks their views and checkpoint counts agree. The oracle gets
+  /// all n entries, zero where the delta has none.
   void deliver(net::HostId src, net::HostId dst, const std::vector<net::DepEntry>& deltas) {
     net::AppMessage msg;
     msg.id = ++next_id_;
     msg.src = src;
     msg.dst = dst;
-    std::vector<net::DepEntry> all(kHosts);
-    for (u32 idx = 0; idx < kHosts; ++idx) all[idx].host = idx;
+    std::vector<net::DepEntry> all(n_hosts_);
+    for (u32 idx = 0; idx < n_hosts_; ++idx) all[idx].host = idx;
     for (const net::DepEntry& d : deltas) all[d.host] = d;
-    const net::Piggyback dense_pb = piggyback_of(all, kHosts);
-    net::Piggyback sparse_pb = piggyback_of(deltas, kHosts);
+    const net::Piggyback dense_pb = piggyback_of(all, n_hosts_);
+    net::Piggyback sparse_pb = piggyback_of(deltas, n_hosts_);
     sparse_pb.delta_seq = seq_[{src, dst}]++;
     dense().handle_receive(net_.host(dst), msg, dense_pb);
     sparse().handle_receive(net_.host(dst), msg, sparse_pb);
-    ref_.receive(dst, deltas);
 
     EXPECT_EQ(sparse().requirement_vector(dst), dense().requirement_vector(dst))
         << "CKPT[] diverged at host " << dst << " after message " << msg.id;
     EXPECT_EQ(sparse().location_vector(dst), dense().location_vector(dst))
         << "LOC[] diverged at host " << dst << " after message " << msg.id;
+    EXPECT_EQ(harness_.log(sparse_slot_).total(), harness_.log(dense_slot_).total());
+    EXPECT_EQ(harness_.log(sparse_slot_).forced(), harness_.log(dense_slot_).forced());
+  }
+
+  const u32 n_hosts_;
+  des::Simulator sim_;
+  net::Network net_;
+  ProtocolHarness harness_;
+  std::map<std::pair<net::HostId, net::HostId>, u32> seq_;
+  u64 next_id_ = 0;
+  usize dense_slot_ = 0;
+  usize sparse_slot_ = 0;
+};
+
+/// 96 hosts, with a per-entry reference model beside the oracle.
+class SparseMergeDiff : public HandBuiltDeltaFixture, public ::testing::WithParamInterface<u64> {
+ protected:
+  static constexpr u32 kHosts = 96;
+
+  SparseMergeDiff() : HandBuiltDeltaFixture(kHosts), rng_(GetParam(), "tp-merge") {}
+
+  u64 draw(u64 mod) { return rng_.next_u64() % mod; }
+
+  /// Delivers as the fixture does, and also checks TP's views against
+  /// the reference model.
+  void deliver(net::HostId src, net::HostId dst, const std::vector<net::DepEntry>& deltas) {
+    HandBuiltDeltaFixture::deliver(src, dst, deltas);
+    ref_.receive(dst, deltas);
     auto [req, loc] = ref_.views(dst, kHosts);
     req[dst] = sparse().requirement_vector(dst)[dst];
     loc[dst] = sparse().location_vector(dst)[dst];
     EXPECT_EQ(sparse().requirement_vector(dst), req) << "reference CKPT[] at host " << dst;
     EXPECT_EQ(sparse().location_vector(dst), loc) << "reference LOC[] at host " << dst;
-    EXPECT_EQ(harness_.log(sparse_slot_).total(), harness_.log(dense_slot_).total());
-    EXPECT_EQ(harness_.log(sparse_slot_).forced(), harness_.log(dense_slot_).forced());
   }
 
   /// Sends from `src` to `dst` in both encodings and checks the sparse
@@ -439,15 +465,8 @@ class SparseMergeDiff : public ::testing::TestWithParam<u64> {
     EXPECT_EQ(sparse_pb.dense_bytes(), dense_pb.dense_bytes());
   }
 
-  des::Simulator sim_;
-  net::Network net_;
-  ProtocolHarness harness_;
   des::RngStream rng_;
   TpReferenceModel ref_;
-  std::map<std::pair<net::HostId, net::HostId>, u32> seq_;
-  u64 next_id_ = 0;
-  usize dense_slot_ = 0;
-  usize sparse_slot_ = 0;
 };
 
 TEST_P(SparseMergeDiff, MergeIntoHeldEntriesMatchesDenseAndReference) {
@@ -514,6 +533,174 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SparseMergeDiff, ::testing::Values(1, 7, 42),
                          [](const ::testing::TestParamInfo<u64>& pi) {
                            return "seed" + std::to_string(pi.param);
                          });
+
+// ---------------------------------------------------------------------------
+// Byte lists: TP keeps each live list in the codec it ships, patched in
+// place or rebuilt, and copies its bytes into sends and snapshots
+// ---------------------------------------------------------------------------
+
+/// 200 hosts, so host gaps, ckpt and loc values cross the one-byte varint
+/// limit. `deliver` checks the views against the oracle after every
+/// receive; the helpers below check the bytes TP ships.
+class TpByteLists : public HandBuiltDeltaFixture {
+ protected:
+  static constexpr u32 kHosts = 200;
+
+  TpByteLists() : HandBuiltDeltaFixture(kHosts) {}
+
+  /// Sends from `src` to `dst` on both protocols: TP's delta must be the
+  /// plain encode of the oracle's entries for the `changed` hosts plus
+  /// `src`'s own entry.
+  void expect_delta(net::HostId src, net::HostId dst, const std::vector<u32>& changed) {
+    std::vector<net::DepEntry> want;
+    for (const net::DepEntry& d : entries_of(dense().make_piggyback(net_.host(src), dst))) {
+      if (d.host == src || std::find(changed.begin(), changed.end(), d.host) != changed.end()) {
+        want.push_back(d);
+      }
+    }
+    const net::Piggyback pb = sparse().make_piggyback(net_.host(src), dst);
+    EXPECT_EQ(pb.delta, net::encode_deps(want)) << "send " << src << "->" << dst;
+    EXPECT_EQ(pb.delta_count, want.size()) << "send " << src << "->" << dst;
+  }
+
+  /// Sends from `src` to a host it has not sent to: TP ships every entry
+  /// the oracle holds a dependency for, plus `src`'s own.
+  void expect_first_delta(net::HostId src, net::HostId dst) {
+    std::vector<u32> depended;
+    const std::vector<u32> req = dense().requirement_vector(src);
+    for (u32 j = 0; j < kHosts; ++j) {
+      if (req[j] > 0) depended.push_back(j);
+    }
+    expect_delta(src, dst, depended);
+  }
+
+  /// Moves `host` to the next MSS, which takes a basic checkpoint on both
+  /// protocols, and returns TP's snapshot bytes. Unless `zero_hosts` names
+  /// hosts TP holds at ckpt 0, they must be the plain encode of the
+  /// oracle's snapshot without its zero entries.
+  std::vector<u8> snapshot_after_move(net::HostId host, const std::vector<u32>& zero_hosts = {}) {
+    net_.switch_cell(host, (net_.host(host).mss() + 1) % kMss);
+    const CheckpointRecord& rec = harness_.log(sparse_slot_).of(host).back();
+    net::DepReader in = rec.deps();
+    while (!in.done()) in.next();
+    std::vector<u8> bytes(rec.dep_bytes, in.pos());
+    std::vector<net::DepEntry> want;
+    for (net::DepReader all = harness_.log(dense_slot_).of(host).back().deps(); !all.done();) {
+      const net::DepEntry d = all.next();
+      const bool zero_held =
+          std::find(zero_hosts.begin(), zero_hosts.end(), d.host) != zero_hosts.end();
+      if (d.host == host || d.ckpt > 0 || zero_held) want.push_back(d);
+    }
+    EXPECT_EQ(bytes, net::encode_deps(want)) << "snapshot of host " << host;
+    return bytes;
+  }
+};
+
+TEST_F(TpByteLists, RaisesAcrossVarintLengthsMatchDense) {
+  // Raises that keep every field's byte length are patched in place; one
+  // that changes a ckpt, loc or version length, or names a new host,
+  // rebuilds the list. After each receive, a repeat destination must get
+  // exactly the raised entries (so every rewritten version took), and
+  // the views must match the oracle's.
+  const net::HostId r = 150;
+  const net::HostId peer = 7;
+  deliver(3, r, {{2, 100, 3}, {40, 127, 1}, {149, 1, 127}, {190, 5, 2}});
+  expect_delta(r, peer, {2, 40, 149, 190});
+  deliver(3, r, {{2, 120, 3}, {40, 127, 0}});  // in place; 40 stays
+  expect_delta(r, peer, {2});
+  deliver(4, r, {{40, 128, 1}});  // ckpt 127 -> 128
+  expect_delta(r, peer, {40});
+  deliver(5, r, {{149, 2, 200}});  // loc 127 -> 200
+  expect_delta(r, peer, {149});
+  deliver(5, r, {{2, 121, 3}, {190, 6, 130}});  // 2 in place, then loc 2 -> 130
+  expect_delta(r, peer, {2, 190});
+  sparse().set_version(r, 126);
+  deliver(3, r, {{2, 122, 3}});  // version 127, in place
+  expect_delta(r, peer, {2});
+  deliver(3, r, {{2, 123, 3}});  // version 127 -> 128
+  expect_delta(r, peer, {2});
+  sparse().set_version(r, 16382);
+  deliver(3, r, {{2, 124, 3}});  // version 16383, in place
+  expect_delta(r, peer, {2});
+  deliver(3, r, {{2, 125, 3}});  // version 16383 -> 16384
+  expect_delta(r, peer, {2});
+  deliver(6, r, {{40, 1, 0}, {100, 9, 3}, {149, 3, 1}});  // new host 100 between held ones
+  expect_delta(r, peer, {100, 149});
+  EXPECT_GT(harness_.log(sparse_slot_).forced(), 0u) << "sends interleave with receives";
+  expect_first_delta(r, 8);
+  snapshot_after_move(r);
+}
+
+TEST_F(TpByteLists, OwnEntrySpliceMatchesAPlainEncode) {
+  // A first delta and a snapshot copy the held bytes around the own entry
+  // and re-gap the entry above it: with the sender below, between and
+  // above its held hosts, and with an empty list, both must equal a
+  // plain encode.
+  struct Case {
+    net::HostId host;
+    std::vector<net::DepEntry> held;
+  };
+  const std::vector<Case> cases = {
+      {5, {{6, 1, 1}, {130, 2, 3}, {199, 3, 0}}},                // below
+      {100, {{0, 4, 2}, {99, 1, 1}, {101, 2, 2}, {199, 5, 3}}},  // between, gaps of 1
+      {64, {{1, 300, 200}, {190, 1, 1}}},  // between; the re-gap loses a byte
+      {198, {{3, 1, 0}, {197, 2, 1}}},     // above
+      {42, {}},                            // empty
+  };
+  for (const Case& c : cases) {
+    if (!c.held.empty()) deliver(c.host == 0 ? 1 : 0, c.host, c.held);
+    expect_first_delta(c.host, 150);
+    snapshot_after_move(c.host);
+    // Neither changed the list; the own entry moved on with the host.
+    expect_first_delta(c.host, 151);
+  }
+}
+
+TEST_F(TpByteLists, ZeroEntryTurnsOffTheFirstDeltaCopy) {
+  // A delta that names a host new to the receiver at ckpt 0 leaves it
+  // held as the zero entry, at version 0. Snapshots record it, but no
+  // delta ships it, so a pair's first delta must not copy the list while
+  // it is there. No run ships a ckpt of 0, so the delta is hand-built.
+  const net::HostId r = 20;
+  deliver(3, r, {{10, 4, 1}, {30, 0, 2}, {40, 2, 3}});
+  expect_first_delta(r, 50);
+  snapshot_after_move(r, {30});
+  deliver(4, r, {{30, 5, 1}});  // raised: version 1 or later
+  expect_first_delta(r, 60);
+  snapshot_after_move(r);
+}
+
+TEST_F(TpByteLists, VersionWrapThrowsAtTheSameReceive) {
+  // A receive hands out one version per raised or newly depended-on
+  // entry, in place or rebuilding, so the receive that would pass
+  // 2^32-1 throws, naming the host, and the ones before it do not.
+  constexpr u32 kMax = std::numeric_limits<u32>::max();
+  const auto expect_wrap = [this](net::HostId r, const std::vector<net::DepEntry>& deltas) {
+    net::AppMessage msg;
+    msg.id = ++next_id_;
+    msg.src = 3;
+    msg.dst = r;
+    try {
+      sparse().handle_receive(net_.host(r), msg, piggyback_of(deltas, kHosts));
+      ADD_FAILURE() << "host " << r << ": a version wrap must throw";
+    } catch (const std::overflow_error& e) {
+      EXPECT_NE(std::string(e.what()).find("host " + std::to_string(r)), std::string::npos)
+          << e.what();
+    }
+  };
+  // In place: two new hosts, then two same-length raises reach the last
+  // stamp; a receive that raises nothing is fine; the next raise wraps.
+  sparse().set_version(20, kMax - 4);
+  deliver(3, 20, {{10, 1, 1}, {30, 1, 1}});
+  deliver(3, 20, {{10, 2, 1}, {30, 2, 1}});
+  deliver(3, 20, {{10, 2, 1}, {30, 1, 1}});
+  expect_wrap(20, {{10, 3, 1}});
+  // Rebuilding: a raise and a new host where only one stamp is left.
+  sparse().set_version(21, kMax - 3);
+  deliver(3, 21, {{10, 1, 1}});
+  deliver(3, 21, {{10, 2, 1}});
+  expect_wrap(21, {{10, 3, 200}, {11, 1, 1}});
+}
 
 // ---------------------------------------------------------------------------
 // Full-run differential: TP against the oracle over one whole run

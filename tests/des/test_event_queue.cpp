@@ -375,6 +375,38 @@ INSTANTIATE_TEST_SUITE_P(AllQueues, EventQueueTest,
                            return "Unknown";
                          });
 
+TEST(EventQueue, PopsKeepTombstoneBound) {
+  // The bound stored() <= 2 * size() + 64 must also hold after pops:
+  // cancelling the latest events and popping the others lowers the live
+  // count under the tombstones with no cancel left to trigger a
+  // compaction. Checked only on cancel, the heap ended this sequence
+  // holding 130 tombstones at size 0 (66 over) and the calendar 2 over.
+  constexpr usize kPushed = 200;
+  constexpr usize kCancelled = 130;
+  for (const QueueKind kind : kAllQueueKinds) {
+    auto q = make_event_queue(kind);
+    const auto expect_bound = [&q](const char* op, usize i) {
+      EXPECT_LE(q->stored(), 2 * q->size() + 64)
+          << q->name() << " after " << op << " " << i << " at size " << q->size();
+    };
+    std::vector<EventHandle> handles;
+    for (usize i = 0; i < kPushed; ++i) {
+      handles.push_back(q->push(ev(static_cast<Time>(i + 1), i + 1)));
+      expect_bound("push", i);
+    }
+    for (usize i = kPushed; i-- > kPushed - kCancelled;) {
+      ASSERT_TRUE(q->cancel(handles[i])) << q->name();
+      expect_bound("cancel", i);
+    }
+    for (usize i = 0; i < kPushed - kCancelled; ++i) {
+      // A compaction between pops leaves the order alone.
+      EXPECT_EQ(q->pop().seq, i + 1) << q->name();
+      expect_bound("pop", i);
+    }
+    EXPECT_TRUE(q->empty()) << q->name();
+  }
+}
+
 TEST(SlotTable, GenerationLifecycle) {
   SlotTable table;
   const EventHandle a = table.acquire();

@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <new>
 
+#include "core/protocols/tp.hpp"
 #include "obs/observer.hpp"
 #include "sim/experiment.hpp"
 
@@ -208,6 +209,29 @@ TEST(ScaleSmoke, TpSnapshotBytesPerEntryStayCompact) {
   ASSERT_GT(entries, 10'000u);
   const f64 per_entry = static_cast<f64>(bytes) / static_cast<f64>(entries);
   EXPECT_LE(per_entry, 6.0) << bytes << " snapshot bytes for " << entries << " entries";
+}
+
+TEST(ScaleSmoke, TpLiveListBytesPerEntryStayCompact) {
+  // Each host's live list is one byte buffer in the snapshot codec plus a
+  // version varint per entry, grown by half when it fills: held bytes
+  // (buffer capacities, slack included) over held entries read 6.7 at
+  // this config, where a list holds about 6 entries (8.3 with a fixed
+  // 12-byte list header instead of three varints). A 16-byte
+  // {idx, ckpt, loc, ver} struct per entry costs at least 16.
+  SimConfig cfg = scale_config();
+  cfg.sim_length = 200.0;
+  ExperimentOptions opts;
+  opts.queue_kind = des::QueueKind::kCalendar;
+  opts.protocols = {core::ProtocolKind::kTp};
+  Experiment exp(cfg, opts);
+  exp.run();
+  ASSERT_TRUE(exp.result().invariants_ok);
+  const auto& tp = static_cast<const core::TpProtocol&>(exp.harness().protocol(0));
+  ASSERT_GT(tp.live_entries(), 10'000u);
+  const f64 per_entry =
+      static_cast<f64>(tp.live_list_bytes()) / static_cast<f64>(tp.live_entries());
+  EXPECT_LE(per_entry, 8.0) << tp.live_list_bytes() << " bytes held for " << tp.live_entries()
+                            << " live entries";
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "sim/json.hpp"
+#include "sim/report.hpp"
 #include "sim/sweep.hpp"
 
 namespace mobichk::sim {
@@ -194,6 +198,31 @@ TEST(Experiment, SparseTpEncodedBytesBoundedByDense) {
   EXPECT_EQ(r.by_name("BCS").piggyback_bytes, sent * sizeof(u64));
   EXPECT_EQ(r.by_name("BCS").piggyback_dense_bytes, sent * sizeof(u64));
   EXPECT_EQ(r.by_name("QBC").piggyback_bytes, sent * sizeof(u64));
+}
+
+TEST(Experiment, TpDeltaReordersReachTheRunResult) {
+  // Fast movers on 5 MSSs deliver two of TP's per-pair deltas out of
+  // sequence in this run (no chase forward is involved). The run result
+  // carries TP's count, 0 for every other protocol, and the JSON report
+  // writes and reads it back.
+  SimConfig cfg;
+  cfg.network.n_hosts = 24;
+  cfg.network.n_mss = 5;
+  cfg.sim_length = 2'000.0;
+  cfg.t_switch = 60.0;
+  cfg.p_switch = 0.9;
+  cfg.seed = 114;
+  ExperimentOptions opts;
+  opts.protocols = {core::ProtocolKind::kLazyBcs, core::ProtocolKind::kCoordinated,
+                    core::ProtocolKind::kTp, core::ProtocolKind::kBcs, core::ProtocolKind::kQbc};
+  const RunResult r = run_experiment(cfg, opts);
+  EXPECT_EQ(r.net.chase_forwards, 0u);
+  for (const ProtocolRunStats& p : r.protocols) {
+    EXPECT_EQ(p.delta_reorders, p.kind == core::ProtocolKind::kTp ? 2u : 0u) << p.name;
+  }
+  std::ostringstream os;
+  write_json(os, r);
+  EXPECT_EQ(run_result_from_json(json_parse(os.str())).by_name("TP").delta_reorders, 2u);
 }
 
 TEST(Sweep, RunParallelPreservesJobOrderAndDeterminism) {

@@ -4,7 +4,7 @@
 #include <cassert>
 #include <cstring>
 
-#include "des/sharded.hpp"
+#include "des/lane.hpp"
 #include "storage/data_plane.hpp"
 
 namespace mobichk::core {
@@ -46,11 +46,10 @@ const u8* CheckpointLog::DepArena::store(const u8* bytes, usize n) {
 }
 
 const u8* CheckpointLog::store_deps(const u8* bytes, usize n) {
-  des::ShardContext* c = shard_arenas_.empty() ? nullptr : des::current_shard();
-  return (c != nullptr ? shard_arenas_[c->shard].arena : arena_).store(bytes, n);
+  const u32 lane = des::lane();
+  assert(lane < arenas_.size() && "a shard window stores into a log sized for it");
+  return arenas_[lane].store(bytes, n);
 }
-
-void CheckpointLog::enable_sharding(u32 n_shards) { shard_arenas_.resize(n_shards); }
 
 const CheckpointRecord* CheckpointLog::by_ordinal(net::HostId host, u64 ordinal) const {
   const auto& vec = per_host_.at(host);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "core/checkpoint.hpp"
+#include "des/lane.hpp"
 #include "des/relaxed_counter.hpp"
 #include "des/types.hpp"
 #include "net/ids.hpp"
@@ -19,7 +20,7 @@ namespace mobichk::core {
 
 class CheckpointLog {
  public:
-  explicit CheckpointLog(u32 n_hosts) : per_host_(n_hosts) {}
+  explicit CheckpointLog(u32 n_hosts) : per_host_(n_hosts), arenas_(1) {}
 
   /// Appends a record, assigning its per-host ordinal. `rec.sn` must be
   /// non-decreasing per host (all protocols in this suite guarantee it).
@@ -31,10 +32,10 @@ class CheckpointLog {
   /// (CheckpointRecord::dep_bytes).
   const u8* store_deps(const u8* bytes, usize n);
 
-  /// Gives each of `n_shards` shard lanes a snapshot arena of its own, so
-  /// shard-parallel windows store snapshots without sharing one; calls
-  /// outside a shard window keep using the coordinator's arena.
-  void enable_sharding(u32 n_shards);
+  /// Gives each of `n_shards` shard lanes a snapshot arena of its own
+  /// beside lane 0's, so shard-parallel windows store snapshots without
+  /// sharing one.
+  void enable_sharding(u32 n_shards) { arenas_.resize(1 + n_shards); }
 
   u32 n_hosts() const noexcept { return static_cast<u32>(per_host_.size()); }
 
@@ -80,9 +81,10 @@ class CheckpointLog {
   u64 max_sn() const;
 
  private:
-  /// Append-only byte arena for dependency snapshots: blocks of about
-  /// 64 KiB, allocated uninitialised on first use, never moved, freed
-  /// with the log. A snapshot larger than a block gets a block of its own.
+  /// Append-only byte arena for dependency snapshots, one per lane: blocks
+  /// of about 64 KiB, allocated uninitialised on first use, never moved,
+  /// freed with the log. A snapshot larger than a block gets a block of
+  /// its own. Padded against false sharing between lanes.
   class DepArena {
    public:
     const u8* store(const u8* bytes, usize n);
@@ -92,15 +94,10 @@ class CheckpointLog {
     std::vector<std::unique_ptr<u8[]>> blocks_;
     u8* next_ = nullptr;  ///< Free space in the open block.
     usize left_ = 0;
+    char pad_[des::kLanePadBytes];
   };
-  /// One shard lane's arena, padded against false sharing.
-  struct alignas(64) ShardArena {
-    DepArena arena;
-  };
-
   std::vector<std::vector<CheckpointRecord>> per_host_;
-  DepArena arena_;                       ///< The coordinator's lane.
-  std::vector<ShardArena> shard_arenas_;  ///< Non-empty exactly in sharded mode.
+  std::vector<DepArena> arenas_;  ///< Lane 0, then one per shard.
   // Relaxed atomics: shard-parallel windows append checkpoints for
   // different hosts concurrently (the per-host vectors are owner-local;
   // these aggregates are order-independent sums).

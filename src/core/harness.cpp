@@ -3,6 +3,7 @@
 #include <cassert>
 #include <stdexcept>
 
+#include "des/lane.hpp"
 #include "des/shard_merge.hpp"
 #include "storage/data_plane.hpp"
 
@@ -20,7 +21,7 @@ obs::PhaseAccum* slot_acc(obs::ProfLane* lane, usize k) {
 }  // namespace
 
 ProtocolHarness::ProtocolHarness(net::Network& net, des::TraceSink* sink)
-    : net_(net), sink_(sink) {
+    : net_(net), sink_(sink), lanes_(1) {
   net_.set_handler(this);
 }
 
@@ -29,6 +30,7 @@ usize ProtocolHarness::add_protocol(std::unique_ptr<CheckpointProtocol> protocol
   slots_.push_back(
       std::make_unique<Slot>(Slot{std::move(protocol), CheckpointLog(net_.n_hosts())}));
   Slot& stored = *slots_.back();
+  for (LaneState& l : lanes_) l.pb.emplace_back();
   ProtocolContext ctx;
   ctx.n_hosts = net_.n_hosts();
   ctx.sim = &net_.sim();
@@ -55,63 +57,35 @@ void ProtocolHarness::on_host_init(net::MobileHost& host) {
 }
 
 void ProtocolHarness::enable_sharding(u32 n_shards) {
-  slices_.clear();
-  slices_.resize(n_shards);
+  lanes_.resize(1 + n_shards);
+  for (LaneState& l : lanes_) l.pb.resize(slots_.size());
   for (auto& slot : slots_) slot->log.enable_sharding(n_shards);
-  for (auto& sl : slices_) {
-    sl.pb_bytes.assign(slots_.size(), 0);
-    sl.pb_dense_bytes.assign(slots_.size(), 0);
-  }
 }
 
 void ProtocolHarness::merge_window() {
-  // Deliveries in merged (time, shard) order — the sequential append
+  // Deliveries in merged (time, lane) order — the sequential append
   // order the rollback machinery scans. A delivered message's id is
   // already final: its send merged at least one barrier earlier.
   cross_shard_ties_ += des::merge_shard_journals(
-      slices_.size(), [this](usize s) -> auto& { return slices_[s].recvs; },
+      lanes_.size(), [this](usize l) -> auto& { return lanes_[l].recvs; },
       [](const RecvRec& r) { return r.t; },
       [this](usize, const RecvRec& r) { msg_log_.note_delivery(r.d); });
-  for (auto& sl : slices_) sl.recvs.clear();
-}
-
-void ProtocolHarness::finalize_sharding() {
-  for (auto& sl : slices_) {
-    for (usize k = 0; k < slots_.size(); ++k) {
-      slots_[k]->pb_bytes += sl.pb_bytes[k];
-      slots_[k]->pb_dense_bytes += sl.pb_dense_bytes[k];
-      sl.pb_bytes[k] = 0;
-      sl.pb_dense_bytes[k] = 0;
-    }
-  }
+  for (LaneState& l : lanes_) l.recvs.clear();
 }
 
 void ProtocolHarness::on_send(net::MobileHost& host, net::AppMessage& msg) {
   obs::ProfLane* plane = prof_ != nullptr ? &prof_->lane() : nullptr;
   obs::ProfScope prof_enc(plane != nullptr ? &plane->pb_encode : nullptr);
-  // Every slot's piggyback rides the message. Sharded runs count the
-  // per-slot bytes in the executing shard's slice.
-  des::ShardContext* c = slices_.empty() ? nullptr : des::current_shard();
+  // Every slot's piggyback rides the message; its bytes count on the
+  // calling lane.
+  LaneState& here = lanes_[des::lane()];
   msg.pbs.resize(slots_.size());
   for (usize k = 0; k < slots_.size(); ++k) {
     obs::ProfScope prof_slot(slot_acc(plane, k));
     net::Piggyback& pb = msg.pbs[k];
     pb = slots_[k]->protocol->make_piggyback(host, msg.dst);
-    const u64 wire = pb.wire_bytes();
-    const u64 dense = pb.dense_bytes();
-    if (c != nullptr) {
-      slices_[c->shard].pb_bytes[k] += wire;
-      slices_[c->shard].pb_dense_bytes[k] += dense;
-    } else {
-      slots_[k]->pb_bytes += wire;
-      slots_[k]->pb_dense_bytes += dense;
-    }
-    if (k == 0) {  // slot 0 is charged on the wire
-      msg.sn = pb.sn;
-      msg.has_sn = pb.has_sn;
-      msg.pb_bytes = wire;
-      msg.pb_dense_bytes = dense;
-    }
+    here.pb[k].wire += pb.wire_bytes();
+    here.pb[k].dense += pb.dense_bytes();
   }
 }
 
@@ -124,13 +98,14 @@ void ProtocolHarness::on_receive(net::MobileHost& host, const net::AppMessage& m
     slots_[k]->protocol->handle_receive(host, msg, msg.pbs[k]);
   }
   // The receive event will occupy the next position (see Network::consume_one).
+  const net::Piggyback* pb = msg.wire_pb();
   const MessageLog::Delivery d{msg.id, msg.src, msg.dst, msg.send_pos, host.event_pos() + 1,
-                               msg.sn};
-  des::ShardContext* c = slices_.empty() ? nullptr : des::current_shard();
-  if (c != nullptr) {
-    slices_[c->shard].recvs.push_back(RecvRec{c->sim->now(), d});
-  } else {
+                               pb != nullptr ? pb->sn : 0};
+  const u32 lane = des::lane();
+  if (lane == 0) {
     msg_log_.note_delivery(d);
+  } else {
+    lanes_[lane].recvs.push_back(RecvRec{net_.now(), d});
   }
 }
 
@@ -139,8 +114,7 @@ void ProtocolHarness::on_cell_switch(net::MobileHost& host, net::MssId from, net
     // Before the protocols' basic checkpoints, so a migration at the same
     // timestamp is processed first and the new checkpoint samples
     // locality against the post-migration placement.
-    des::ShardContext* c = des::current_shard();
-    data_plane_->on_handoff(host.id(), from, to, c != nullptr ? c->sim->now() : net_.sim().now());
+    data_plane_->on_handoff(host.id(), from, to, net_.now());
   }
   for (auto& slot : slots_) slot->protocol->handle_cell_switch(host, from, to);
 }

@@ -44,11 +44,11 @@ class ProtocolHarness final : public net::HostEventHandler {
   /// Control-information bytes protocol `slot` put (or would have put) on
   /// the wire over the whole run, as actually encoded (TP counts its delta
   /// list, not the paper's full vectors).
-  u64 piggyback_bytes(usize slot) const { return slots_.at(slot)->pb_bytes; }
+  u64 piggyback_bytes(usize slot) const { return sum_lanes(&SlotBytes::wire, slot); }
   /// Dense-equivalent control bytes for `slot`: what the same control
   /// information would have cost with full vectors on every message.
   /// Equal to piggyback_bytes for protocols without a delta list.
-  u64 piggyback_dense_bytes(usize slot) const { return slots_.at(slot)->pb_dense_bytes; }
+  u64 piggyback_dense_bytes(usize slot) const { return sum_lanes(&SlotBytes::dense, slot); }
 
   const MessageLog& message_log() const noexcept { return msg_log_; }
 
@@ -73,19 +73,16 @@ class ProtocolHarness final : public net::HostEventHandler {
 
   // -- spatial sharding -------------------------------------------------
 
-  /// Switches the harness into shard-parallel mode (call after every
-  /// add_protocol): per-slot piggyback bytes go to per-shard slices, each
-  /// slot's log stores snapshots in per-shard arenas, and deliveries are
-  /// journaled per shard for the barrier merge.
+  /// Switches the harness into shard-parallel mode: one lane per shard
+  /// beside lane 0 counts per-slot piggyback bytes and journals
+  /// deliveries for the barrier merge, and each slot's log gets a
+  /// snapshot arena per lane.
   void enable_sharding(u32 n_shards);
 
   /// Barrier-time merge (coordinator, shards parked): appends this
-  /// window's delivery journals to the MessageLog in merged (time, shard)
+  /// window's delivery journals to the MessageLog in merged (time, lane)
   /// order, which is the sequential order the rollback machinery scans.
   void merge_window();
-
-  /// End-of-run fold of the per-shard piggyback byte slices.
-  void finalize_sharding();
 
   /// Delivery merges that broke an equal-time tie by shard index
   /// (des::merge_shard_journals). 0 in sequential runs.
@@ -103,8 +100,6 @@ class ProtocolHarness final : public net::HostEventHandler {
   struct Slot {
     std::unique_ptr<CheckpointProtocol> protocol;
     CheckpointLog log;
-    u64 pb_bytes = 0;
-    u64 pb_dense_bytes = 0;
   };
 
   struct RecvRec {
@@ -112,12 +107,25 @@ class ProtocolHarness final : public net::HostEventHandler {
     MessageLog::Delivery d;
   };
 
-  /// Per-shard journal + hot-counter slice, padded against false sharing.
-  struct alignas(64) Slice {
-    std::vector<RecvRec> recvs;       ///< This window's deliveries.
-    std::vector<u64> pb_bytes;        ///< Per protocol slot, whole run.
-    std::vector<u64> pb_dense_bytes;  ///< Per protocol slot, whole run.
+  /// One slot's piggyback bytes, encoded and dense-equivalent.
+  struct SlotBytes {
+    u64 wire = 0;
+    u64 dense = 0;
   };
+
+  /// One lane's counters and journal, padded against false sharing.
+  /// Lane 0 notes its deliveries at once, so its journal stays empty.
+  struct LaneState {
+    std::vector<RecvRec> recvs;   ///< This window's deliveries.
+    std::vector<SlotBytes> pb;    ///< Per protocol slot, whole run.
+    char pad[des::kLanePadBytes];
+  };
+
+  u64 sum_lanes(u64 SlotBytes::* field, usize slot) const {
+    u64 total = 0;
+    for (const LaneState& l : lanes_) total += l.pb.at(slot).*field;
+    return total;
+  }
 
   net::Network& net_;
   des::TraceSink* sink_;
@@ -128,7 +136,7 @@ class ProtocolHarness final : public net::HostEventHandler {
   /// which must stay stable as more slots are added.
   std::vector<std::unique_ptr<Slot>> slots_;
   MessageLog msg_log_;
-  std::vector<Slice> slices_;  ///< Non-empty exactly in sharded mode.
+  std::vector<LaneState> lanes_;  ///< Lane 0, then one per shard.
   u64 cross_shard_ties_ = 0;
 };
 

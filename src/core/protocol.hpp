@@ -12,7 +12,7 @@
 #include <string>
 
 #include "core/checkpoint_log.hpp"
-#include "des/sharded.hpp"
+#include "des/lane.hpp"
 #include "des/simulator.hpp"
 #include "des/trace.hpp"
 #include "net/ids.hpp"
@@ -44,14 +44,11 @@ struct ProtocolContext {
   obs::Timeline* timeline = nullptr;    ///< Optional checkpoint-timeline probe.
   i32 slot = -1;                        ///< Harness slot (timeline track id).
 
-  /// The clock of the calling context: inside a shard window the shard's
+  /// The clock of the calling lane: inside a shard window the shard's
   /// simulator (checkpoints forced by receives must be stamped with the
   /// shard-local time), otherwise `sim`. Protocols stamping records or
   /// scheduling relative delays must use this, never sim->now() directly.
-  des::Time now() const {
-    if (des::ShardContext* c = des::current_shard()) return c->sim->now();
-    return sim->now();
-  }
+  des::Time now() const { return des::lane_sim(*sim).now(); }
 };
 
 class CheckpointProtocol {

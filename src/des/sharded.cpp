@@ -10,8 +10,6 @@ namespace mobichk::des {
 
 namespace {
 
-thread_local ShardContext* tls_shard = nullptr;
-
 /// Polite spin: pause the pipeline, and back off to the scheduler when
 /// the wait drags on (oversubscribed machines, TSan builds).
 struct SpinWait {
@@ -31,15 +29,12 @@ struct SpinWait {
 
 }  // namespace
 
-ShardContext* current_shard() noexcept { return tls_shard; }
-void set_current_shard(ShardContext* ctx) noexcept { tls_shard = ctx; }
-
 // ---------------------------------------------------------------------------
 // ShardTraceMux
 // ---------------------------------------------------------------------------
 
 ShardTraceMux::ShardTraceMux(u32 n_shards, TraceSink* downstream)
-    : downstream_(downstream), buffers_(n_shards) {}
+    : downstream_(downstream), buffers_(1 + n_shards) {}
 
 void ShardTraceMux::flush() {
   cross_shard_ties_ += merge_shard_journals(
@@ -95,37 +90,38 @@ void ShardedSimulator::set_profiler(obs::Profiler* prof) {
   }
 }
 
+void ShardedSimulator::run_shard_window(u32 shard) {
+  const u32 l = 1 + shard;
+  obs::ProfLane* prof = prof_ != nullptr ? &prof_->lane_ref(l) : nullptr;
+  tls_lane = Lane{l, shards_[shard].get()};
+  const u64 t0 = prof != nullptr ? obs::prof_now_ns() : 0;
+  shards_[shard]->run_window(window_h_, window_cap_);
+  if (prof != nullptr) {
+    const u64 t1 = obs::prof_now_ns();
+    prof->window.add(t1 - t0);
+    prof->record_slice(obs::ProfPhase::kWindow, t0, t1 - t0);
+  }
+  tls_lane = Lane{};
+}
+
 void ShardedSimulator::worker_loop(u32 shard) {
   // prof_ is stable for the workers' whole life: set_profiler must run
   // before run_until, which is what starts these threads.
-  obs::ProfLane* lane = prof_ != nullptr ? &prof_->lane_ref(1 + shard) : nullptr;
+  obs::ProfLane* prof = prof_ != nullptr ? &prof_->lane_ref(1 + shard) : nullptr;
   u64 seen = 0;
   for (;;) {
     SpinWait spin;
     u64 gen;
-    const u64 wait_start = lane != nullptr ? obs::prof_now_ns() : 0;
+    const u64 wait_start = prof != nullptr ? obs::prof_now_ns() : 0;
     while ((gen = go_gen_.load(std::memory_order_acquire)) == seen) spin.relax();
     seen = gen;
     if (quit_.load(std::memory_order_relaxed)) break;
-    if (lane != nullptr) {
+    if (prof != nullptr) {
       const u64 wait_end = obs::prof_now_ns();
-      lane->barrier.add(wait_end - wait_start);
-      lane->record_slice(obs::ProfPhase::kBarrier, wait_start, wait_end - wait_start);
+      prof->barrier.add(wait_end - wait_start);
+      prof->record_slice(obs::ProfPhase::kBarrier, wait_start, wait_end - wait_start);
     }
-    ShardContext ctx{shard, shards_[shard].get()};
-    set_current_shard(&ctx);
-    if (lane != nullptr) {
-      obs::set_prof_tls_lane(lane);
-      const u64 t0 = obs::prof_now_ns();
-      shards_[shard]->run_window(window_h_, window_cap_);
-      const u64 t1 = obs::prof_now_ns();
-      lane->window.add(t1 - t0);
-      lane->record_slice(obs::ProfPhase::kWindow, t0, t1 - t0);
-      obs::set_prof_tls_lane(nullptr);
-    } else {
-      shards_[shard]->run_window(window_h_, window_cap_);
-    }
-    set_current_shard(nullptr);
+    run_shard_window(shard);
     done_count_.fetch_add(1, std::memory_order_release);
   }
 }
@@ -135,25 +131,9 @@ void ShardedSimulator::run_window(Time h_excl, Time cap) {
   window_cap_ = cap;
   done_count_.store(0, std::memory_order_relaxed);
   go_gen_.fetch_add(1, std::memory_order_release);
-  {
-    // Shard 0 runs inline on the coordinator thread, so its lane (1 + 0)
-    // sees no writes from any other thread during the window.
-    ShardContext ctx{0, shards_[0].get()};
-    set_current_shard(&ctx);
-    if (prof_ != nullptr) {
-      obs::ProfLane& lane = prof_->lane_ref(1);
-      obs::set_prof_tls_lane(&lane);
-      const u64 t0 = obs::prof_now_ns();
-      shards_[0]->run_window(h_excl, cap);
-      const u64 t1 = obs::prof_now_ns();
-      lane.window.add(t1 - t0);
-      lane.record_slice(obs::ProfPhase::kWindow, t0, t1 - t0);
-      obs::set_prof_tls_lane(nullptr);
-    } else {
-      shards_[0]->run_window(h_excl, cap);
-    }
-    set_current_shard(nullptr);
-  }
+  // Shard 0 runs inline on the coordinator thread, so its lane (1 + 0)
+  // sees no writes from any other thread during the window.
+  run_shard_window(0);
   const u32 others = static_cast<u32>(shards_.size() - 1);
   if (others > 0) {
     const auto wait_start = std::chrono::steady_clock::now();
@@ -226,9 +206,8 @@ bool ShardedSimulator::invariants_ok() const {
 }
 
 EventHandle route_schedule_after(Simulator& declared, Time dt, const EventPayload& payload) {
-  if (ShardContext* c = current_shard()) return c->sim->schedule_after(dt, payload);
   ShardedSimulator* sharded = declared.sharded();
-  if (sharded != nullptr) {
+  if (sharded != nullptr && lane() == 0) {
     switch (payload.kind) {
       case EventKind::kWorkloadOp:
       case EventKind::kHandoff:
@@ -242,7 +221,7 @@ EventHandle route_schedule_after(Simulator& declared, Time dt, const EventPayloa
         break;
     }
   }
-  return declared.schedule_after(dt, payload);
+  return lane_sim(declared).schedule_after(dt, payload);
 }
 
 }  // namespace mobichk::des

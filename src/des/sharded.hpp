@@ -27,9 +27,15 @@
 // deterministic-time event (markers, crash plans) globally ordered
 // against all shard work.
 //
+// Lanes (des/lane.hpp): the coordinator is lane 0, as a sequential run
+// is, and shard s is lane 1+s. The executor installs the lane around
+// each window, and domain modules index their per-lane state (counters,
+// pools, arenas, journals) by it; lane 0 applies what a shard lane
+// journals for the barrier.
+//
 // Determinism: shard queues order by (time, seq) exactly like the
 // sequential engine; the barrier merge (des/shard_merge.hpp) is the
-// cross-shard tie-break on (time, src shard, src index). The merged
+// cross-shard tie-break on (time, src lane, src index). The merged
 // trace reproduces the sequential trace bit-identically as long as that
 // tie-break never decides anything, i.e. no two shards journal entries at
 // the same time. Stochastic event times are continuous draws, so such
@@ -43,24 +49,12 @@
 #include <thread>
 #include <vector>
 
+#include "des/lane.hpp"
 #include "des/simulator.hpp"
 #include "des/trace.hpp"
 #include "des/types.hpp"
 
 namespace mobichk::des {
-
-/// Identity of the shard the current thread is executing a window for.
-/// Installed around Simulator::run_window by the shard runner; domain
-/// layers consult it to route clocks, counters and journals.
-struct ShardContext {
-  u32 shard = 0;
-  Simulator* sim = nullptr;
-};
-
-/// The calling thread's shard context (nullptr on the coordinator and in
-/// sequential runs).
-ShardContext* current_shard() noexcept;
-void set_current_shard(ShardContext* ctx) noexcept;
 
 /// Barrier-side merge hooks, implemented by the domain composition (the
 /// Experiment wires Network + ProtocolHarness in here). Called on the
@@ -72,32 +66,33 @@ class ShardHooks {
   virtual void on_window_merge(Time window_end) = 0;
 };
 
-/// TLS-routing trace sink for sharded runs. Records emitted inside a
-/// shard window are buffered per shard (each buffer is time-ordered by
+/// Lane-routing trace sink for sharded runs. Records emitted inside a
+/// shard window are buffered per lane (each buffer is time-ordered by
 /// construction, because a shard executes events in time order) and
 /// flushed to the downstream sink at the barrier in merged
-/// (time, shard, index) order; coordinator-side records pass straight
-/// through, which is correct because every buffered record is flushed
-/// before the coordinator executes its next event.
+/// (time, lane, index) order; lane-0 records pass straight through,
+/// which is correct because every buffered record is flushed before the
+/// coordinator executes its next event.
 class ShardTraceMux final : public TraceSink {
  public:
   ShardTraceMux(u32 n_shards, TraceSink* downstream);
 
   void record(const TraceRecord& rec) override {
-    if (ShardContext* c = current_shard()) {
-      buffers_[c->shard].recs.push_back(rec);
+    const u32 l = lane();
+    if (l != 0) {
+      buffers_[l].recs.push_back(rec);
     } else {
       downstream_->record(rec);
     }
   }
 
-  /// Records currently buffered for `shard` (the index the next record
-  /// from that shard will land at — used to register patch sites).
-  usize buffered(u32 shard) const noexcept { return buffers_[shard].recs.size(); }
+  /// Records currently buffered for `lane` (the index the next record
+  /// from that lane will land at — used to register patch sites).
+  usize buffered(u32 lane) const noexcept { return buffers_[lane].recs.size(); }
 
   /// Rewrites the `a` operand of a buffered record (deferred message-id
   /// assignment patches kSend records before they are hashed).
-  void patch_a(u32 shard, usize idx, u64 a) { buffers_[shard].recs[idx].a = a; }
+  void patch_a(u32 lane, usize idx, u64 a) { buffers_[lane].recs[idx].a = a; }
 
   /// Merges all buffers into the downstream sink and clears them.
   void flush();
@@ -112,7 +107,7 @@ class ShardTraceMux final : public TraceSink {
   };
 
   TraceSink* downstream_;
-  std::vector<Buffer> buffers_;
+  std::vector<Buffer> buffers_;  ///< Per lane; lane 0's stays empty.
   u64 cross_shard_ties_ = 0;
 };
 
@@ -169,6 +164,9 @@ class ShardedSimulator {
   void start_workers();
   void worker_loop(u32 shard);
   void run_window(Time h_excl, Time cap);
+  /// Runs shard `shard`'s part of the current window on the calling
+  /// thread, as lane 1 + shard, timing it on that profiler lane.
+  void run_shard_window(u32 shard);
 
   Simulator& main_;
   Time lookahead_;
@@ -197,7 +195,7 @@ class ShardedSimulator {
 
 /// Routes a driver's self-rescheduling through the owning shard.
 ///
-/// Inside a shard window the TLS context wins (a driver rescheduling the
+/// Inside a shard window the calling lane wins (a driver rescheduling the
 /// host it just serviced stays on that host's shard, with the shard's
 /// clock). On the coordinator of a sharded run (`declared.sharded()` set),
 /// per-host payload kinds (workload ops, mobility timers) are filed into

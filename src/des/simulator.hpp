@@ -7,9 +7,7 @@
 #pragma once
 
 #include <memory>
-#ifndef NDEBUG
 #include <vector>
-#endif
 
 #include "des/event.hpp"
 #include "des/event_queue.hpp"
@@ -172,9 +170,10 @@ class Simulator {
   u64 next_seq_ = 1;
   u64 executed_ = 0;
   SimInvariants invariants_;
-#ifndef NDEBUG
-  std::vector<bool> fired_seqs_;  ///< Double-pop detection by seq (debug builds).
-#endif
+  /// Double-pop detection by seq. Declared in every build so Debug and
+  /// Release translation units agree on the layout; only debug builds
+  /// fill it.
+  std::vector<bool> fired_seqs_;
 };
 
 }  // namespace mobichk::des

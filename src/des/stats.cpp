@@ -1,55 +1,10 @@
 #include "des/stats.hpp"
 
 #include <array>
-#include <cassert>
 #include <cstdio>
 #include <limits>
 
 namespace mobichk::des {
-
-Histogram::Histogram(f64 lo, f64 hi, usize bins)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<f64>(bins == 0 ? 1 : bins)),
-      counts_(bins == 0 ? 1 : bins, 0) {
-  assert(hi > lo);
-}
-
-void Histogram::add(f64 x) noexcept {
-  ++total_;
-  if (std::isnan(x)) {
-    // NaN fails both range checks below; casting it to usize is UB.
-    ++nan_;
-    return;
-  }
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  auto idx = static_cast<usize>((x - lo_) / width_);
-  if (idx >= counts_.size()) idx = counts_.size() - 1;  // float edge case
-  ++counts_[idx];
-}
-
-f64 Histogram::quantile(f64 q) const noexcept {
-  if (total_ == 0) return lo_;
-  if (q <= 0.0) return lo_;
-  if (q >= 1.0) return hi_;
-  const f64 target = q * static_cast<f64>(total_);
-  f64 cum = static_cast<f64>(underflow_);
-  if (cum >= target) return lo_;
-  for (usize i = 0; i < counts_.size(); ++i) {
-    const f64 next = cum + static_cast<f64>(counts_[i]);
-    if (next >= target && counts_[i] > 0) {
-      const f64 frac = (target - cum) / static_cast<f64>(counts_[i]);
-      return bin_lo(i) + frac * width_;
-    }
-    cum = next;
-  }
-  return hi_;
-}
 
 namespace {
 

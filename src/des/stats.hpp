@@ -3,22 +3,10 @@
 
 #include <cmath>
 #include <string>
-#include <vector>
 
 #include "des/types.hpp"
 
 namespace mobichk::des {
-
-/// Monotonic event counter.
-class Counter {
- public:
-  void add(u64 n = 1) noexcept { value_ += n; }
-  u64 value() const noexcept { return value_; }
-  void reset() noexcept { value_ = 0; }
-
- private:
-  u64 value_ = 0;
-};
 
 /// Streaming mean / variance accumulator (Welford's algorithm).
 class Tally {
@@ -49,63 +37,6 @@ class Tally {
   f64 m2_ = 0.0;
   f64 min_ = 1e300;
   f64 max_ = -1e300;
-};
-
-/// Time-weighted average of a piecewise-constant signal (e.g. queue length).
-class TimeWeighted {
- public:
-  explicit TimeWeighted(Time start = 0.0) noexcept : last_change_(start), start_(start) {}
-
-  /// Records that the signal takes value `value` from time `now` on.
-  void update(Time now, f64 value) noexcept {
-    area_ += current_ * (now - last_change_);
-    current_ = value;
-    last_change_ = now;
-  }
-
-  /// Time average over [start, now].
-  f64 average(Time now) const noexcept {
-    const Time span = now - start_;
-    if (span <= 0.0) return current_;
-    return (area_ + current_ * (now - last_change_)) / span;
-  }
-
-  f64 current() const noexcept { return current_; }
-
- private:
-  f64 current_ = 0.0;
-  f64 area_ = 0.0;
-  Time last_change_ = 0.0;
-  Time start_ = 0.0;
-};
-
-/// Fixed-range histogram with uniform bins plus under/overflow.
-class Histogram {
- public:
-  Histogram(f64 lo, f64 hi, usize bins);
-
-  void add(f64 x) noexcept;
-  u64 count() const noexcept { return total_; }
-  u64 bin_count(usize i) const { return counts_.at(i); }
-  u64 underflow() const noexcept { return underflow_; }
-  u64 overflow() const noexcept { return overflow_; }
-  /// NaN inputs land here (counted in count(), never binned).
-  u64 nan_count() const noexcept { return nan_; }
-  usize bins() const noexcept { return counts_.size(); }
-  f64 bin_lo(usize i) const noexcept { return lo_ + width_ * static_cast<f64>(i); }
-  f64 bin_hi(usize i) const noexcept { return lo_ + width_ * static_cast<f64>(i + 1); }
-  /// Approximate quantile (linear interpolation inside the bin).
-  f64 quantile(f64 q) const noexcept;
-
- private:
-  f64 lo_;
-  f64 hi_;
-  f64 width_;
-  std::vector<u64> counts_;
-  u64 underflow_ = 0;
-  u64 overflow_ = 0;
-  u64 nan_ = 0;
-  u64 total_ = 0;
 };
 
 /// Batch-means estimator for steady-state simulation output.

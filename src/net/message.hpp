@@ -202,28 +202,30 @@ struct Piggyback {
 /// An application message in flight or in a mailbox: the one record of
 /// itself from send to receive.
 ///
-/// Every protocol slot's piggyback rides the message in `pbs`; the send
-/// handler also copies what the network reads of slot 0's on the wire —
-/// its `sn` and its encoded and dense-equivalent sizes — into the flat
-/// fields. The receive handler reads the piggybacks back off the message,
-/// and the delivery record takes `id`, `src`, `dst` and `send_pos` from it.
+/// Every protocol slot's piggyback rides the message in `pbs`. Slot 0's
+/// is the one charged on the wire: the network reads its `sn` and its
+/// encoded and dense-equivalent sizes there, and a message with no
+/// piggyback carries no control information. The receive handler reads
+/// the piggybacks back off the message, and the delivery record takes
+/// `id`, `src`, `dst`, `send_pos` and slot 0's `sn` from it.
 struct AppMessage {
   u64 id = 0;               ///< Globally unique message id (a sharded window-time send
                             ///< gets it at the next barrier).
   HostId src = 0;
   HostId dst = 0;
   u32 payload_bytes = 0;    ///< Application payload size (excl. piggyback).
-  bool has_sn = false;      ///< Whether the piggyback carries `sn`.
   des::Time sent_at = 0.0;
   u64 send_pos = 0;         ///< Position the send event took at the sender.
-  u64 sn = 0;               ///< Piggybacked sequence number (index-based protocols).
-  u64 pb_bytes = 0;         ///< Piggyback bytes on the wire (Piggyback::wire_bytes).
-  u64 pb_dense_bytes = 0;   ///< Dense-equivalent piggyback bytes (Piggyback::dense_bytes).
   /// One piggyback per protocol slot, by value: the receiver reads its
   /// control information here, whatever shard or duplicate copy it gets.
   std::vector<Piggyback> pbs;
 
-  usize wire_bytes() const noexcept { return payload_bytes + pb_bytes; }
+  /// Slot 0's piggyback, the one on the wire; null when there is none.
+  const Piggyback* wire_pb() const noexcept { return pbs.empty() ? nullptr : pbs.data(); }
+
+  usize wire_bytes() const noexcept {
+    return payload_bytes + (pbs.empty() ? 0 : pbs[0].wire_bytes());
+  }
 };
 
 }  // namespace mobichk::net

@@ -31,6 +31,9 @@ Network::Network(des::Simulator& sim, NetworkConfig cfg, u64 seed, des::TraceSin
   cfg_.validate();
   arena_.init(cfg_.n_hosts);
   channels_.resize(cfg_.n_mss);
+  lanes_.resize(1);
+  lanes_[0].sim = &sim_;
+  owner_lane_.assign(cfg_.n_hosts, 0);
   hosts_.reserve(cfg_.n_hosts);
   for (HostId h = 0; h < cfg_.n_hosts; ++h) {
     hosts_.emplace_back(&arena_, h);
@@ -58,11 +61,6 @@ void Network::start(const std::vector<MssId>& placement) {
   for (auto& host : hosts_) handler_->on_host_init(host);
 }
 
-Network::Pool& Network::cur_pool() {
-  if (des::ShardContext* c = des::current_shard()) return slices_[c->shard].pool;
-  return pool_;
-}
-
 u32 Network::park(Pool& pool, AppMessage msg) {
   u32 idx;
   if (!pool.free.empty()) {
@@ -77,10 +75,17 @@ u32 Network::park(Pool& pool, AppMessage msg) {
 }
 
 AppMessage Network::unpark(u32 idx) {
-  Pool& pool = cur_pool();
+  Pool& pool = here().pool;
   AppMessage msg = std::move(pool.parked[idx]);
   pool.free.push_back(idx);
   return msg;
+}
+
+u32 Network::park_leg(u32 lane, des::Time t, u8 sub, MssId at, bool flag, AppMessage msg) {
+  LaneState& dst = lanes_[lane];
+  const u32 idx = park(dst.pool, std::move(msg));
+  dst.sim->schedule_at(t, hop_payload(sub, at, idx, flag));
+  return idx;
 }
 
 des::EventPayload Network::hop_payload(u8 sub, MssId at, u32 park_idx, bool flag) noexcept {
@@ -115,10 +120,10 @@ void Network::on_event(const des::EventPayload& p) {
   }
 }
 
-f64 Network::wireless_delay(MssId cell, usize bytes) {
+f64 Network::wireless_delay(MssId cell, const AppMessage& msg) {
   if (cfg_.wireless_bandwidth <= 0.0) return cfg_.wireless_latency;
   const f64 service =
-      cfg_.wireless_latency + static_cast<f64>(bytes) / cfg_.wireless_bandwidth;
+      cfg_.wireless_latency + static_cast<f64>(msg.wire_bytes()) / cfg_.wireless_bandwidth;
   return channels_.at(cell).reserve(sim_.now(), service) - sim_.now();
 }
 
@@ -131,21 +136,9 @@ void Network::wired_forward(MssId from, MssId to, AppMessage msg) {
 }
 
 void Network::schedule_hop(f64 delay, u8 sub, MssId at, bool flag, AppMessage msg) {
-  if (sharded_ == nullptr) {
-    sim_.schedule_after(delay, hop_payload(sub, at, park(pool_, std::move(msg)), flag));
-    return;
-  }
-  const u32 dst_shard = owner_shard_[msg.dst];
-  if (des::ShardContext* c = des::current_shard()) {
-    assert(dst_shard == c->shard && "non-send legs are destination-local");
-    const u32 idx = park(slices_[c->shard].pool, std::move(msg));
-    c->sim->schedule_after(delay, hop_payload(sub, at, idx, flag));
-  } else {
-    // Coordinator phase (restore-time redelivery): the shards are parked,
-    // so injecting straight into the owner's pool and queue is safe.
-    const u32 idx = park(slices_[dst_shard].pool, std::move(msg));
-    sharded_->shard_sim(dst_shard).schedule_at(sim_.now() + delay, hop_payload(sub, at, idx, flag));
-  }
+  const u32 dst_lane = owner_lane_[msg.dst];
+  assert((des::lane() == 0 || des::lane() == dst_lane) && "non-send legs are destination-local");
+  park_leg(dst_lane, now() + delay, sub, at, flag, std::move(msg));
 }
 
 void Network::occupy_control(MssId cell) {
@@ -156,7 +149,7 @@ void Network::occupy_control(MssId cell) {
 }
 
 void Network::trace(des::TraceKind kind, u32 actor, u64 a, u64 b) {
-  sink_->record(des::TraceRecord{cur_now(), actor, kind, a, b});
+  sink_->record(des::TraceRecord{now(), actor, kind, a, b});
 }
 
 void Network::internal_event(HostId host_id) { internal_events(host_id, 1); }
@@ -173,17 +166,19 @@ void Network::send_app_message(HostId src, HostId dst, u32 payload_bytes) {
   assert(s.connected() && "disconnected hosts cannot send");
   assert(dst < cfg_.n_hosts && dst != src);
 
+  const u32 lane = des::lane();
+  LaneState& own = lanes_[lane];
   AppMessage msg;
   // A window-time send carries no id until the next barrier, which
-  // assigns it in merged (time, shard) order — the order the sequential
+  // assigns it in merged (time, lane) order — the order the sequential
   // engine would have executed these sends in — and writes it where the
   // message waits and into its kSend trace record.
-  des::ShardContext* shard = des::current_shard();
-  if (shard == nullptr) msg.id = next_msg_id_++;
+  if (lane == 0) msg.id = next_msg_id_++;
   msg.src = src;
   msg.dst = dst;
   msg.payload_bytes = payload_bytes;
-  msg.sent_at = cur_now();
+  const des::Time sent_at = now();
+  msg.sent_at = sent_at;
   // The handler runs while event_pos() still names the last event *before*
   // this send, so a protocol that checkpoints on send produces a cut that
   // excludes the send. The send event then takes the next position.
@@ -192,53 +187,40 @@ void Network::send_app_message(HostId src, HostId dst, u32 payload_bytes) {
   observe_message(obs::ProbeKind::kSend, msg, src, dst);
 
   // In a window, the kSend record emitted next is a patch site for the id.
-  const usize send_trace_idx = shard != nullptr ? mux_->buffered(shard->shard) : 0;
+  const usize send_trace_idx = lane != 0 ? mux_->buffered(lane) : 0;
   trace(des::TraceKind::kSend, src, msg.id, dst);
-  NetworkStats& ns = st();
+  const Piggyback* pb = msg.wire_pb();
+  const u64 pb_bytes = pb != nullptr ? pb->wire_bytes() : 0;
+  const u64 pb_dense_bytes = pb != nullptr ? pb->dense_bytes() : 0;
+  NetworkStats& ns = own.stats;
   ++ns.app_sent;
   ++ns.wireless_messages;  // MH -> MSS uplink.
   ns.payload_bytes += payload_bytes;
-  ns.piggyback_bytes += msg.pb_bytes;
-  ns.piggyback_dense_bytes += msg.pb_dense_bytes;
+  ns.piggyback_bytes += pb_bytes;
+  ns.piggyback_dense_bytes += pb_dense_bytes;
   if (probe_ != nullptr) {
     probe_->uplink_legs->add();
     probe_->payload_bytes->add(payload_bytes);
-    probe_->piggyback_bytes->add(msg.pb_bytes);
-    probe_->piggyback_dense_bytes->add(msg.pb_dense_bytes);
+    probe_->piggyback_bytes->add(pb_bytes);
+    probe_->piggyback_dense_bytes->add(pb_dense_bytes);
   }
 
+  // The uplink leg (like every later leg) runs on the lane that owns the
+  // *destination*, so all per-host routing state it reads is owner-local.
+  // Lane 0 reaches every lane (the shards are parked), and a window its
+  // own; a window's cross-shard uplink is the one egress channel in the
+  // system, handed over at the barrier.
   const MssId src_mss = s.mss();
-  const f64 uplink = wireless_delay(src_mss, msg.wire_bytes());
-  if (sharded_ == nullptr) {
-    sim_.schedule_after(uplink,
-                        hop_payload(kSubUplink, src_mss, park(pool_, std::move(msg)), false));
-  } else if (shard != nullptr) {
-    // The uplink leg (like every later leg) executes on the owner shard
-    // of the *destination*, so all per-host routing state it reads is
-    // owner-local. Same-shard legs go straight into the local queue; the
-    // cross-shard case is the one egress channel in the system.
-    const u32 dst_shard = owner_shard_[dst];
-    ShardSlice& sl = slices_[shard->shard];
-    const des::Time now = shard->sim->now();
-    u32 idx = 0;
-    if (dst_shard == shard->shard) {
-      idx = park(sl.pool, std::move(msg));
-      shard->sim->schedule_after(uplink, hop_payload(kSubUplink, src_mss, idx, false));
-    } else {
-      idx = static_cast<u32>(sl.egress[dst_shard].size());
-      sl.egress[dst_shard].push_back(
-          EgressLeg{now + uplink, src_mss, kSubUplink, false, std::move(msg)});
-    }
-    sl.sends.push_back(SendReg{now, send_trace_idx, dst_shard, idx});
+  const des::Time arrive = sent_at + wireless_delay(src_mss, msg);
+  const u32 dst_lane = owner_lane_[dst];
+  u32 idx = 0;
+  if (lane == 0 || dst_lane == lane) {
+    idx = park_leg(dst_lane, arrive, kSubUplink, src_mss, false, std::move(msg));
   } else {
-    // Coordinator-side send in a sharded run (not produced by the stock
-    // drivers, kept correct): the id is already final and the shards are
-    // parked, so inject into the owner's pool and queue directly.
-    const u32 dst_shard = owner_shard_[dst];
-    const u32 idx = park(slices_[dst_shard].pool, std::move(msg));
-    sharded_->shard_sim(dst_shard).schedule_at(sim_.now() + uplink,
-                                               hop_payload(kSubUplink, src_mss, idx, false));
+    idx = static_cast<u32>(own.egress[dst_lane].size());
+    own.egress[dst_lane].push_back(EgressLeg{arrive, src_mss, kSubUplink, false, std::move(msg)});
   }
+  if (lane != 0) own.sends.push_back(SendReg{sent_at, send_trace_idx, dst_lane, idx});
 }
 
 void Network::msg_at_mss(MssId at, AppMessage msg, bool targeted) {
@@ -262,7 +244,7 @@ void Network::msg_at_mss(MssId at, AppMessage msg, bool targeted) {
   // Destination is attached here: wireless downlink.
   ++st().wireless_messages;
   if (probe_ != nullptr) probe_->downlink_legs->add();
-  const f64 downlink = wireless_delay(at, msg.wire_bytes());
+  const f64 downlink = wireless_delay(at, msg);
   schedule_hop(downlink, kSubDeliver, at, /*flag=*/false, std::move(msg));
 }
 
@@ -281,32 +263,35 @@ void Network::deliver_to_host(MssId from_mss, AppMessage msg, bool is_duplicate)
   }
   // At-least-once transport: the delivery may be duplicated. (Duplication
   // is gated off in sharded mode — the shared channel RNG would order-
-  // couple shards — so this branch is sequential-only.)
+  // couple shards — so this branch runs on lane 0 only.)
   if (!is_duplicate && cfg_.duplicate_prob > 0.0 &&
       des::bernoulli(channel_rng_, cfg_.duplicate_prob)) {
-    ++stats_.duplicates_generated;
-    ++stats_.wireless_messages;
+    NetworkStats& ns = st();
+    ++ns.duplicates_generated;
+    ++ns.wireless_messages;
     if (probe_ != nullptr) probe_->downlink_legs->add();
     AppMessage copy = msg;
-    const f64 redelivery = wireless_delay(from_mss, copy.wire_bytes());
-    sim_.schedule_after(redelivery, hop_payload(kSubDeliver, from_mss, park(pool_, std::move(copy)),
-                                                /*is_duplicate=*/true));
+    const f64 redelivery = wireless_delay(from_mss, copy);
+    schedule_hop(redelivery, kSubDeliver, from_mss, /*flag=*/true, std::move(copy));
   }
   if (cfg_.duplicate_prob > 0.0 && cfg_.transport_dedup) {
     if (!arena_.seen_ids[msg.dst].insert(msg.id).second) {
-      ++stats_.duplicates_suppressed;
+      ++st().duplicates_suppressed;
       return;
     }
   }
   trace(des::TraceKind::kDeliver, msg.dst, msg.id, msg.src);
-  ++st().app_delivered;
-  const f64 latency = cur_now() - msg.sent_at;
-  if (des::ShardContext* c = des::current_shard()) {
-    // Welford insertion is order-sensitive; journal now, replay into the
-    // Tally in global time order at the end of the run.
-    slices_[c->shard].latency.emplace_back(cur_now(), latency);
+  const u32 lane = des::lane();
+  LaneState& own = lanes_[lane];
+  ++own.stats.app_delivered;
+  const des::Time t = now();
+  const f64 latency = t - msg.sent_at;
+  if (lane == 0) {
+    own.stats.delivery_latency.add(latency);
   } else {
-    stats_.delivery_latency.add(latency);
+    // Welford insertion is order-sensitive: journal now, replay into lane
+    // 0's Tally in global time order at the barrier.
+    own.latency.emplace_back(t, latency);
   }
   if (probe_ != nullptr) probe_->delivery_latency->add(latency);
   d.mailbox().push(std::move(msg));
@@ -432,91 +417,91 @@ void Network::enable_sharding(des::ShardedSimulator* sharded, des::ShardTraceMux
   if (n_shards > cfg_.n_mss) {
     throw std::invalid_argument("enable_sharding: more shards than cells");
   }
-  sharded_ = sharded;
   mux_ = mux;
   // Static ownership: contiguous cell blocks of the current placement.
   // Cell c belongs to shard c * S / n_mss; a host never migrates owners,
   // whatever cells it later visits.
-  owner_shard_.assign(cfg_.n_hosts, 0);
+  std::vector<u32> owner_shard(cfg_.n_hosts);
   for (HostId h = 0; h < cfg_.n_hosts; ++h) {
-    owner_shard_[h] =
-        static_cast<u32>(static_cast<u64>(arena_.mss[h]) * n_shards / cfg_.n_mss);
+    owner_shard[h] = static_cast<u32>(static_cast<u64>(arena_.mss[h]) * n_shards / cfg_.n_mss);
+    owner_lane_[h] = 1 + owner_shard[h];
   }
-  sharded_->set_owner_map(owner_shard_);
-  slices_.clear();
-  slices_.resize(n_shards);
-  for (auto& sl : slices_) sl.egress.resize(n_shards);
+  sharded->set_owner_map(std::move(owner_shard));
+  lanes_.resize(1 + n_shards);
+  for (u32 s = 0; s < n_shards; ++s) lanes_[1 + s].sim = &sharded->shard_sim(s);
+  for (auto& l : lanes_) l.egress.resize(lanes_.size());
 }
 
 void Network::merge_window() {
-  const u32 n = static_cast<u32>(slices_.size());
-  // 1. Final message ids, assigned in merged (time, shard) order — the
+  const usize n = lanes_.size();
+  // 1. Final message ids, assigned in merged (time, lane) order — the
   //    order the sequential engine executed these sends in (the merge
-  //    counts any equal-time pick the shard index had to break). Each
+  //    counts any equal-time pick the lane index had to break). Each
   //    goes into the message where it waits and into its kSend trace
   //    record before the mux flush hashes it.
   cross_shard_ties_ += des::merge_shard_journals(
-      n, [this](usize s) -> auto& { return slices_[s].sends; },
+      n, [this](usize l) -> auto& { return lanes_[l].sends; },
       [](const SendReg& reg) { return reg.t; },
-      [this](usize s, const SendReg& reg) {
-        ShardSlice& sl = slices_[s];
+      [this](usize l, const SendReg& reg) {
+        LaneState& src = lanes_[l];
         const u64 final_id = next_msg_id_++;
-        AppMessage& msg = reg.dst_shard == s ? sl.pool.parked[reg.idx]
-                                             : sl.egress[reg.dst_shard][reg.idx].msg;
+        AppMessage& msg = reg.dst_lane == l ? src.pool.parked[reg.idx]
+                                            : src.egress[reg.dst_lane][reg.idx].msg;
         msg.id = final_id;
-        mux_->patch_a(static_cast<u32>(s), reg.trace_idx, final_id);
+        mux_->patch_a(static_cast<u32>(l), reg.trace_idx, final_id);
       });
-  for (auto& sl : slices_) sl.sends.clear();
-  // 2. Cross-shard legs: hand each to its owner shard in (time, source
-  //    shard) order. Every leg's arrival time is at or past the window
+  for (auto& l : lanes_) l.sends.clear();
+  // 2. Cross-shard legs: hand each to its owner lane in (time, source
+  //    lane) order. Every leg's arrival time is at or past the window
   //    horizon (delay >= lookahead), so the owner's clock has not passed it.
   for (u32 dst = 0; dst < n; ++dst) {
     cross_shard_ties_ += des::merge_shard_journals(
-        n, [this, dst](usize s) -> auto& { return slices_[s].egress[dst]; },
+        n, [this, dst](usize l) -> auto& { return lanes_[l].egress[dst]; },
         [](const EgressLeg& leg) { return leg.t; },
         [this, dst](usize, EgressLeg& leg) {
-          const u32 idx = park(slices_[dst].pool, std::move(leg.msg));
-          sharded_->shard_sim(dst).schedule_at(leg.t,
-                                               hop_payload(leg.sub, leg.at, idx, leg.flag));
+          park_leg(dst, leg.t, leg.sub, leg.at, leg.flag, std::move(leg.msg));
         });
-    for (u32 s = 0; s < n; ++s) slices_[s].egress[dst].clear();
+    for (auto& l : lanes_) l.egress[dst].clear();
   }
-  // 3. Publish this window's trace records downstream, time-merged.
+  // 3. Delivery latencies, into lane 0's Tally in merged (time, lane)
+  //    order: the sequential insertion order, so mean and variance are
+  //    bit-identical, not just permutation-equal.
+  using Sample = std::pair<des::Time, f64>;
+  cross_shard_ties_ += des::merge_shard_journals(
+      n, [this](usize l) -> auto& { return lanes_[l].latency; },
+      [](const Sample& sample) { return sample.first; },
+      [this](usize, const Sample& sample) { lanes_[0].stats.delivery_latency.add(sample.second); });
+  for (auto& l : lanes_) l.latency.clear();
+  // 4. Publish this window's trace records downstream, time-merged.
   mux_->flush();
 }
 
-void Network::finalize_sharding() {
-  for (auto& sl : slices_) {
-    const NetworkStats& s = sl.stats;
-    stats_.app_sent += s.app_sent;
-    stats_.app_delivered += s.app_delivered;
-    stats_.app_received += s.app_received;
-    stats_.control_messages += s.control_messages;
-    stats_.wireless_messages += s.wireless_messages;
-    stats_.wired_hops += s.wired_hops;
-    stats_.handoffs += s.handoffs;
-    stats_.disconnects += s.disconnects;
-    stats_.reconnects += s.reconnects;
-    stats_.crashes += s.crashes;
-    stats_.restores += s.restores;
-    stats_.chase_forwards += s.chase_forwards;
-    stats_.buffered_deliveries += s.buffered_deliveries;
-    stats_.duplicates_generated += s.duplicates_generated;
-    stats_.duplicates_suppressed += s.duplicates_suppressed;
-    stats_.payload_bytes += s.payload_bytes;
-    stats_.piggyback_bytes += s.piggyback_bytes;
-    stats_.piggyback_dense_bytes += s.piggyback_dense_bytes;
-    sl.stats = NetworkStats{};
+NetworkStats Network::stats() const {
+  NetworkStats sum = lanes_[0].stats;
+  for (usize l = 1; l < lanes_.size(); ++l) {
+    const NetworkStats& s = lanes_[l].stats;
+    sum.app_sent += s.app_sent;
+    sum.app_delivered += s.app_delivered;
+    sum.app_received += s.app_received;
+    sum.control_messages += s.control_messages;
+    sum.wireless_messages += s.wireless_messages;
+    sum.wired_hops += s.wired_hops;
+    sum.handoffs += s.handoffs;
+    sum.disconnects += s.disconnects;
+    sum.reconnects += s.reconnects;
+    sum.crashes += s.crashes;
+    sum.restores += s.restores;
+    sum.chase_forwards += s.chase_forwards;
+    sum.buffered_deliveries += s.buffered_deliveries;
+    sum.duplicates_generated += s.duplicates_generated;
+    sum.duplicates_suppressed += s.duplicates_suppressed;
+    sum.payload_bytes += s.payload_bytes;
+    sum.bulk_transfers += s.bulk_transfers;
+    sum.bulk_wired_bytes += s.bulk_wired_bytes;
+    sum.piggyback_bytes += s.piggyback_bytes;
+    sum.piggyback_dense_bytes += s.piggyback_dense_bytes;
   }
-  // Delivery latencies replay into the Tally in merged (time, shard)
-  // order — the sequential insertion order, so mean/variance are
-  // bit-identical, not just permutation-equal.
-  using Sample = std::pair<des::Time, f64>;
-  cross_shard_ties_ += des::merge_shard_journals(
-      slices_.size(), [this](usize s) -> auto& { return slices_[s].latency; },
-      [](const Sample& sample) { return sample.first; },
-      [this](usize, const Sample& sample) { stats_.delivery_latency.add(sample.second); });
-  for (auto& sl : slices_) sl.latency.clear();
+  return sum;
 }
 
 void Network::restore(HostId host_id, MssId at_mss) {

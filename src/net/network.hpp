@@ -24,6 +24,7 @@
 
 #include "des/distributions.hpp"
 #include "des/event.hpp"
+#include "des/lane.hpp"
 #include "des/stats.hpp"
 #include "des/rng.hpp"
 #include "des/sharded.hpp"
@@ -131,10 +132,11 @@ class Network final : public des::EventTarget {
   /// shards in contiguous cell blocks of their *current* placement
   /// (call after any custom start() placement is decided — the default
   /// round-robin placement from the constructor matches start()), the
-  /// owner map is installed into `sharded`, and per-shard slices (stats,
-  /// in-flight pools, egress channels, journals) are allocated. `mux`
-  /// must be the TraceSink this network was constructed with (kSend
-  /// records are patched in its buffers when message ids are finalized).
+  /// owner map is installed into `sharded`, and one lane per shard is
+  /// added beside lane 0 (stats, in-flight pool, egress channels,
+  /// journals). `mux` must be the TraceSink this network was constructed
+  /// with (kSend records are patched in its buffers when message ids are
+  /// finalized).
   /// Requires an ideal channel (no bandwidth cap, no duplication, no
   /// observer) and strictly positive latencies — the wired/wireless
   /// minimum is the conservative lookahead.
@@ -142,15 +144,12 @@ class Network final : public des::EventTarget {
 
   /// Barrier-time merge, run on the coordinator with all shards parked:
   /// assigns final message ids to this window's sends in global
-  /// (time, shard) order, writing each into the waiting message and its
+  /// (time, lane) order, writing each into the waiting message and its
   /// buffered kSend trace record, drains cross-shard egress legs into
-  /// their owner queues, and flushes the trace mux.
+  /// their owner queues, replays the window's delivery latencies into
+  /// lane 0's Tally in the same order (the sequential insertion order, so
+  /// mean and variance are bit-identical), and flushes the trace mux.
   void merge_window();
-
-  /// End-of-run fold: sums per-shard counter slices into stats() and
-  /// replays the delivery-latency journals into the Tally in global
-  /// time order (bit-identical to the sequential insertion order).
-  void finalize_sharding();
 
   /// Barrier-merge picks (send ids, egress legs, latency replay) whose
   /// time another shard's journal head shared; the trace mux counts its
@@ -158,7 +157,7 @@ class Network final : public des::EventTarget {
   u64 cross_shard_ties() const noexcept { return cross_shard_ties_; }
 
   /// Owner shard of `host` (valid after enable_sharding).
-  u32 owner_shard(HostId host) const { return owner_shard_[host]; }
+  u32 owner_shard(HostId host) const { return owner_lane_[host] - 1; }
 
   /// Places hosts round-robin over MSSs and fires on_host_init upcalls.
   void start();
@@ -176,8 +175,13 @@ class Network final : public des::EventTarget {
   const CellChannel& channel(MssId id) const { return channels_.at(id); }
   const MssTopology& topology() const noexcept { return topology_; }
   des::Simulator& sim() noexcept { return sim_; }
+  /// The clock of the calling lane: its shard's simulator inside a
+  /// window, the main simulator otherwise.
+  des::Time now() const { return des::lane_sim(sim_).now(); }
   const NetworkConfig& config() const noexcept { return cfg_; }
-  const NetworkStats& stats() const noexcept { return stats_; }
+  /// The run's totals: every lane's counters summed, with lane 0's
+  /// delivery-latency Tally (shard lanes journal theirs into it).
+  NetworkStats stats() const;
 
   // -- application operations (driven by the workload model) -----------
 
@@ -223,11 +227,12 @@ class Network final : public des::EventTarget {
   /// recovery-image fetch) of `bytes` across `hops` MSS-MSS legs. The
   /// checkpoint data plane calls this from the coordinator (window
   /// barriers and crash events), never inside a shard window, so it
-  /// writes the global stats directly.
+  /// counts on lane 0.
   void account_bulk_wired(u32 hops, u64 bytes) noexcept {
-    stats_.wired_hops += hops;
-    stats_.bulk_wired_bytes += bytes;
-    ++stats_.bulk_transfers;
+    NetworkStats& ns = st();
+    ns.wired_hops += hops;
+    ns.bulk_wired_bytes += bytes;
+    ++ns.bulk_transfers;
   }
 
   /// Rejoins `host` at `at_mss` after rollback + replay completed. Pays
@@ -247,9 +252,8 @@ class Network final : public des::EventTarget {
     kSubDeliver = 2,  ///< MSS -> MH wireless leg arrived (flags bit0 = is_duplicate).
   };
 
-  /// Recycled storage for in-flight messages: one global pool in the
-  /// sequential engine, one per shard in sharded mode (a leg is parked
-  /// and unparked by the same shard — the owner of its destination).
+  /// Recycled storage for in-flight messages, one per lane: a leg is
+  /// parked and unparked by the same lane, the owner of its destination.
   struct Pool {
     std::vector<AppMessage> parked;
     std::vector<u32> free;
@@ -257,13 +261,13 @@ class Network final : public des::EventTarget {
 
   /// A send made during a shard window, awaiting its final message id at
   /// the barrier, and where the message waits for it: slot `idx` of the
-  /// sending shard's pool when `dst_shard` is the sending shard, else
-  /// entry `idx` of its egress channel to `dst_shard`. The uplink takes at
-  /// least the lookahead, so the message is still there at the barrier.
+  /// sending lane's pool when `dst_lane` is the sending lane, else entry
+  /// `idx` of its egress channel to `dst_lane`. The uplink takes at least
+  /// the lookahead, so the message is still there at the barrier.
   struct SendReg {
     des::Time t = 0.0;       ///< Send time (merge key).
     usize trace_idx = 0;     ///< Buffered kSend record to patch.
-    u32 dst_shard = 0;
+    u32 dst_lane = 0;
     u32 idx = 0;
   };
 
@@ -277,52 +281,46 @@ class Network final : public des::EventTarget {
     AppMessage msg;
   };
 
-  /// Everything one shard touches during a window, padded to keep the
-  /// hot counters off other shards' cache lines.
-  struct alignas(64) ShardSlice {
-    NetworkStats stats;          ///< Counter slice (Tally unused — see latency).
-    Pool pool;                   ///< In-flight legs owned by this shard.
+  /// Everything one lane touches, padded to keep the hot counters off
+  /// other lanes' cache lines. The window-only parts (sends, latency,
+  /// egress) stay empty on lane 0, which applies them at once.
+  struct LaneState {
+    NetworkStats stats;          ///< Counters (the Tally is lane 0's alone).
+    Pool pool;                   ///< In-flight legs owned by this lane.
+    des::Simulator* sim = nullptr;  ///< The queue those legs run on.
     std::vector<SendReg> sends;  ///< This window's sends, in time order.
     std::vector<std::pair<des::Time, f64>> latency;  ///< Delivery-latency journal.
-    std::vector<std::vector<EgressLeg>> egress;      ///< Per destination shard.
+    std::vector<std::vector<EgressLeg>> egress;      ///< Per destination lane.
+    char pad[des::kLanePadBytes];
   };
 
-  /// The pool serving the calling context (TLS shard slice or global).
-  Pool& cur_pool();
   /// Parks an in-flight message in `pool`; returns its slot index.
   u32 park(Pool& pool, AppMessage msg);
-  /// Reclaims a parked message, freeing its slot for reuse.
+  /// Reclaims a message the calling lane parked, freeing its slot.
   AppMessage unpark(u32 idx);
+  /// Parks `msg` in lane `lane`'s pool and schedules its leg on that
+  /// lane's simulator at absolute time `t`; returns the pool slot.
+  u32 park_leg(u32 lane, des::Time t, u8 sub, MssId at, bool flag, AppMessage msg);
   /// Builds the kMessageHop payload for one message leg.
   des::EventPayload hop_payload(u8 sub, MssId at, u32 park_idx, bool flag) noexcept;
 
-  /// The clock of the calling context: the TLS shard's simulator inside a
-  /// window, the main simulator otherwise.
-  des::Time cur_now() const {
-    if (des::ShardContext* c = des::current_shard()) return c->sim->now();
-    return sim_.now();
-  }
-
-  /// The stats the calling context accumulates into: the TLS shard's
-  /// slice inside a window, the global aggregate otherwise.
-  NetworkStats& st() {
-    if (des::ShardContext* c = des::current_shard()) return slices_[c->shard].stats;
-    return stats_;
-  }
+  /// The calling lane's state, and the stats it accumulates into.
+  LaneState& here() { return lanes_[des::lane()]; }
+  NetworkStats& st() { return here().stats; }
 
   /// Schedules a (non-send) message leg `delay` from the current clock.
-  /// All such legs are destination-local: they execute on the owner shard
-  /// of msg.dst, which in a window is the calling shard. Coordinator-side
-  /// calls (restore-time redelivery) inject into the owner's queue
+  /// All such legs are destination-local: they run on the lane that owns
+  /// msg.dst, which in a window is the calling lane. Lane-0 calls in a
+  /// sharded run (restore-time redelivery) inject into the owner's queue
   /// directly — the shards are parked.
   void schedule_hop(f64 delay, u8 sub, MssId at, bool flag, AppMessage msg);
 
   /// `targeted` is true when `at` was chosen because the destination was
   /// believed to be there (so finding it gone is a chase, not routing).
   void msg_at_mss(MssId at, AppMessage msg, bool targeted = false);
-  /// Delay of a wireless transmission of `bytes` in `cell`, reserving the
+  /// Delay of a wireless transmission of `msg` in `cell`, reserving the
   /// shared channel when a bandwidth is configured.
-  f64 wireless_delay(MssId cell, usize bytes);
+  f64 wireless_delay(MssId cell, const AppMessage& msg);
   /// Accounts a control message's channel occupancy (no delivery delay).
   void occupy_control(MssId cell);
   /// Schedules the wired transfer of `msg` from `from` to `to`, paying
@@ -342,7 +340,8 @@ class Network final : public des::EventTarget {
     e.actor = static_cast<i32>(actor);
     e.track = static_cast<i32>(peer);
     e.a = msg.id;
-    e.b = msg.has_sn ? msg.sn : 0;
+    const Piggyback* pb = msg.wire_pb();
+    e.b = pb != nullptr && pb->has_sn ? pb->sn : 0;
     timeline_->record(e);
   }
 
@@ -370,16 +369,13 @@ class Network final : public des::EventTarget {
   HostArena arena_;                ///< SoA storage for all per-host state.
   std::vector<MobileHost> hosts_;  ///< Thin views over arena_, index = id.
   std::vector<CellChannel> channels_;
-  NetworkStats stats_;
-  Pool pool_;                      ///< In-flight message pool (sequential engine).
+  std::vector<LaneState> lanes_;   ///< Lane 0, then one per shard.
+  std::vector<u32> owner_lane_;    ///< host -> lane its legs run on (all 0 sequential).
   u64 next_msg_id_ = 1;
   bool started_ = false;
 
-  // -- sharded mode (null / empty in sequential runs) -------------------
-  des::ShardedSimulator* sharded_ = nullptr;
+  // -- sharded mode (null in sequential runs) ----------------------------
   des::ShardTraceMux* mux_ = nullptr;
-  std::vector<u32> owner_shard_;           ///< host -> owner shard.
-  std::vector<ShardSlice> slices_;
   u64 cross_shard_ties_ = 0;
 };
 

@@ -6,8 +6,6 @@ namespace mobichk::obs {
 
 namespace {
 
-thread_local ProfLane* tls_prof_lane = nullptr;
-
 void push_phase(std::vector<MetricSample>& out, const std::string& name, const PhaseAccum& acc) {
   out.push_back(MetricSample{name + ".seconds", acc.seconds()});
   out.push_back(MetricSample{name + ".count", static_cast<f64>(acc.count)});
@@ -15,18 +13,10 @@ void push_phase(std::vector<MetricSample>& out, const std::string& name, const P
 
 }  // namespace
 
-void set_prof_tls_lane(ProfLane* lane) noexcept { tls_prof_lane = lane; }
-ProfLane* prof_tls_lane() noexcept { return tls_prof_lane; }
-
 Profiler::Profiler() : t0_ns_(prof_now_ns()) { ensure_lanes(1); }
 
 void Profiler::ensure_lanes(usize n) {
   while (lanes_.size() < n) lanes_.push_back(std::make_unique<ProfLane>());
-}
-
-ProfLane& Profiler::lane() noexcept {
-  ProfLane* l = tls_prof_lane;
-  return l != nullptr ? *l : *lanes_[0];
 }
 
 u64 Profiler::dispatch_count(usize kind) const {

@@ -8,13 +8,13 @@
 // run pays one predictable branch per site, never reads the clock,
 // allocates nothing, and reproduces the golden trace bit-identically.
 //
-// Lanes make the profiler shard-safe without atomics: lane 0 belongs to
-// the coordinator (and to the whole run when sequential), lane 1+s to
-// shard s. The sharded executor installs a thread-local lane around each
-// window, so shared layers (network, harness, storage) resolve the
-// executing lane through `Profiler::lane()` and only ever write memory
-// owned by the current thread. Lanes are cache-line aligned to keep the
-// accumulators of neighbouring shards off each other's lines.
+// Lanes make the profiler shard-safe without atomics. They are the run's
+// execution lanes (des/lane.hpp): lane 0 belongs to the coordinator (and
+// to the whole run when sequential), lane 1+s to shard s. Shared layers
+// (network, harness, storage) resolve the executing lane through
+// `Profiler::lane()`, which indexes by `des::lane()`, so they only ever
+// write memory owned by the current thread. Lanes are cache-line aligned
+// to keep the accumulators of neighbouring shards off each other's lines.
 #pragma once
 
 #include <chrono>
@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "des/event.hpp"
+#include "des/lane.hpp"
 #include "obs/metrics.hpp"
 
 namespace mobichk::obs {
@@ -95,7 +96,7 @@ struct alignas(64) ProfLane {
   PhaseAccum queue_pop;
   PhaseAccum queue_cancel;
 
-  // -- shared layers (resolved through the TLS lane) ----------------------
+  // -- shared layers (resolved through des::lane()) -----------------------
   PhaseAccum net_leg;    ///< net::Network message-hop handling
   PhaseAccum pb_encode;  ///< sparse piggyback encode (on_send)
   PhaseAccum pb_merge;   ///< sparse piggyback decode + merge (on_receive)
@@ -121,7 +122,7 @@ struct alignas(64) ProfLane {
 };
 
 /// The profiler for one run: owns the lanes, resolves the executing lane
-/// through TLS, and flattens everything into the `prof.*` metric catalog
+/// through des::lane(), and flattens everything into the `prof.*` metric catalog
 /// (see docs/observability.md).
 class Profiler {
  public:
@@ -138,9 +139,9 @@ class Profiler {
   ProfLane& lane_ref(usize i) { return *lanes_[i]; }
   const ProfLane& lane_ref(usize i) const { return *lanes_[i]; }
 
-  /// The calling thread's lane: the TLS lane inside a shard window, lane
-  /// 0 everywhere else (coordinator, sequential runs).
-  ProfLane& lane() noexcept;
+  /// The calling thread's lane: lane 1+s inside shard s's window, lane 0
+  /// everywhere else (coordinator, sequential runs).
+  ProfLane& lane() noexcept { return *lanes_[des::lane()]; }
 
   /// Construction instant; Chrome-trace `ts` values are relative to it.
   u64 t0_ns() const noexcept { return t0_ns_; }
@@ -168,10 +169,5 @@ class Profiler {
   std::vector<std::string> slot_names_;
   u64 t0_ns_ = 0;
 };
-
-/// Installs/clears the calling thread's lane (the sharded executor brackets
-/// every window with this; sequential runs never touch it).
-void set_prof_tls_lane(ProfLane* lane) noexcept;
-ProfLane* prof_tls_lane() noexcept;
 
 }  // namespace mobichk::obs

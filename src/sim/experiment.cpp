@@ -111,7 +111,6 @@ Experiment::Experiment(SimConfig cfg, ExperimentOptions opts)
     opts_.profiler->set_slot_names(std::move(slot_names));
   }
   if (shards_ > 1) {
-    // After every slot exists (the harness sizes per-slot byte slices).
     // The network refuses sequential-only configs (duplicating channels,
     // bandwidth caps) before anything else is switched over.
     net_->enable_sharding(sharded_.get(), mux_.get());
@@ -163,8 +162,6 @@ void Experiment::run() {
   if (crash_ != nullptr) crash_->start();
   if (sharded_ != nullptr) {
     sharded_->run_until(cfg_.sim_length);
-    net_->finalize_sharding();
-    harness_->finalize_sharding();
   } else {
     sim_->run_until(cfg_.sim_length);
   }

@@ -5,7 +5,7 @@
 namespace mobichk::sim {
 
 WorkloadDriver::WorkloadDriver(des::Simulator& sim, net::Network& net, const SimConfig& cfg)
-    : sim_(sim), net_(net), cfg_(cfg), comm_gap_(cfg.comm_mean) {
+    : sim_(sim), net_(net), cfg_(cfg), comm_gap_(cfg.comm_mean), lanes_(1) {
   per_host_.reserve(net.n_hosts());
   for (net::HostId h = 0; h < net.n_hosts(); ++h) {
     per_host_.push_back(HostState{des::RngStream(cfg.seed, "workload", h), 0, {}});

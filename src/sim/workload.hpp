@@ -9,8 +9,8 @@
 
 #include "core/checkpoint_log.hpp"
 #include "des/distributions.hpp"
-#include "des/sharded.hpp"
 #include "des/event.hpp"
+#include "des/lane.hpp"
 #include "des/rng.hpp"
 #include "des/simulator.hpp"
 #include "net/network.hpp"
@@ -32,8 +32,8 @@ class WorkloadDriver final : public des::EventTarget {
   /// Restarts the host's operation loop (mobility calls this on reconnect).
   void resume(net::HostId host);
 
-  /// Sizes the per-shard counter slices for a shard-parallel run.
-  void enable_sharding(u32 n_shards) { slices_.resize(n_shards); }
+  /// Adds one counter lane per shard for a shard-parallel run.
+  void enable_sharding(u32 n_shards) { lanes_.resize(1 + n_shards); }
 
   /// Communication operations executed (sends + receive attempts).
   u64 ops_executed() const noexcept { return sum(&CounterSlice::ops); }
@@ -66,24 +66,22 @@ class WorkloadDriver final : public des::EventTarget {
     std::vector<u64> seen_ckpts;  ///< Per-probe counts, for the latency stall.
   };
 
-  /// Hot per-op counters, sliced per shard so parallel windows never
+  /// Hot per-op counters, one set per lane so parallel windows never
   /// share a cache line (summed by the accessors).
-  struct alignas(64) CounterSlice {
+  struct CounterSlice {
     u64 ops = 0;
     u64 sends = 0;
     u64 receives = 0;
     u64 empty_receives = 0;
     u64 internal_events = 0;
+    char pad[des::kLanePadBytes];
   };
 
-  CounterSlice& cnt() {
-    if (des::ShardContext* c = des::current_shard()) return slices_[c->shard];
-    return base_;
-  }
+  CounterSlice& cnt() { return lanes_[des::lane()]; }
 
   u64 sum(u64 CounterSlice::* field) const noexcept {
-    u64 total = base_.*field;
-    for (const auto& sl : slices_) total += sl.*field;
+    u64 total = 0;
+    for (const auto& l : lanes_) total += l.*field;
     return total;
   }
 
@@ -96,8 +94,7 @@ class WorkloadDriver final : public des::EventTarget {
   des::Exponential comm_gap_;
   std::vector<HostState> per_host_;
   std::vector<const core::CheckpointLog*> latency_probes_;
-  CounterSlice base_;                 ///< Sequential / coordinator counts.
-  std::vector<CounterSlice> slices_;  ///< Per shard (empty when sequential).
+  std::vector<CounterSlice> lanes_;  ///< Lane 0, then one per shard.
 };
 
 }  // namespace mobichk::sim

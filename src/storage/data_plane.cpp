@@ -3,8 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "des/lane.hpp"
 #include "des/shard_merge.hpp"
-#include "des/sharded.hpp"
 #include "net/network.hpp"
 #include "obs/timeline.hpp"
 
@@ -93,25 +93,26 @@ void DataPlane::on_handoff(net::HostId host, net::MssId from, net::MssId to, des
 }
 
 void DataPlane::enqueue_or_process(const PendingOp& op) {
-  if (des::ShardContext* ctx = des::current_shard()) {
-    slices_.at(ctx->shard).ops.push_back(op);
-  } else {
+  const u32 lane = des::lane();
+  if (lane == 0) {
     process(op);
+  } else {
+    lanes_.at(lane).ops.push_back(op);
   }
 }
 
-void DataPlane::enable_sharding(u32 n_shards) { slices_.resize(n_shards); }
+void DataPlane::enable_sharding(u32 n_shards) { lanes_.resize(1 + n_shards); }
 
 void DataPlane::merge_window() {
   obs::ProfScope prof_scope(prof_ != nullptr ? &prof_->lane().storage : nullptr);
-  // K-way merge on (time, shard, index): each slice is time-ordered by
+  // K-way merge on (time, lane, index): each journal is time-ordered by
   // construction, so the merged order equals the sequential processing
   // order and the FIFO admissions / placement moves reproduce exactly.
   cross_shard_ties_ += des::merge_shard_journals(
-      slices_.size(), [this](usize s) -> auto& { return slices_[s].ops; },
+      lanes_.size(), [this](usize l) -> auto& { return lanes_[l].ops; },
       [](const PendingOp& op) { return op.t; },
       [this](usize, const PendingOp& op) { process(op); });
-  for (Slice& s : slices_) s.ops.clear();
+  for (Journal& l : lanes_) l.ops.clear();
 }
 
 void DataPlane::process(const PendingOp& op) {

@@ -32,11 +32,12 @@
 //
 // Shard discipline: the plane keeps no per-host size state; everything
 // it does — FIFO admission, placement moves, aggregate stats, event
-// scheduling — is journaled per shard during windows and processed at
-// the barrier in merged (time, shard, index) order, which reproduces the
-// sequential processing order bit-identically. Completion times always
-// exceed the op time by at least one network latency >= the lookahead,
-// so barrier-side scheduling can never regress the main clock. With the
+// scheduling — runs at once on lane 0 and is journaled per shard lane
+// during windows, then processed at the barrier in merged
+// (time, lane, index) order, which reproduces the sequential processing
+// order bit-identically. Completion times always exceed the op time by
+// at least one network latency >= the lookahead, so barrier-side
+// scheduling can never regress the main clock. With the
 // plane disabled the object simply does not exist (branch-on-null at
 // every call site): traces and allocation behavior are untouched.
 #pragma once
@@ -150,9 +151,9 @@ class DataPlane final : public des::EventTarget {
   /// Coordinator-context only (CrashDriver runs on the main queue).
   des::Time recovery_fetch(net::HostId host, net::MssId at_mss, des::Time now);
 
-  /// Sizes the per-shard journals; call before the first shard window.
+  /// Adds one journal lane per shard; call before the first shard window.
   void enable_sharding(u32 n_shards);
-  /// Drains the journals in merged (time, shard, index) order. Called on
+  /// Drains the journals in merged (time, lane, index) order. Called on
   /// the coordinator at every window barrier.
   void merge_window();
   /// Journal merges that broke an equal-time tie by shard index
@@ -187,7 +188,8 @@ class DataPlane final : public des::EventTarget {
     u8 ckpt_kind = 0;
   };
 
-  struct alignas(64) Slice {
+  /// One lane's journal; lane 0 processes its ops at once.
+  struct alignas(64) Journal {
     std::vector<PendingOp> ops;
   };
 
@@ -224,7 +226,7 @@ class DataPlane final : public des::EventTarget {
   net::Network* network_ = nullptr;
   std::unique_ptr<StableStorage> storage_;
   std::vector<net::MssId> placement_;  ///< Per host: where its recovery image lives.
-  std::vector<Slice> slices_;
+  std::vector<Journal> lanes_;  ///< Lane 0, then one per shard.
   u64 cross_shard_ties_ = 0;
   std::vector<Transfer> pending_;
   std::vector<u32> free_;

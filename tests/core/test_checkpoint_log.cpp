@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "des/rng.hpp"
-#include "des/sharded.hpp"
+#include "des/lane.hpp"
 
 namespace mobichk::core {
 namespace {
@@ -140,8 +140,7 @@ TEST(CheckpointLog, ArenaBackedDepsMatchAMapModel) {
   std::vector<std::map<u32, net::DepEntry>> models;
   std::vector<const CheckpointRecord*> recs;
   for (u32 i = 0; i < 90; ++i) {
-    des::ShardContext lane{i % 3, nullptr};
-    des::set_current_shard(i % 3 == 2 ? nullptr : &lane);
+    des::tls_lane = des::Lane{i % 3, nullptr};
     std::map<u32, net::DepEntry> model;
     const u64 keep = 1 + i % 10;  // about keep/10 of the hosts
     for (u32 h = 0; h < kHosts; ++h) {
@@ -152,7 +151,7 @@ TEST(CheckpointLog, ArenaBackedDepsMatchAMapModel) {
     recs.push_back(&append_snapshot(log, i % kHosts, i, model));
     models.push_back(std::move(model));
   }
-  des::set_current_shard(nullptr);
+  des::tls_lane = des::Lane{};
   for (usize i = 0; i < recs.size(); ++i) {
     ASSERT_EQ(recs[i]->dep_count, models[i].size());
     for (u32 h = 0; h < kHosts; ++h) {

@@ -3,23 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <limits>
 
 #include "des/distributions.hpp"
 #include "des/rng.hpp"
 
 namespace mobichk::des {
 namespace {
-
-TEST(Counter, AddsAndResets) {
-  Counter c;
-  EXPECT_EQ(c.value(), 0u);
-  c.add();
-  c.add(5);
-  EXPECT_EQ(c.value(), 6u);
-  c.reset();
-  EXPECT_EQ(c.value(), 0u);
-}
 
 TEST(Tally, KnownValues) {
   Tally t;
@@ -54,78 +43,6 @@ TEST(Tally, NumericallyStableForLargeOffsets) {
   const f64 offset = 1e9;
   for (const f64 x : {offset + 1.0, offset + 2.0, offset + 3.0}) t.add(x);
   EXPECT_NEAR(t.variance(), 1.0, 1e-6);
-}
-
-TEST(TimeWeighted, PiecewiseConstantAverage) {
-  TimeWeighted tw(0.0);
-  tw.update(0.0, 2.0);   // value 2 on [0, 4)
-  tw.update(4.0, 6.0);   // value 6 on [4, 8)
-  EXPECT_DOUBLE_EQ(tw.average(8.0), 4.0);
-  EXPECT_DOUBLE_EQ(tw.current(), 6.0);
-}
-
-TEST(TimeWeighted, AccountsOpenInterval) {
-  TimeWeighted tw(0.0);
-  tw.update(0.0, 10.0);
-  EXPECT_DOUBLE_EQ(tw.average(5.0), 10.0);
-}
-
-TEST(TimeWeighted, NonZeroStart) {
-  TimeWeighted tw(100.0);
-  tw.update(100.0, 1.0);
-  tw.update(110.0, 3.0);
-  EXPECT_DOUBLE_EQ(tw.average(120.0), 2.0);
-}
-
-TEST(Histogram, BinsCountsAndOverflow) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(-1.0);
-  h.add(0.0);
-  h.add(5.5);
-  h.add(9.999);
-  h.add(10.0);
-  h.add(25.0);
-  EXPECT_EQ(h.count(), 6u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.bin_count(0), 1u);
-  EXPECT_EQ(h.bin_count(5), 1u);
-  EXPECT_EQ(h.bin_count(9), 1u);
-}
-
-TEST(Histogram, BinEdges) {
-  Histogram h(10.0, 20.0, 5);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 10.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 12.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 18.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(4), 20.0);
-}
-
-TEST(Histogram, NanGoesToDedicatedBucketNotUB) {
-  // NaN fails both range checks; the seed code then cast it to usize (UB).
-  Histogram h(0.0, 10.0, 10);
-  h.add(std::nan(""));
-  h.add(-std::numeric_limits<f64>::quiet_NaN());
-  h.add(5.0);
-  h.add(std::numeric_limits<f64>::infinity());
-  h.add(-std::numeric_limits<f64>::infinity());
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_EQ(h.nan_count(), 2u);
-  EXPECT_EQ(h.overflow(), 1u);   // +inf
-  EXPECT_EQ(h.underflow(), 1u);  // -inf
-  EXPECT_EQ(h.bin_count(5), 1u);
-  u64 binned = 0;
-  for (usize i = 0; i < h.bins(); ++i) binned += h.bin_count(i);
-  EXPECT_EQ(binned, 1u);  // NaN never lands in a bin
-}
-
-TEST(Histogram, QuantileOfUniformData) {
-  Histogram h(0.0, 1.0, 100);
-  RngStream rng(3, "hist");
-  for (int i = 0; i < 100000; ++i) h.add(rng.uniform01());
-  EXPECT_NEAR(h.quantile(0.5), 0.5, 0.02);
-  EXPECT_NEAR(h.quantile(0.9), 0.9, 0.02);
-  EXPECT_NEAR(h.quantile(0.1), 0.1, 0.02);
 }
 
 TEST(BatchMeans, FormsBatches) {

@@ -95,13 +95,16 @@ TEST_F(ContentionNetworkTest, ConcurrentSendsInOneCellQueue) {
 
 TEST_F(ContentionNetworkTest, PiggybackBytesOccupyTheChannel) {
   // Same payload, bigger piggyback => longer channel occupancy. The
-  // handler stamps a fat control payload (as TP's two 20-entry vectors
-  // would be).
+  // handler stamps a fat control payload: a delta longer than TP's two
+  // 20-entry vectors is charged their dense 160 bytes.
   class FatPiggybackHandler : public NullHostEventHandler {
    public:
     void on_send(MobileHost&, AppMessage& msg) override {
-      msg.pb_bytes = 160;
-      msg.pb_dense_bytes = 160;
+      Piggyback pb;
+      pb.has_delta = true;
+      pb.dense_rank = 40;
+      pb.delta.assign(200, 0);
+      msg.pbs.assign(1, pb);
     }
   };
   des::Simulator sim_small, sim_fat;
@@ -117,6 +120,7 @@ TEST_F(ContentionNetworkTest, PiggybackBytesOccupyTheChannel) {
   net_fat.send_app_message(0, 1, 100);
   sim_small.run();
   sim_fat.run();
+  EXPECT_EQ(net_fat.stats().piggyback_bytes, 160u);
   EXPECT_GT(net_fat.channel(0).busy_time(), net_small.channel(0).busy_time());
   EXPECT_GT(sim_fat.now(), sim_small.now());
 }

@@ -142,18 +142,18 @@ TEST(AppMessage, WireBytesIsPayloadPlusPiggyback) {
   msg.payload_bytes = 256;
   Piggyback pb;
   pb.has_sn = true;
-  msg.pb_bytes = pb.wire_bytes();
+  msg.pbs.assign(1, pb);
   EXPECT_EQ(msg.wire_bytes(), 256 + sizeof(u64));
 }
 
 TEST(AppMessage, StaysWithinItsSizeBudget) {
   // Every in-flight message parks one Piggyback per protocol slot and
   // sits in event payloads and mailboxes as an AppMessage, so both sizes
-  // show in peak RSS. 48 B is a Piggyback with one delta list; 88 B is a
-  // message carrying slot 0's `sn` and wire sizes, not its piggyback.
+  // show in peak RSS. 48 B is a Piggyback with one delta list; 64 B is a
+  // message that reads slot 0's `sn` and wire sizes off `pbs`.
   if constexpr (sizeof(void*) == 8) {
     EXPECT_LE(sizeof(Piggyback), 48u);
-    EXPECT_LE(sizeof(AppMessage), 88u);
+    EXPECT_LE(sizeof(AppMessage), 64u);
   }
 }
 

@@ -15,14 +15,14 @@ class RecordingHandler : public HostEventHandler {
   void on_host_init(MobileHost&) override { ++inits; }
   void on_send(MobileHost&, AppMessage& msg) override {
     ++sends;
-    msg.sn = 777;  // visible marker
-    msg.has_sn = true;
-    msg.pb_bytes = sizeof(u64);
-    msg.pb_dense_bytes = sizeof(u64);
+    Piggyback pb;
+    pb.sn = 777;  // visible marker
+    pb.has_sn = true;
+    msg.pbs.assign(1, pb);
   }
   void on_receive(MobileHost&, const AppMessage& msg) override {
     ++receives;
-    last_sn = msg.sn;
+    last_sn = msg.pbs.at(0).sn;
     last_msg_id = msg.id;
   }
   void on_cell_switch(MobileHost&, MssId from, MssId to) override {

@@ -10,98 +10,28 @@
 
 namespace mobichk::des {
 
-namespace {
-/// Cancelled entries tolerated in a structure beyond the live count before
-/// a compaction pass reclaims them. Keeps stored entries <= 2*live + slack
-/// so cancel-heavy runs cannot grow the queues without bound, while small
-/// queues never thrash on compaction. Checked after every cancel and every
-/// pop: a pop lowers the live count just as a cancel does.
-constexpr usize kDeadSlack = 64;
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // BinaryHeapQueue
 // ---------------------------------------------------------------------------
 
-EventHandle BinaryHeapQueue::push(EventEntry entry) {
-  const EventHandle handle = slots_.acquire();
-  entry.slot = handle.slot;
-  heap_.push_back(std::move(entry));
+void BinaryHeapQueue::push(EventEntry entry) {
+  heap_.push_back(entry);
   sift_up(heap_.size() - 1);
-  ++live_;
-  assert(heap_.size() == live_ + dead_);
-  return handle;
-}
-
-void BinaryHeapQueue::drop_cancelled_top() {
-  while (!heap_.empty() && slots_.is_cancelled(heap_.front().slot)) {
-    slots_.release(heap_.front().slot);
-    --dead_;
-    std::swap(heap_.front(), heap_.back());
-    heap_.pop_back();
-    if (!heap_.empty()) sift_down(0);
-  }
 }
 
 EventEntry BinaryHeapQueue::pop() {
-  drop_cancelled_top();
   assert(!heap_.empty() && "pop() on empty queue");
-  EventEntry out = std::move(heap_.front());
-  std::swap(heap_.front(), heap_.back());
+  const EventEntry out = heap_.front();
+  heap_.front() = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) sift_down(0);
-  slots_.release(out.slot);
-  --live_;
-  assert(heap_.size() == live_ + dead_);
-  if (dead_ > live_ + kDeadSlack) compact();
   return out;
 }
 
-Time BinaryHeapQueue::peek_time() {
-  drop_cancelled_top();
-  assert(!heap_.empty() && "peek_time() on empty queue");
-  return heap_.front().time;
-}
-
 Time BinaryHeapQueue::peek_time_below(Time bound) {
-  if (live_ == 0) return kNoEventBelow;
-  // Dropping cancelled tops is a pure reclaim: it releases only tombstoned
-  // slots, so live handles and the eventual pop order are untouched.
-  drop_cancelled_top();
+  if (heap_.empty()) return kNoEventBelow;
   const Time t = heap_.front().time;
   return t < bound ? t : kNoEventBelow;
-}
-
-bool BinaryHeapQueue::cancel(EventHandle handle) {
-  // Lazy: mark the slot and skip the entry when it surfaces. Only a
-  // still-pending generation may be cancelled; a fired, unknown or
-  // double-cancelled handle must neither disturb live_ nor leak a
-  // tombstone.
-  if (!slots_.cancel(handle)) return false;
-  --live_;
-  ++dead_;
-  if (dead_ > live_ + kDeadSlack) compact();
-  return true;
-}
-
-void BinaryHeapQueue::compact() {
-  // Reclaim every cancelled entry in one pass and rebuild the heap. Pop
-  // order is unaffected: the heap property plus the (time, seq) comparator
-  // determine it regardless of internal layout.
-  ++compactions_;
-  usize kept = 0;
-  for (usize i = 0; i < heap_.size(); ++i) {
-    if (slots_.is_cancelled(heap_[i].slot)) {
-      slots_.release(heap_[i].slot);
-      continue;
-    }
-    if (kept != i) heap_[kept] = std::move(heap_[i]);
-    ++kept;
-  }
-  heap_.resize(kept);
-  dead_ = 0;
-  for (usize i = heap_.size() / 2; i-- > 0;) sift_down(i);
-  assert(heap_.size() == live_);
 }
 
 void BinaryHeapQueue::sift_up(usize i) {
@@ -171,68 +101,30 @@ void CalendarQueue::reposition(Time t) noexcept {
   current_bucket_ = bucket_of(t);
 }
 
-EventHandle CalendarQueue::push(EventEntry entry) {
+void CalendarQueue::push(EventEntry entry) {
   assert(entry.time >= last_popped_ && "calendar queue does not support scheduling in the past");
   // The cursor may sit past this event's year (e.g. after a jump to a far
   // minimum that was then superseded): pull it back so the scan cannot
   // skip the new event.
   if (entry.time < cursor_time_) reposition(entry.time);
-  const EventHandle handle = slots_.acquire();
-  // Slots are handed out densely, so a fresh one is always the next node.
-  assert(handle.slot <= nodes_.size());
-  if (handle.slot == nodes_.size()) nodes_.emplace_back();
-  Node& node = nodes_[handle.slot];
+  u32 slot = free_;
+  if (slot != kNil) {
+    free_ = nodes_[slot].next;
+  } else {
+    slot = static_cast<u32>(nodes_.size());
+    nodes_.emplace_back();
+  }
+  Node& node = nodes_[slot];
   node.time = entry.time;
   node.seq = entry.seq;
   node.payload = entry.payload;
-  link_sorted(handle.slot);
-  ++live_;
-  if (live_ > 2 * heads_.size()) resize(heads_.size() * 2);
-  return handle;
-}
-
-bool CalendarQueue::cancel(EventHandle handle) {
-  // Only a still-pending generation may be cancelled: decrementing live_
-  // for a fired or unknown handle made empty() report true while real
-  // events were still bucketed, silently truncating the simulation.
-  if (!slots_.cancel(handle)) return false;
-  --live_;
-  ++dead_;
-  if (dead_ > live_ + kDeadSlack) compact();
-  return true;
-}
-
-void CalendarQueue::purge_head(usize bucket) {
-  u32& head = heads_[bucket];
-  while (head != kNil && slots_.is_cancelled(head)) {
-    const u32 slot = head;
-    head = nodes_[slot].next;
-    slots_.release(slot);
-    --dead_;
-  }
-}
-
-void CalendarQueue::compact() {
-  // Unlink every cancelled node in place; lists stay sorted, so pop
-  // order is unaffected.
-  ++compactions_;
-  for (u32& head : heads_) {
-    u32* link = &head;
-    while (*link != kNil) {
-      const u32 slot = *link;
-      if (slots_.is_cancelled(slot)) {
-        *link = nodes_[slot].next;
-        slots_.release(slot);
-      } else {
-        link = &nodes_[slot].next;
-      }
-    }
-  }
-  dead_ = 0;
+  link_sorted(slot);
+  ++size_;
+  if (size_ > 2 * heads_.size()) resize(heads_.size() * 2);
 }
 
 usize CalendarQueue::seek_min() {
-  assert(live_ > 0 && "seek_min() on empty queue");
+  assert(size_ > 0 && "seek_min() on empty queue");
   const usize nb = heads_.size();
   for (;;) {
     const Time year_len = bucket_width_ * static_cast<f64>(nb);
@@ -242,8 +134,6 @@ usize CalendarQueue::seek_min() {
       const usize raw = current_bucket_ + k;
       const bool wrapped = raw >= nb;
       const usize b = raw % nb;
-      // Purge cancelled nodes at the head (the earliest events).
-      purge_head(b);
       const u32 head = heads_[b];
       const Time year_start = current_year_start_ + (wrapped ? year_len : 0.0);
       const Time bucket_top = year_start + bucket_width_ * static_cast<f64>(b + 1);
@@ -261,7 +151,6 @@ usize CalendarQueue::seek_min() {
     scan_steps_ += nb;
     u32 min_slot = kNil;
     for (usize b = 0; b < nb; ++b) {
-      purge_head(b);
       const u32 head = heads_[b];
       if (head != kNil && (min_slot == kNil || before(nodes_[head], nodes_[min_slot]))) {
         min_slot = head;
@@ -274,27 +163,26 @@ usize CalendarQueue::seek_min() {
 }
 
 EventEntry CalendarQueue::pop() {
-  assert(live_ > 0 && "pop() on empty queue");
+  assert(size_ > 0 && "pop() on empty queue");
   const usize b = seek_min();
   const u32 slot = heads_[b];
-  const Node& node = nodes_[slot];
+  Node& node = nodes_[slot];
   heads_[b] = node.next;
+  node.next = free_;
+  free_ = slot;
   EventEntry out;
   out.time = node.time;
   out.seq = node.seq;
-  out.slot = slot;
   out.payload = node.payload;
   cursor_time_ = out.time;
   last_popped_ = out.time;
-  slots_.release(slot);
-  --live_;
+  --size_;
   ++pops_;
-  if (dead_ > live_ + kDeadSlack) compact();
-  if (live_ < heads_.size() / 2 && heads_.size() > kMinBuckets) {
+  if (size_ < heads_.size() / 2 && heads_.size() > kMinBuckets) {
     resize(heads_.size() / 2);
   } else if (pops_ - pops_at_tune_ >= kTuneWindow) {
     // Scan-cost monitor: when seek_min walked too many buckets per pop
-    // over the last window, the width no longer matches the live event
+    // over the last window, the width no longer matches the pending event
     // spacing — rebuild at the same bucket count with a fresh estimate.
     const u64 window_scans = scan_steps_ - scan_at_tune_;
     if (static_cast<f64>(window_scans) >
@@ -308,43 +196,25 @@ EventEntry CalendarQueue::pop() {
   return out;
 }
 
-Time CalendarQueue::peek_time() {
-  assert(live_ > 0 && "peek_time() on empty queue");
-  // seek_min commits the cursor to the minimum's bucket, which the
-  // following pop re-uses; it never removes the entry, so a push of an
-  // earlier event in between still pulls the cursor back.
-  return nodes_[heads_[seek_min()]].time;
-}
-
 Time CalendarQueue::peek_time_below(Time bound) {
-  if (live_ == 0) return kNoEventBelow;
-  // seek_min only moves the cursor and purges tombstones; the minimum
-  // node stays linked, so this probe cannot perturb pop order or
-  // invalidate live handles (push pulls the cursor back when an earlier
+  if (size_ == 0) return kNoEventBelow;
+  // seek_min commits the cursor to the minimum's bucket, which the
+  // following pop re-uses; the minimum node stays linked, so this probe
+  // cannot perturb pop order (push pulls the cursor back when an earlier
   // event arrives later).
   const Time t = nodes_[heads_[seek_min()]].time;
   return t < bound ? t : kNoEventBelow;
 }
 
 void CalendarQueue::resize(usize new_bucket_count) {
-  // Gather the live slots (releasing tombstones on the way) and sort them
-  // by (time, seq); nodes stay where they are.
+  // Gather the pending nodes and sort them by (time, seq); nodes stay
+  // where they are.
   std::vector<u32> order;
-  order.reserve(live_);
+  order.reserve(size_);
   for (const u32 head : heads_) {
-    for (u32 slot = head; slot != kNil;) {
-      const u32 next = nodes_[slot].next;
-      if (slots_.is_cancelled(slot)) {
-        slots_.release(slot);
-        --dead_;
-      } else {
-        order.push_back(slot);
-      }
-      slot = next;
-    }
+    for (u32 slot = head; slot != kNil; slot = nodes_[slot].next) order.push_back(slot);
   }
-  assert(dead_ == 0);
-  assert(order.size() == live_);
+  assert(order.size() == size_);
   std::sort(order.begin(), order.end(),
             [this](u32 a, u32 b) { return before(nodes_[a], nodes_[b]); });
   const auto time_at = [this, &order](usize i) { return nodes_[order[i]].time; };

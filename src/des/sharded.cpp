@@ -189,8 +189,6 @@ SimInvariants ShardedSimulator::invariants() const {
     const SimInvariants& i = sh->invariants();
     sum.scheduled += i.scheduled;
     sum.executed += i.executed;
-    sum.cancels_requested += i.cancels_requested;
-    sum.cancels_effective += i.cancels_effective;
     sum.time_regressions += i.time_regressions;
     sum.max_pending = std::max(sum.max_pending, i.max_pending);
   }
@@ -205,7 +203,7 @@ bool ShardedSimulator::invariants_ok() const {
   return true;
 }
 
-EventHandle route_schedule_after(Simulator& declared, Time dt, const EventPayload& payload) {
+void route_schedule_after(Simulator& declared, Time dt, const EventPayload& payload) {
   ShardedSimulator* sharded = declared.sharded();
   if (sharded != nullptr && lane() == 0) {
     switch (payload.kind) {
@@ -215,13 +213,14 @@ EventHandle route_schedule_after(Simulator& declared, Time dt, const EventPayloa
         // Per-host timers belong to the owner shard; the absolute time is
         // anchored to the coordinator clock (start-up and post-recovery
         // injections both happen coordinator-side).
-        return sharded->shard_sim(sharded->shard_of(payload.a))
+        sharded->shard_sim(sharded->shard_of(payload.a))
             .schedule_at(declared.now() + dt, payload);
+        return;
       default:
         break;
     }
   }
-  return lane_sim(declared).schedule_after(dt, payload);
+  lane_sim(declared).schedule_after(dt, payload);
 }
 
 }  // namespace mobichk::des

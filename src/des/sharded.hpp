@@ -202,6 +202,6 @@ class ShardedSimulator {
 /// the owner shard's queue at the main clock's absolute time; everything
 /// else — and every call in a plain sequential run — goes to `declared`
 /// unchanged.
-EventHandle route_schedule_after(Simulator& declared, Time dt, const EventPayload& payload);
+void route_schedule_after(Simulator& declared, Time dt, const EventPayload& payload);
 
 }  // namespace mobichk::des

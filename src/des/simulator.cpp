@@ -8,42 +8,23 @@ namespace mobichk::des {
 
 Simulator::Simulator(QueueKind queue_kind) : queue_(make_event_queue(queue_kind)) {}
 
-EventHandle Simulator::schedule_at(Time t, const EventPayload& payload) {
+void Simulator::schedule_at(Time t, const EventPayload& payload) {
   assert(payload.target != nullptr && "typed payload needs a target");
   if (t < now_) throw std::invalid_argument("Simulator::schedule_at: time is in the past");
   EventEntry entry;
   entry.time = t;
   entry.seq = next_seq_++;
   entry.payload = payload;
-  EventHandle handle;
   if (prof_ != nullptr) {
     const u64 t0 = obs::prof_now_ns();
-    handle = queue_->push(entry);
+    queue_->push(entry);
     prof_->queue_push.add(obs::prof_now_ns() - t0);
   } else {
-    handle = queue_->push(entry);
+    queue_->push(entry);
   }
   ++invariants_.scheduled;
   if (queue_->size() > invariants_.max_pending) invariants_.max_pending = queue_->size();
   if (probe_ != nullptr) probe_->pushes->add();
-  return handle;
-}
-
-void Simulator::cancel(EventHandle handle) {
-  if (!handle.valid()) return;
-  ++invariants_.cancels_requested;
-  bool effective;
-  if (prof_ != nullptr) {
-    const u64 t0 = obs::prof_now_ns();
-    effective = queue_->cancel(handle);
-    prof_->queue_cancel.add(obs::prof_now_ns() - t0);
-  } else {
-    effective = queue_->cancel(handle);
-  }
-  if (effective) {
-    ++invariants_.cancels_effective;
-    if (probe_ != nullptr) probe_->cancels->add();
-  }
 }
 
 void Simulator::advance_to(const EventEntry& e) noexcept {
@@ -82,14 +63,7 @@ void Simulator::pop_and_fire_timed() {
 
 u64 Simulator::run_until(Time t_end) {
   assert(t_end >= now_);
-  u64 count = 0;
-  while (!queue_->empty()) {
-    // peek_time (not pop/push-back): re-pushing would file the entry under
-    // a fresh slot and silently invalidate every outstanding handle to it.
-    if (queue_->peek_time() > t_end) break;
-    pop_and_fire();
-    ++count;
-  }
+  const u64 count = run_window(kNoEventBelow, t_end);
   now_ = t_end;
   return count;
 }

@@ -21,25 +21,19 @@ class ShardedSimulator;
 
 /// Cheap release-mode invariant counters maintained by the Simulator.
 ///
-/// A healthy run always reconciles: every scheduled event either fired,
-/// was effectively cancelled, or is still pending — and the clock never
-/// ran backwards. Violations indicate an event-queue lifetime bug (the
-/// class of fault the determinism audit exists to catch).
+/// A healthy run always reconciles: every scheduled event either fired or
+/// is still pending — and the clock never ran backwards. Violations
+/// indicate an event-queue lifetime bug (the class of fault the
+/// determinism audit exists to catch).
 struct SimInvariants {
   u64 scheduled = 0;           ///< schedule_at / schedule_after calls.
   u64 executed = 0;            ///< Events fired.
-  u64 cancels_requested = 0;   ///< Simulator::cancel calls on valid handles.
-  u64 cancels_effective = 0;   ///< Cancels that removed a live pending event.
   u64 time_regressions = 0;    ///< Popped event earlier than the clock (must stay 0).
   usize max_pending = 0;       ///< High-water mark of the pending set.
 
-  /// No-op cancels (handle already fired, double-cancelled, or unknown).
-  u64 cancels_noop() const noexcept { return cancels_requested - cancels_effective; }
-
-  /// Live-count reconciliation given the queue's current pending count.
+  /// Ledger reconciliation given the queue's current pending count.
   bool consistent(usize pending_now) const noexcept {
-    return time_regressions == 0 &&
-           scheduled == executed + cancels_effective + static_cast<u64>(pending_now);
+    return time_regressions == 0 && scheduled == executed + static_cast<u64>(pending_now);
   }
 };
 
@@ -56,31 +50,27 @@ class Simulator {
 
   /// Schedules a typed payload at absolute time `t` (must be >= now()).
   /// The payload is stored inline in the queue entry; nothing allocates.
-  EventHandle schedule_at(Time t, const EventPayload& payload);
+  void schedule_at(Time t, const EventPayload& payload);
 
   /// Schedules a typed payload after a delay of `dt` (must be >= 0).
-  EventHandle schedule_after(Time dt, const EventPayload& payload) {
-    return schedule_at(now_ + dt, payload);
-  }
+  void schedule_after(Time dt, const EventPayload& payload) { schedule_at(now_ + dt, payload); }
 
-  /// Cancels a previously scheduled event; no-op if it already fired.
-  void cancel(EventHandle handle);
-
-  /// Runs events with time <= t_end; advances the clock to t_end even if
-  /// the queue drains earlier. Returns the number of events executed.
+  /// Runs events with time <= t_end (run_window with no horizon), then
+  /// advances the clock to t_end even if the queue drained earlier.
+  /// Returns the number of events executed.
   u64 run_until(Time t_end);
 
   /// Time of the next pending event if it is strictly below `bound`, else
-  /// kNoEventBelow. Safe on an empty queue; never disturbs pop order or
-  /// outstanding handles (the shard-window horizon probe).
+  /// kNoEventBelow. Safe on an empty queue; never disturbs pop order
+  /// (the shard-window horizon probe).
   Time next_event_time_below(Time bound = kNoEventBelow) {
     return queue_->peek_time_below(bound);
   }
 
   /// Conservative-window run: executes pending events while their time is
   /// strictly below `h_excl` AND at most `cap` (the run-end boundary,
-  /// inclusive to match run_until's `<= t_end` semantics). Does not move
-  /// the clock past the last executed event. Returns events executed.
+  /// inclusive). Does not move the clock past the last executed event.
+  /// Returns events executed.
   u64 run_window(Time h_excl, Time cap);
 
   /// Executes exactly one pending event (the minimum). Pre: !empty() is
@@ -102,17 +92,14 @@ class Simulator {
   /// Release-mode invariant counters (see SimInvariants).
   const SimInvariants& invariants() const noexcept { return invariants_; }
 
-  /// True when the counters reconcile against the queue's live count.
+  /// True when the counters reconcile against the queue's pending count.
   bool invariants_ok() const noexcept { return invariants_.consistent(queue_->size()); }
 
-  /// Live events currently pending.
+  /// Events currently pending.
   usize pending() const noexcept { return queue_->size(); }
 
   /// The queue implementation in use.
   const char* queue_name() const noexcept { return queue_->name(); }
-
-  /// Tombstone-compaction passes the queue has run (pull-based metric).
-  u64 queue_compactions() const noexcept { return queue_->compactions(); }
 
   /// Attaches (or detaches, with nullptr) the kernel observability probe.
   /// The probe's metric pointers must outlive the simulator or be reset

@@ -5,46 +5,24 @@
 
 namespace mobichk::des {
 
-EventHandle SortedListQueue::push(EventEntry entry) {
-  const EventHandle handle = slots_.acquire();
-  entry.slot = handle.slot;
+void SortedListQueue::push(EventEntry entry) {
   const auto pos = std::upper_bound(
       entries_.begin(), entries_.end(), entry,
       [](const EventEntry& a, const EventEntry& b) { return b < a; });
-  entries_.insert(pos, std::move(entry));
-  return handle;
+  entries_.insert(pos, entry);
 }
 
 EventEntry SortedListQueue::pop() {
   assert(!entries_.empty() && "pop() on empty queue");
-  EventEntry out = std::move(entries_.back());
+  const EventEntry out = entries_.back();
   entries_.pop_back();
-  slots_.release(out.slot);
   return out;
 }
 
-Time SortedListQueue::peek_time() {
-  assert(!entries_.empty() && "peek_time() on empty queue");
-  return entries_.back().time;
-}
-
 Time SortedListQueue::peek_time_below(Time bound) {
-  // The eager oracle carries no tombstones, so the probe is a pure read.
   if (entries_.empty()) return kNoEventBelow;
   const Time t = entries_.back().time;
   return t < bound ? t : kNoEventBelow;
-}
-
-bool SortedListQueue::cancel(EventHandle handle) {
-  // Eager: validate the handle against the slot table, then physically
-  // remove the entry — the oracle never carries tombstones.
-  if (!slots_.cancel(handle)) return false;
-  const auto it = std::find_if(entries_.begin(), entries_.end(),
-                               [&](const EventEntry& e) { return e.slot == handle.slot; });
-  assert(it != entries_.end() && "slot table and entry list out of sync");
-  entries_.erase(it);
-  slots_.release(handle.slot);
-  return true;
 }
 
 }  // namespace mobichk::des

@@ -1,13 +1,9 @@
-// Reference pending-event set: one flat list kept sorted at all times,
-// with eager (non-tombstoned) cancellation.
+// Reference pending-event set: one flat list kept sorted at all times.
 //
 // Deliberately the simplest implementation that can be correct — O(n)
-// push and cancel, O(1) pop — so the determinism audit (sim/audit.hpp)
-// and the queue-equivalence fuzz tests can use it as an oracle against
-// the optimised BinaryHeapQueue and CalendarQueue. It shares the
-// generation-stamped SlotTable so handle semantics (stale handles are
-// no-ops, slots recycle with a generation bump) are byte-for-byte the
-// contract the optimised queues must match.
+// push, O(1) pop — so the determinism audit (sim/audit.hpp) and the
+// queue-equivalence fuzz tests can use it as an oracle against the
+// optimised BinaryHeapQueue and CalendarQueue.
 #pragma once
 
 #include <vector>
@@ -20,19 +16,15 @@ namespace mobichk::des {
 /// event to fire sits at the back of the vector.
 class SortedListQueue final : public EventQueue {
  public:
-  EventHandle push(EventEntry entry) override;
+  void push(EventEntry entry) override;
   EventEntry pop() override;
-  Time peek_time() override;
   Time peek_time_below(Time bound) override;
-  bool cancel(EventHandle handle) override;
   bool empty() const override { return entries_.empty(); }
   usize size() const override { return entries_.size(); }
-  usize stored() const override { return entries_.size(); }
   const char* name() const noexcept override { return "sorted-list"; }
 
  private:
   std::vector<EventEntry> entries_;
-  SlotTable slots_;
 };
 
 }  // namespace mobichk::des

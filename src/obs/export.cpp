@@ -294,7 +294,6 @@ void emit_host_track(BlockWriter& w, const Profiler& prof, bool& first) {
     }
     emit_total_slice(w, first, totals_tid, "queue: push", l.queue_push, cursor);
     emit_total_slice(w, first, totals_tid, "queue: pop", l.queue_pop, cursor);
-    emit_total_slice(w, first, totals_tid, "queue: cancel", l.queue_cancel, cursor);
     emit_total_slice(w, first, totals_tid, "net: leg", l.net_leg, cursor);
     emit_total_slice(w, first, totals_tid, "piggyback: encode", l.pb_encode, cursor);
     emit_total_slice(w, first, totals_tid, "piggyback: merge", l.pb_merge, cursor);

@@ -21,8 +21,6 @@ struct KernelProbe {
   Counter* dispatched[des::kEventKindCount] = {};
   Counter* pushes = nullptr;
   Counter* pops = nullptr;
-  Counter* cancels = nullptr;
-  Counter* compactions = nullptr;  ///< Filled post-run (pull model).
   Gauge* max_pending = nullptr;    ///< Filled post-run from SimInvariants.
 
   void resolve(MetricRegistry& reg);

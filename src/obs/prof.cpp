@@ -65,7 +65,6 @@ std::vector<MetricSample> Profiler::snapshot() const {
     for (usize k = 0; k < des::kEventKindCount; ++k) merge(sum.dispatch[k], l->dispatch[k]);
     merge(sum.queue_push, l->queue_push);
     merge(sum.queue_pop, l->queue_pop);
-    merge(sum.queue_cancel, l->queue_cancel);
     merge(sum.net_leg, l->net_leg);
     merge(sum.pb_encode, l->pb_encode);
     merge(sum.pb_merge, l->pb_merge);
@@ -84,7 +83,6 @@ std::vector<MetricSample> Profiler::snapshot() const {
   }
   push_phase(out, "prof.queue.push", sum.queue_push);
   push_phase(out, "prof.queue.pop", sum.queue_pop);
-  push_phase(out, "prof.queue.cancel", sum.queue_cancel);
   push_phase(out, "prof.net.leg", sum.net_leg);
   push_phase(out, "prof.net.pb_encode", sum.pb_encode);
   push_phase(out, "prof.net.pb_merge", sum.pb_merge);

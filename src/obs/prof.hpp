@@ -94,7 +94,6 @@ struct alignas(64) ProfLane {
   PhaseAccum dispatch[des::kEventKindCount];  ///< fire() bucketed by EventKind
   PhaseAccum queue_push;
   PhaseAccum queue_pop;
-  PhaseAccum queue_cancel;
 
   // -- shared layers (resolved through des::lane()) -----------------------
   PhaseAccum net_leg;    ///< net::Network message-hop handling

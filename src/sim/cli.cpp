@@ -1,6 +1,7 @@
 #include "sim/cli.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <iomanip>
 #include <ostream>
 #include <stdexcept>
@@ -34,8 +35,8 @@ std::string ArgParser::get_string(const std::string& key, const std::string& fal
 namespace {
 
 // std::stod/stoull accept trailing garbage ("5x" parses as 5) and report
-// bare "stod"/"stoull" on failure; flag values should fail loudly and
-// name the flag instead.
+// bare "stod"/"stoull" on failure, and stod reads "nan" and "inf"; flag
+// values should fail loudly and name the flag instead.
 template <typename Parse>
 auto parse_number(const std::string& key, const std::string& text, Parse parse) {
   usize consumed = 0;
@@ -53,8 +54,11 @@ auto parse_number(const std::string& key, const std::string& text, Parse parse) 
 f64 ArgParser::get_f64(const std::string& key, f64 fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end()) return fallback;
-  return parse_number(key, it->second,
-                      [](const std::string& s, usize* pos) { return std::stod(s, pos); });
+  return parse_number(key, it->second, [](const std::string& s, usize* pos) {
+    const f64 v = std::stod(s, pos);
+    if (!std::isfinite(v)) throw std::out_of_range("not finite");
+    return v;
+  });
 }
 
 u64 ArgParser::get_u64(const std::string& key, u64 fallback) const {

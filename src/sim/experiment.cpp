@@ -219,7 +219,6 @@ void Experiment::run() {
   if (opts_.observer != nullptr) {
     // Pull-model metrics: cheap to read once, pointless to track live.
     const obs::KernelProbe* kp = opts_.observer->kernel_probe();
-    kp->compactions->add(sim_->queue_compactions());
     kp->max_pending->max_of(static_cast<f64>(result_.invariants.max_pending));
     if (crash_ != nullptr) {
       // Executed-recovery metrics, pull-model like the kernel ones.

@@ -102,7 +102,7 @@ struct RunResult {
   f64 wall_seconds = 0.0;  ///< Host wall-clock time the run took (not part of the deterministic result).
   u64 trace_hash = 0;
   des::SimInvariants invariants;  ///< Engine self-check counters for the run.
-  bool invariants_ok = true;      ///< Scheduled/executed/cancelled ledger reconciled.
+  bool invariants_ok = true;      ///< Scheduled/executed/pending ledger reconciled.
   u32 shards = 1;                 ///< Shard count the run actually used.
   u64 sync_rounds = 0;            ///< Barrier windows (0 when sequential).
   /// Barrier-merge picks whose time another shard's journal head shared,

@@ -343,6 +343,10 @@ class JsonParser {
     char* end = nullptr;
     const f64 value = std::strtod(token.c_str(), &end);
     if (token.empty() || end != token.c_str() + token.size()) fail("expected a value");
+    if (!std::isfinite(value)) {
+      pos_ = start;
+      fail("number " + token + " is out of range");
+    }
     token_out = token;
     return value;
   }

@@ -102,8 +102,6 @@ void write_json(std::ostream& os, const RunResult& result) {
       .field("workload_ops", result.workload_ops)
       .field("trace_hash", result.trace_hash)
       .field("invariants_ok", result.invariants_ok)
-      .field("cancels_effective", result.invariants.cancels_effective)
-      .field("cancels_noop", result.invariants.cancels_noop())
       .field("max_pending", static_cast<u64>(result.invariants.max_pending));
   // Written only for sharded runs, so shards=1 documents stay
   // byte-identical to earlier versions.
@@ -283,13 +281,6 @@ RunResult run_result_from_json(const JsonValue& json) {
   if (const JsonValue* v = json.find("workload_ops")) result.workload_ops = v->as_u64();
   if (const JsonValue* v = json.find("trace_hash")) result.trace_hash = v->as_u64();
   if (const JsonValue* v = json.find("invariants_ok")) result.invariants_ok = v->as_bool();
-  if (const JsonValue* v = json.find("cancels_effective")) {
-    result.invariants.cancels_effective = v->as_u64();
-    result.invariants.cancels_requested = v->as_u64();
-  }
-  if (const JsonValue* v = json.find("cancels_noop")) {
-    result.invariants.cancels_requested += v->as_u64();
-  }
   if (const JsonValue* v = json.find("max_pending")) {
     result.invariants.max_pending = static_cast<usize>(v->as_u64());
   }

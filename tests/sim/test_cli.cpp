@@ -98,6 +98,17 @@ TEST(ArgParser, RejectsNonNumericText) {
   const auto args = parse({"--batch=lots"});
   EXPECT_THROW(args.get_u32("batch", 1), std::invalid_argument);
   EXPECT_THROW(args.get_f64("batch", 1.0), std::invalid_argument);
+  // std::stod reads these, but no flag takes a non-finite value: a NaN
+  // length never ends the run, and a NaN residence time runs wild.
+  for (const char* bad : {"--length=nan", "--length=inf", "--length=-inf", "--length=NAN",
+                          "--length=infinity", "--length=1e999"}) {
+    try {
+      (void)parse({bad}).get_f64("length", 1.0);
+      ADD_FAILURE() << bad << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("--length"), std::string::npos) << e.what();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@
 // allocates nothing and every queue move is a plain memory copy.
 //
 // The kind list below is the one event-kind table of the repo: the kernel
-// buckets dispatch by it, and the probe and profiler layers build their
+// counts dispatch by it, and the observer and profiler build their
 // `des.dispatch.<name>` / `prof.dispatch.<name>.*` catalogs from
 // `event_kind_name()`. It is header-only so those layers can read it
 // without linking the kernel.

@@ -151,7 +151,7 @@ class CalendarQueue final : public EventQueue {
     return nodes_.capacity() * sizeof(Node) + heads_.capacity() * sizeof(u32);
   }
 
-  // -- tuning observability (pull-based, read by probes and benches) ----
+  // -- tuning observability (pull-based, read by tests and benches) -----
   usize bucket_count() const noexcept { return heads_.size(); }
   f64 bucket_width() const noexcept { return bucket_width_; }
   /// Buckets examined across all seek_min scans (the queue's dominant

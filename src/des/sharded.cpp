@@ -177,18 +177,13 @@ void ShardedSimulator::run_until(Time t_end) {
   for (const auto& sh : shards_) sh->advance_clock_to(t_end);
 }
 
-u64 ShardedSimulator::events_executed() const {
-  u64 total = main_.events_executed();
-  for (const auto& sh : shards_) total += sh->events_executed();
-  return total;
-}
-
 SimInvariants ShardedSimulator::invariants() const {
   SimInvariants sum = main_.invariants();
   for (const auto& sh : shards_) {
     const SimInvariants& i = sh->invariants();
     sum.scheduled += i.scheduled;
     sum.executed += i.executed;
+    for (usize k = 0; k < kEventKindCount; ++k) sum.dispatched[k] += i.dispatched[k];
     sum.time_regressions += i.time_regressions;
     sum.max_pending = std::max(sum.max_pending, i.max_pending);
   }

@@ -144,7 +144,6 @@ class ShardedSimulator {
   /// Wall seconds the coordinator spent waiting for shard windows to
   /// finish (load imbalance + barrier cost).
   f64 barrier_stall_seconds() const noexcept { return barrier_stall_; }
-  u64 events_executed() const;
   /// Field-wise sum over all engines (max_pending is the max).
   SimInvariants invariants() const;
   bool invariants_ok() const;

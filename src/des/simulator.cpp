@@ -24,7 +24,6 @@ void Simulator::schedule_at(Time t, const EventPayload& payload) {
   }
   ++invariants_.scheduled;
   if (queue_->size() > invariants_.max_pending) invariants_.max_pending = queue_->size();
-  if (probe_ != nullptr) probe_->pushes->add();
 }
 
 void Simulator::advance_to(const EventEntry& e) noexcept {
@@ -51,14 +50,11 @@ void Simulator::pop_and_fire_timed() {
   const u64 t1 = obs::prof_now_ns();
   prof_->queue_pop.add(t1 - t0);
   advance_to(e);
-  if (probe_ != nullptr) observe_pop(e);
   fire(e);
   // Dispatch time covers the handler body (and the negligible clock
   // advance); queue maintenance is accounted separately above.
   prof_->dispatch[static_cast<usize>(e.payload.kind)].add(obs::prof_now_ns() - t1);
-  ++prof_->events;
-  ++executed_;
-  ++invariants_.executed;
+  account(e);
 }
 
 u64 Simulator::run_until(Time t_end) {

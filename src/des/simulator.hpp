@@ -12,14 +12,15 @@
 #include "des/event.hpp"
 #include "des/event_queue.hpp"
 #include "des/types.hpp"
-#include "obs/probes.hpp"
 #include "obs/prof.hpp"
 
 namespace mobichk::des {
 
 class ShardedSimulator;
 
-/// Cheap release-mode invariant counters maintained by the Simulator.
+/// Cheap release-mode invariant counters maintained by the Simulator: the
+/// kernel's one ledger, which the observer's des.* metrics are published
+/// from after the run.
 ///
 /// A healthy run always reconciles: every scheduled event either fired or
 /// is still pending — and the clock never ran backwards. Violations
@@ -28,6 +29,7 @@ class ShardedSimulator;
 struct SimInvariants {
   u64 scheduled = 0;           ///< schedule_at / schedule_after calls.
   u64 executed = 0;            ///< Events fired.
+  u64 dispatched[kEventKindCount] = {};  ///< Events fired, by EventKind.
   u64 time_regressions = 0;    ///< Popped event earlier than the clock (must stay 0).
   usize max_pending = 0;       ///< High-water mark of the pending set.
 
@@ -87,7 +89,7 @@ class Simulator {
   u64 run();
 
   /// Total events executed since construction.
-  u64 events_executed() const noexcept { return executed_; }
+  u64 events_executed() const noexcept { return invariants_.executed; }
 
   /// Release-mode invariant counters (see SimInvariants).
   const SimInvariants& invariants() const noexcept { return invariants_; }
@@ -100,11 +102,6 @@ class Simulator {
 
   /// The queue implementation in use.
   const char* queue_name() const noexcept { return queue_->name(); }
-
-  /// Attaches (or detaches, with nullptr) the kernel observability probe.
-  /// The probe's metric pointers must outlive the simulator or be reset
-  /// before they dangle. Null probe == zero-cost unobserved run.
-  void set_probe(const obs::KernelProbe* probe) noexcept { probe_ = probe; }
 
   /// Attaches (or detaches, with nullptr) a host-time profiler lane.
   /// Null lane == zero-cost unprofiled run: the clock is never read.
@@ -123,15 +120,15 @@ class Simulator {
   /// Dispatches one popped event through its EventTarget.
   static void fire(const EventEntry& e) { e.payload.target->on_event(e.payload); }
 
-  /// Counts a popped event on the probe, bucketed by payload kind.
-  void observe_pop(const EventEntry& e) noexcept {
-    probe_->pops->add();
-    probe_->dispatched[static_cast<usize>(e.payload.kind)]->add();
+  /// Counts a fired event in the ledger, in total and by payload kind.
+  void account(const EventEntry& e) noexcept {
+    ++invariants_.executed;
+    ++invariants_.dispatched[static_cast<usize>(e.payload.kind)];
   }
 
   /// The shared body of every run loop: pop the minimum event, advance
-  /// the clock, observe, fire, account. The profiled variant lives out of
-  /// line so the unprofiled path stays the branch-free-identical hot loop.
+  /// the clock, fire, account. The profiled variant lives out of line so
+  /// the unprofiled path stays the branch-free-identical hot loop.
   void pop_and_fire() {
     if (prof_ != nullptr) {
       pop_and_fire_timed();
@@ -139,10 +136,8 @@ class Simulator {
     }
     const EventEntry e = queue_->pop();
     advance_to(e);
-    if (probe_ != nullptr) observe_pop(e);
     fire(e);
-    ++executed_;
-    ++invariants_.executed;
+    account(e);
   }
 
   /// Profiled pop + fire: queue-pop and dispatch are timed separately,
@@ -150,12 +145,10 @@ class Simulator {
   void pop_and_fire_timed();
 
   std::unique_ptr<EventQueue> queue_;
-  const obs::KernelProbe* probe_ = nullptr;
   obs::ProfLane* prof_ = nullptr;
   ShardedSimulator* sharded_ = nullptr;
   Time now_ = 0.0;
   u64 next_seq_ = 1;
-  u64 executed_ = 0;
   SimInvariants invariants_;
   /// Double-pop detection by seq. Declared in every build so Debug and
   /// Release translation units agree on the layout; only debug builds

@@ -130,7 +130,6 @@ f64 Network::wireless_delay(MssId cell, const AppMessage& msg) {
 void Network::wired_forward(MssId from, MssId to, AppMessage msg) {
   const u32 hops = topology_.hops(from, to);
   st().wired_hops += hops;
-  if (probe_ != nullptr) probe_->wired_hops->add(hops);
   schedule_hop(cfg_.wired_latency * static_cast<f64>(hops), kSubRouted, to,
                /*flag=*/true, std::move(msg));
 }
@@ -198,12 +197,6 @@ void Network::send_app_message(HostId src, HostId dst, u32 payload_bytes) {
   ns.payload_bytes += payload_bytes;
   ns.piggyback_bytes += pb_bytes;
   ns.piggyback_dense_bytes += pb_dense_bytes;
-  if (probe_ != nullptr) {
-    probe_->uplink_legs->add();
-    probe_->payload_bytes->add(payload_bytes);
-    probe_->piggyback_bytes->add(pb_bytes);
-    probe_->piggyback_dense_bytes->add(pb_dense_bytes);
-  }
 
   // The uplink leg (like every later leg) runs on the lane that owns the
   // *destination*, so all per-host routing state it reads is owner-local.
@@ -243,7 +236,6 @@ void Network::msg_at_mss(MssId at, AppMessage msg, bool targeted) {
   }
   // Destination is attached here: wireless downlink.
   ++st().wireless_messages;
-  if (probe_ != nullptr) probe_->downlink_legs->add();
   const f64 downlink = wireless_delay(at, msg);
   schedule_hop(downlink, kSubDeliver, at, /*flag=*/false, std::move(msg));
 }
@@ -269,7 +261,6 @@ void Network::deliver_to_host(MssId from_mss, AppMessage msg, bool is_duplicate)
     NetworkStats& ns = st();
     ++ns.duplicates_generated;
     ++ns.wireless_messages;
-    if (probe_ != nullptr) probe_->downlink_legs->add();
     AppMessage copy = msg;
     const f64 redelivery = wireless_delay(from_mss, copy);
     schedule_hop(redelivery, kSubDeliver, from_mss, /*flag=*/true, std::move(copy));
@@ -293,7 +284,7 @@ void Network::deliver_to_host(MssId from_mss, AppMessage msg, bool is_duplicate)
     // 0's Tally in global time order at the barrier.
     own.latency.emplace_back(t, latency);
   }
-  if (probe_ != nullptr) probe_->delivery_latency->add(latency);
+  if (delivery_latency_ != nullptr) delivery_latency_->add(latency);
   d.mailbox().push(std::move(msg));
 }
 
@@ -325,7 +316,6 @@ void Network::switch_cell(HostId host_id, MssId new_mss) {
   ns.control_messages += 2;
   ns.wireless_messages += 2;
   ++ns.handoffs;
-  if (probe_ != nullptr) probe_->handoffs->add();
   observe_mobility(obs::ProbeKind::kHandoff, host_id, static_cast<i32>(new_mss));
   occupy_control(old_mss);
   occupy_control(new_mss);
@@ -342,7 +332,6 @@ void Network::disconnect(HostId host_id) {
   ns.control_messages += 1;
   ns.wireless_messages += 1;
   ++ns.disconnects;
-  if (probe_ != nullptr) probe_->disconnects->add();
   observe_mobility(obs::ProbeKind::kDisconnect, host_id, -1);
   occupy_control(h.mss());
   trace(des::TraceKind::kDisconnect, host_id, h.mss());
@@ -360,7 +349,6 @@ void Network::reconnect(HostId host_id, MssId new_mss) {
   ns.control_messages += 1;
   ns.wireless_messages += 1;
   ++ns.reconnects;
-  if (probe_ != nullptr) probe_->reconnects->add();
   observe_mobility(obs::ProbeKind::kReconnect, host_id, static_cast<i32>(new_mss));
   occupy_control(new_mss);
   arena_.connected[host_id] = 1;
@@ -381,7 +369,6 @@ void Network::crash(HostId host_id) {
   // A failure is unannounced: no control message, no upcall — the host
   // gets no chance to checkpoint (contrast disconnect()).
   ++st().crashes;
-  if (probe_ != nullptr) probe_->crashes->add();
   observe_mobility(obs::ProbeKind::kCrash, host_id, -1);
   trace(des::TraceKind::kCrash, host_id, h.mss(), h.mailbox_size());
   arena_.connected[host_id] = 0;
@@ -410,7 +397,7 @@ void Network::enable_sharding(des::ShardedSimulator* sharded, des::ShardTraceMux
     throw std::invalid_argument(
         "enable_sharding: conservative sync needs strictly positive leg latencies");
   }
-  if (probe_ != nullptr || timeline_ != nullptr) {
+  if (delivery_latency_ != nullptr || timeline_ != nullptr) {
     throw std::invalid_argument("enable_sharding: observability hooks are sequential-only");
   }
   const u32 n_shards = sharded->n_shards();
@@ -497,6 +484,7 @@ NetworkStats Network::stats() const {
     sum.duplicates_suppressed += s.duplicates_suppressed;
     sum.payload_bytes += s.payload_bytes;
     sum.bulk_transfers += s.bulk_transfers;
+    sum.bulk_wired_hops += s.bulk_wired_hops;
     sum.bulk_wired_bytes += s.bulk_wired_bytes;
     sum.piggyback_bytes += s.piggyback_bytes;
     sum.piggyback_dense_bytes += s.piggyback_dense_bytes;
@@ -515,7 +503,6 @@ void Network::restore(HostId host_id, MssId at_mss) {
   ns.control_messages += 1;
   ns.wireless_messages += 1;
   ++ns.restores;
-  if (probe_ != nullptr) probe_->restores->add();
   observe_mobility(obs::ProbeKind::kRecover, host_id, static_cast<i32>(at_mss));
   occupy_control(at_mss);
   arena_.connected[host_id] = 1;

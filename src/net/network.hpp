@@ -38,7 +38,7 @@
 #include "net/message.hpp"
 #include "net/mobile_host.hpp"
 #include "net/topology.hpp"
-#include "obs/probes.hpp"
+#include "obs/metrics.hpp"
 #include "obs/prof.hpp"
 #include "obs/timeline.hpp"
 
@@ -84,6 +84,7 @@ struct NetworkStats {
   u64 duplicates_suppressed = 0;
   u64 payload_bytes = 0;
   u64 bulk_transfers = 0;      ///< Data-plane bulk wired transfers (migrations, fetches).
+  u64 bulk_wired_hops = 0;     ///< MSS-MSS legs of those transfers (in wired_hops too).
   u64 bulk_wired_bytes = 0;    ///< Bytes those transfers moved between MSSs.
   u64 piggyback_bytes = 0;     ///< Control information carried on app messages
                                ///< (encoded size: TP piggybacks count deltas).
@@ -115,10 +116,12 @@ class Network final : public des::EventTarget {
   /// before start().
   void set_handler(HostEventHandler* handler) noexcept { handler_ = handler; }
 
-  /// Attaches observability (both may be nullptr = off). The probe's
-  /// metric pointers and the timeline must outlive the network.
-  void set_observer(const obs::NetProbe* probe, obs::Timeline* timeline) noexcept {
-    probe_ = probe;
+  /// Attaches observability (both may be nullptr = off): the histogram
+  /// takes every app message's send-to-mailbox latency, the timeline the
+  /// message and mobility markers. Both must outlive the network. The
+  /// counters an observer exports are read from stats() after the run.
+  void set_observer(obs::FixedHistogram* delivery_latency, obs::Timeline* timeline) noexcept {
+    delivery_latency_ = delivery_latency;
     timeline_ = timeline;
   }
 
@@ -231,6 +234,7 @@ class Network final : public des::EventTarget {
   void account_bulk_wired(u32 hops, u64 bytes) noexcept {
     NetworkStats& ns = st();
     ns.wired_hops += hops;
+    ns.bulk_wired_hops += hops;
     ns.bulk_wired_bytes += bytes;
     ++ns.bulk_transfers;
   }
@@ -359,7 +363,7 @@ class Network final : public des::EventTarget {
   des::Simulator& sim_;
   NetworkConfig cfg_;
   HostEventHandler* handler_ = nullptr;
-  const obs::NetProbe* probe_ = nullptr;
+  obs::FixedHistogram* delivery_latency_ = nullptr;
   obs::Profiler* prof_ = nullptr;
   obs::Timeline* timeline_ = nullptr;
   des::NullSink null_sink_;

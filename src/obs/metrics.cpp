@@ -1,7 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <stdexcept>
 
@@ -69,27 +68,6 @@ f64 FixedHistogram::quantile(f64 q) const noexcept {
     seen += in_bucket;
   }
   return hi_;
-}
-
-ScopedTimer::ScopedTimer(FixedHistogram* hist) noexcept : hist_(hist) {
-  if (hist_ != nullptr) {
-    start_ns_ = static_cast<u64>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-  }
-}
-
-f64 ScopedTimer::stop() noexcept {
-  if (hist_ == nullptr) return 0.0;
-  const u64 now_ns = static_cast<u64>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-  const f64 elapsed = static_cast<f64>(now_ns - start_ns_) * 1e-9;
-  hist_->add(elapsed);
-  hist_ = nullptr;
-  return elapsed;
 }
 
 MetricRegistry::Entry* MetricRegistry::find_entry(std::string_view name) noexcept {

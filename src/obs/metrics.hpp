@@ -1,11 +1,12 @@
 // Observability metrics: a typed registry of counters, gauges and
-// fixed-bucket histograms, plus an RAII scoped timer.
+// fixed-bucket histograms.
 //
 // Design constraints (see docs/observability.md):
-//  * Instrumented hot paths hold pre-resolved `Counter*` / `Gauge*` /
-//    `FixedHistogram*` pointers behind a single branch-on-null probe
-//    pointer, so a run with observability off pays one predictable branch
-//    and allocates nothing.
+//  * Counts the run keeps anyway are published once, after the run; a
+//    hot path that needs every sample holds a pre-resolved
+//    `FixedHistogram*` (or `Counter*`) that is null when observability is
+//    off, so an unobserved run pays one predictable branch and allocates
+//    nothing.
 //  * Metric updates never allocate: histograms pre-size their buckets at
 //    registration time, and counters/gauges are plain words.
 //  * Registration is idempotent by name (re-registering returns the
@@ -92,26 +93,6 @@ class FixedHistogram {
   f64 max_ = 0.0;
   u64 underflow_ = 0;
   u64 overflow_ = 0;
-};
-
-/// RAII wall-clock timer: on destruction (or stop()) records the elapsed
-/// seconds into a histogram. A null histogram makes the whole object a
-/// no-op — the clock is never read.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(FixedHistogram* hist) noexcept;
-  ~ScopedTimer() { stop(); }
-
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
-  /// Records now (idempotent) and returns the elapsed seconds (0 when
-  /// the timer is a no-op).
-  f64 stop() noexcept;
-
- private:
-  FixedHistogram* hist_;
-  u64 start_ns_ = 0;
 };
 
 /// One exported scalar. Histograms expand into several samples

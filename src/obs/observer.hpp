@@ -1,9 +1,12 @@
 // RunObserver: the one object a caller creates to observe a run.
 //
-// Owns the MetricRegistry, the Timeline and the resolved probe structs;
-// the Experiment wires non-owning probe pointers into the simulator, the
-// network and the protocol harness. When no RunObserver is attached every
-// probe pointer is null and the run is bit-identical to an unobserved one.
+// Owns the MetricRegistry and the Timeline. The des.* and net.* counters
+// are registered here, in catalog order, and filled once after the event
+// loop from the ledgers the run keeps anyway (SimInvariants,
+// NetworkStats); only the delivery-latency histogram, which needs every
+// sample, and the timeline are wired into the network and the protocol
+// harness. When no RunObserver is attached those pointers are null and
+// the run is bit-identical to an unobserved one.
 //
 // Optionally (enable_causal) owns a CausalMonitor: per-protocol online
 // recovery-line trackers fed as the Timeline's listener, so they see every
@@ -16,10 +19,16 @@
 
 #include "obs/causal.hpp"
 #include "obs/metrics.hpp"
-#include "obs/probes.hpp"
 #include "obs/timeline.hpp"
 
 namespace mobichk::obs {
+
+/// Sweep engine: per-replication cost and convergence trajectory.
+struct SweepProbe {
+  Counter* replications = nullptr;
+  FixedHistogram* replication_wall = nullptr;  ///< seconds per replication batch
+  Gauge* last_half_width = nullptr;            ///< latest relative CI half-width
+};
 
 class RunObserver {
  public:
@@ -32,8 +41,8 @@ class RunObserver {
   Timeline& timeline() noexcept { return timeline_; }
   const Timeline& timeline() const noexcept { return timeline_; }
 
-  const KernelProbe* kernel_probe() const noexcept { return &kernel_; }
-  const NetProbe* net_probe() const noexcept { return &net_; }
+  /// net.delivery_latency_tu (tu, app messages only), fed per delivery.
+  FixedHistogram* delivery_latency() noexcept { return delivery_latency_; }
   const SweepProbe* sweep_probe() const noexcept { return &sweep_; }
 
   /// Display names for protocol slots, in slot order; used by the
@@ -67,8 +76,7 @@ class RunObserver {
  private:
   MetricRegistry registry_;
   Timeline timeline_;
-  KernelProbe kernel_;
-  NetProbe net_;
+  FixedHistogram* delivery_latency_ = nullptr;
   SweepProbe sweep_;
   std::unique_ptr<CausalMonitor> monitor_;
   std::vector<std::string> protocol_names_;

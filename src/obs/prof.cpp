@@ -11,6 +11,13 @@ void push_phase(std::vector<MetricSample>& out, const std::string& name, const P
   out.push_back(MetricSample{name + ".count", static_cast<f64>(acc.count)});
 }
 
+/// Events fired on `lane`: every one is timed into exactly one dispatch bucket.
+u64 events_of(const ProfLane& lane) {
+  u64 total = 0;
+  for (const PhaseAccum& d : lane.dispatch) total += d.count;
+  return total;
+}
+
 }  // namespace
 
 Profiler::Profiler() : t0_ns_(prof_now_ns()) { ensure_lanes(1); }
@@ -29,12 +36,6 @@ f64 Profiler::dispatch_seconds(usize kind) const {
   u64 ns = 0;
   for (const auto& l : lanes_) ns += l->dispatch[kind].ns;
   return static_cast<f64>(ns) * 1e-9;
-}
-
-u64 Profiler::events_total() const {
-  u64 total = 0;
-  for (const auto& l : lanes_) total += l->events;
-  return total;
 }
 
 f64 Profiler::imbalance_ratio() const {
@@ -74,7 +75,6 @@ std::vector<MetricSample> Profiler::snapshot() const {
     merge(sum.storage, l->storage);
     merge(sum.window, l->window);
     merge(sum.barrier, l->barrier);
-    sum.events += l->events;
     sum.slices_dropped += l->slices_dropped;
   }
 
@@ -94,7 +94,7 @@ std::vector<MetricSample> Profiler::snapshot() const {
     push_phase(out, "prof.proto." + label, sum.proto[k]);
   }
   push_phase(out, "prof.storage", sum.storage);
-  out.push_back(MetricSample{"prof.events", static_cast<f64>(sum.events)});
+  out.push_back(MetricSample{"prof.events", static_cast<f64>(events_of(sum))});
   if (sum.slices_dropped > 0) {
     out.push_back(MetricSample{"prof.slices_dropped", static_cast<f64>(sum.slices_dropped)});
   }
@@ -106,7 +106,7 @@ std::vector<MetricSample> Profiler::snapshot() const {
       const std::string base = "prof.shard." + std::to_string(i - 1);
       out.push_back(MetricSample{base + ".busy_seconds", l.window.seconds()});
       out.push_back(MetricSample{base + ".barrier_seconds", l.barrier.seconds()});
-      out.push_back(MetricSample{base + ".events", static_cast<f64>(l.events)});
+      out.push_back(MetricSample{base + ".events", static_cast<f64>(events_of(l))});
     }
     out.push_back(MetricSample{"prof.coordinator.barrier_seconds", lanes_[0]->barrier.seconds()});
     out.push_back(MetricSample{"prof.imbalance_ratio", imbalance_ratio()});

@@ -1,7 +1,7 @@
-// Host-time profiler: wall-clock attribution with the probe layer's
+// Host-time profiler: wall-clock attribution with the observer's
 // zero-cost discipline.
 //
-// Where probes.hpp counts *simulated* work, this layer times *host*
+// Where the observer counts *simulated* work, this layer times *host*
 // work: every instrumented component holds one `obs::ProfLane*` (or a
 // `Profiler*` for the shared layers) that is null when profiling is off,
 // and guards every clock read with that single branch — a profile-off
@@ -49,7 +49,7 @@ struct PhaseAccum {
 };
 
 /// RAII phase timer. A null accumulator makes the whole object a no-op —
-/// the clock is never read (same contract as ScopedTimer).
+/// the clock is never read.
 class ProfScope {
  public:
   explicit ProfScope(PhaseAccum* acc) noexcept : acc_(acc) {
@@ -91,7 +91,8 @@ struct alignas(64) ProfLane {
   static constexpr usize kMaxSlices = 1u << 18;
 
   // -- DES kernel ---------------------------------------------------------
-  PhaseAccum dispatch[des::kEventKindCount];  ///< fire() bucketed by EventKind
+  /// fire() bucketed by EventKind; the counts sum to the events this lane fired.
+  PhaseAccum dispatch[des::kEventKindCount];
   PhaseAccum queue_push;
   PhaseAccum queue_pop;
 
@@ -105,8 +106,6 @@ struct alignas(64) ProfLane {
   // -- sharded executor ---------------------------------------------------
   PhaseAccum window;   ///< window execution (busy time)
   PhaseAccum barrier;  ///< barrier / go-signal wait (stall time)
-
-  u64 events = 0;  ///< events fired on this lane
 
   std::vector<ProfSlice> slices;  ///< window/barrier journal (may drop)
   u64 slices_dropped = 0;
@@ -153,7 +152,6 @@ class Profiler {
   /// hook: counts must match the des.dispatch.* counters exactly).
   u64 dispatch_count(usize kind) const;
   f64 dispatch_seconds(usize kind) const;
-  u64 events_total() const;
 
   /// max/mean of per-shard busy (window) seconds; 1.0 when not sharded
   /// or nothing ran.

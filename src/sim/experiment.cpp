@@ -81,8 +81,7 @@ Experiment::Experiment(SimConfig cfg, ExperimentOptions opts)
     harness_->set_data_plane(data_plane_.get());
   }
   if (opts_.observer != nullptr) {
-    sim_->set_probe(opts_.observer->kernel_probe());
-    net_->set_observer(opts_.observer->net_probe(), &opts_.observer->timeline());
+    net_->set_observer(opts_.observer->delivery_latency(), &opts_.observer->timeline());
     harness_->set_timeline(&opts_.observer->timeline());
     if (data_plane_ != nullptr) data_plane_->set_timeline(&opts_.observer->timeline());
   }
@@ -170,11 +169,10 @@ void Experiment::run() {
 
   result_.cfg = cfg_;
   result_.net = net_->stats();
-  result_.events_executed =
-      sharded_ != nullptr ? sharded_->events_executed() : sim_->events_executed();
+  result_.invariants = sharded_ != nullptr ? sharded_->invariants() : sim_->invariants();
+  result_.events_executed = result_.invariants.executed;
   result_.workload_ops = workload_->ops_executed();
   result_.trace_hash = hash_sink_ != nullptr ? hash_sink_->hash() : 0;
-  result_.invariants = sharded_ != nullptr ? sharded_->invariants() : sim_->invariants();
   result_.invariants_ok = sharded_ != nullptr ? sharded_->invariants_ok() : sim_->invariants_ok();
   result_.shards = shards_;
   if (sharded_ != nullptr) {
@@ -217,12 +215,33 @@ void Experiment::run() {
     result_.data_plane = data_plane_->stats();
   }
   if (opts_.observer != nullptr) {
-    // Pull-model metrics: cheap to read once, pointless to track live.
-    const obs::KernelProbe* kp = opts_.observer->kernel_probe();
-    kp->max_pending->max_of(static_cast<f64>(result_.invariants.max_pending));
+    // Every counter is published once, here, from the ledger the run
+    // already keeps (catalog: docs/observability.md). The des.* and net.*
+    // names were registered by RunObserver's constructor, so they keep
+    // their catalog positions.
+    obs::MetricRegistry& reg = opts_.observer->registry();
+    const des::SimInvariants& inv = result_.invariants;
+    for (usize k = 0; k < des::kEventKindCount; ++k) {
+      reg.counter(std::string("des.dispatch.") + des::event_kind_name(k)).add(inv.dispatched[k]);
+    }
+    reg.counter("des.queue.pushes").add(inv.scheduled);
+    reg.counter("des.queue.pops").add(inv.executed);
+    reg.gauge("des.queue.max_pending").max_of(static_cast<f64>(inv.max_pending));
+    const net::NetworkStats& ns = result_.net;
+    reg.counter("net.leg.uplink").add(ns.app_sent);
+    reg.counter("net.leg.wired_hop").add(ns.wired_hops - ns.bulk_wired_hops);
+    // A wireless message is an app send's uplink, a control message or a
+    // downlink (duplicates included).
+    reg.counter("net.leg.downlink").add(ns.wireless_messages - ns.app_sent - ns.control_messages);
+    reg.counter("net.bytes.payload").add(ns.payload_bytes);
+    reg.counter("net.bytes.piggyback").add(ns.piggyback_bytes);
+    reg.counter("net.bytes.piggyback_dense").add(ns.piggyback_dense_bytes);
+    reg.counter("net.mobility.handoffs").add(ns.handoffs);
+    reg.counter("net.mobility.disconnects").add(ns.disconnects);
+    reg.counter("net.mobility.reconnects").add(ns.reconnects);
+    reg.counter("net.mobility.crashes").add(ns.crashes);
+    reg.counter("net.mobility.restores").add(ns.restores);
     if (crash_ != nullptr) {
-      // Executed-recovery metrics, pull-model like the kernel ones.
-      obs::MetricRegistry& reg = opts_.observer->registry();
       const CrashRunStats& rec = result_.recovery;
       reg.counter("recovery.crashes").add(rec.crashes_executed);
       reg.counter("recovery.hosts_crashed").add(rec.hosts_crashed);
@@ -235,8 +254,6 @@ void Experiment::run() {
       reg.gauge("recovery.total_estimated").set(rec.total_estimated);
     }
     if (data_plane_ != nullptr) {
-      // Data-plane metrics (catalog: docs/observability.md "storage.*").
-      obs::MetricRegistry& reg = opts_.observer->registry();
       const storage::DataPlaneStats& dp = result_.data_plane;
       reg.counter("storage.checkpoints").add(dp.checkpoints);
       reg.counter("storage.upload_bytes").add(dp.upload_bytes);

@@ -181,19 +181,6 @@ TEST(Metrics, SnapshotKeepsRegistrationOrderAndExpandsHistograms) {
   EXPECT_TRUE(saw_mean);
 }
 
-TEST(Metrics, ScopedTimerNullIsNoOpAndRealTimerRecords) {
-  obs::ScopedTimer noop(nullptr);
-  EXPECT_DOUBLE_EQ(noop.stop(), 0.0);
-  obs::FixedHistogram h(0.0, 1.0, 10);
-  {
-    obs::ScopedTimer t(&h);
-    const f64 elapsed = t.stop();
-    EXPECT_GE(elapsed, 0.0);
-    t.stop();  // idempotent: second stop records nothing
-  }
-  EXPECT_EQ(h.count(), 1u);
-}
-
 // ---------------------------------------------------------------------------
 // The zero-cost contract
 // ---------------------------------------------------------------------------
@@ -286,24 +273,17 @@ unsigned long long churn_allocs(des::Simulator& sim, u64 events) {
 
 }  // namespace
 
-TEST(ObsZeroCost, KernelProbeAddsNoAllocationsToTheHotPath) {
-  // Warm both simulators (queue capacity, slot table), then compare a
-  // probe-attached run against a bare one: the probe may not add a
-  // single allocation.
-  des::Simulator bare(des::QueueKind::kBinaryHeap);
-  churn_allocs(bare, 10'000);
-  const unsigned long long off = churn_allocs(bare, 50'000);
-
-  obs::RunObserver observer;
-  des::Simulator observed(des::QueueKind::kBinaryHeap);
-  observed.set_probe(observer.kernel_probe());
-  churn_allocs(observed, 10'000);
-  const unsigned long long on = churn_allocs(observed, 50'000);
-
-  EXPECT_EQ(off, 0u);
-  EXPECT_EQ(on, 0u);
+TEST(ObsZeroCost, KernelLedgerAddsNoAllocationsToTheHotPath) {
+  // Warm the simulator (queue capacity), then churn again: counting each
+  // fired event in the ledger, in total and by kind, may not add a single
+  // allocation.
+  des::Simulator sim(des::QueueKind::kBinaryHeap);
+  churn_allocs(sim, 10'000);
+  EXPECT_EQ(churn_allocs(sim, 50'000), 0u);
   // Each churn pops budget + 7 events (8 seeds, budget-1 reschedules).
-  EXPECT_EQ(observer.registry().find_counter("des.queue.pops")->value(), 60'014u);
+  const des::SimInvariants& inv = sim.invariants();
+  EXPECT_EQ(inv.executed, 60'014u);
+  EXPECT_EQ(inv.dispatched[static_cast<usize>(des::EventKind::kWorkloadOp)], 60'014u);
 }
 
 TEST(ObsZeroCost, TraceHashIdenticalWithObserverOnEveryQueueKind) {
@@ -391,6 +371,83 @@ TEST_F(ObservedRun, NetCountersReconcileWithNetworkStats) {
   ASSERT_NE(lat, nullptr);
   EXPECT_EQ(lat->count(), result_->net.app_delivered);
   EXPECT_NEAR(lat->mean(), result_->net.delivery_latency.mean(), 1e-9);
+}
+
+TEST(ObsCounters, RingCrashDataPlaneRunExportsPinnedValues) {
+  // The obs goldens run a 2-MSS mesh without crashes, so they leave
+  // crashes, restores and reconnects at 0 and their bulk transfers each
+  // take one wired hop. This run drives every des.* and net.* counter
+  // but the retired ones: a ring of 6 MSSs, disconnections, correlated
+  // crashes and the checkpoint data plane, whose image migrations and
+  // fetches cross more than one hop.
+  sim::SimConfig cfg;
+  cfg.network.n_hosts = 12;
+  cfg.network.n_mss = 6;
+  cfg.network.mss_topology = net::MssTopologyKind::kRing;
+  cfg.sim_length = 6'000.0;
+  cfg.t_switch = 300.0;
+  cfg.p_switch = 0.7;
+  cfg.seed = 5;
+  cfg.faults.mode = sim::CrashMode::kCorrelated;
+  cfg.faults.correlated = 2;
+  cfg.faults.first_crash_at = 1'500.0;
+  cfg.faults.crash_interval = 1'000.0;
+  cfg.faults.max_crashes = 3;
+  obs::RunObserver observer;
+  sim::ExperimentOptions opts;
+  opts.observer = &observer;
+  opts.data_plane.enabled = true;
+  const sim::RunResult r = sim::run_experiment(cfg, opts);
+  const obs::MetricRegistry& reg = observer.registry();
+
+  const std::vector<std::pair<std::string, u64>> want = {
+      {"des.dispatch.closure", 0},
+      {"des.dispatch.message_hop", 2096},
+      {"des.dispatch.handoff", 99},
+      {"des.dispatch.connectivity", 80},
+      {"des.dispatch.workload_op", 1661},
+      {"des.dispatch.checkpoint_transfer", 465},
+      {"des.dispatch.crash", 3},
+      {"des.dispatch.recover", 8},
+      {"des.queue.pushes", 4428},
+      {"des.queue.pops", 4412},
+      {"des.queue.cancels", 0},
+      {"des.queue.compactions", 0},
+      {"net.leg.uplink", 657},
+      {"net.leg.wired_hop", 1378},
+      {"net.leg.downlink", 651},
+      {"net.bytes.payload", 168192},
+      {"net.bytes.piggyback", 14205},
+      {"net.bytes.piggyback_dense", 63072},
+      {"net.mobility.handoffs", 91},
+      {"net.mobility.disconnects", 44},
+      {"net.mobility.reconnects", 36},
+      {"net.mobility.crashes", 8},
+      {"net.mobility.restores", 8},
+  };
+  // Every des.* and net.* counter is pinned, in catalog order.
+  std::vector<std::string> counters;
+  for (const auto& entry : reg.entries()) {
+    if (entry.counter != nullptr &&
+        (entry.name.rfind("des.", 0) == 0 || entry.name.rfind("net.", 0) == 0)) {
+      counters.push_back(entry.name);
+    }
+  }
+  ASSERT_EQ(counters.size(), want.size());
+  for (usize i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(counters[i], want[i].first);
+    const obs::Counter* c = reg.find_counter(want[i].first);
+    ASSERT_NE(c, nullptr) << want[i].first;
+    EXPECT_EQ(c->value(), want[i].second) << want[i].first;
+  }
+  EXPECT_DOUBLE_EQ(reg.find_gauge("des.queue.max_pending")->value(), 55.0);
+  EXPECT_EQ(reg.find_histogram("net.delivery_latency_tu")->count(), 651u);
+  // net.leg.wired_hop counts message hops only; the bulk transfers' hops
+  // are the rest of NetworkStats::wired_hops, and on this ring they are
+  // more than one per transfer.
+  EXPECT_EQ(r.net.wired_hops, 1523u);
+  EXPECT_EQ(r.net.bulk_transfers, 89u);
+  EXPECT_EQ(r.recovery.crashes_executed, 3u);
 }
 
 TEST_F(ObservedRun, CheckpointTimelineMatchesProtocolCounts) {

@@ -72,40 +72,50 @@ sim::SimConfig golden_config() {
 // golden hash — profiling must never perturb the simulation.
 // ---------------------------------------------------------------------------
 
-TEST(Prof, GoldenHashUnchangedProfiledOrNotEveryQueueKindAndShardCount) {
-  for (const des::QueueKind queue : des::kAllQueueKinds) {
-    for (const u32 shards : {1u, 4u}) {
-      for (const bool profiled : {false, true}) {
-        obs::Profiler profiler;
-        sim::ExperimentOptions opts;
-        opts.collect_trace_hash = true;
-        opts.queue_kind = queue;
-        opts.shards = shards;
-        if (profiled) opts.profiler = &profiler;
-        const sim::RunResult r = sim::run_experiment(golden_config(), opts);
-        const std::string label = std::string(des::queue_kind_name(queue)) + " shards=" +
-                                  std::to_string(shards) +
-                                  (profiled ? " profiled" : " unprofiled");
-        EXPECT_EQ(r.trace_hash, kGoldenFig1Hash) << label;
-        EXPECT_TRUE(r.invariants_ok) << label;
-        if (profiled) {
-          // Reconciliation: each event fired exactly once, and the
-          // profiler bucketed each exactly once.
-          EXPECT_EQ(profiler.events_total(), r.events_executed) << label;
-          u64 dispatch_total = 0;
-          for (usize k = 0; k < des::kEventKindCount; ++k) {
-            dispatch_total += profiler.dispatch_count(k);
-          }
-          EXPECT_EQ(dispatch_total, r.events_executed) << label;
-          // prof.* samples landed in the result's metric snapshot.
-          bool have_prof_metric = false;
-          for (const obs::MetricSample& m : r.metrics) {
-            if (m.name.rfind("prof.", 0) == 0) have_prof_metric = true;
-          }
-          EXPECT_TRUE(have_prof_metric) << label;
-        }
-      }
+/// Runs the golden config on `queue` over `shards`, unprofiled and then
+/// profiled: both must keep the golden hash and reconcile the ledger, and
+/// the profiler must bucket each fired event exactly once, by the kind the
+/// kernel's ledger counted it under.
+void expect_golden_hash_profiled_or_not(des::QueueKind queue, u32 shards) {
+  for (const bool profiled : {false, true}) {
+    obs::Profiler profiler;
+    sim::ExperimentOptions opts;
+    opts.collect_trace_hash = true;
+    opts.queue_kind = queue;
+    opts.shards = shards;
+    if (profiled) opts.profiler = &profiler;
+    const sim::RunResult r = sim::run_experiment(golden_config(), opts);
+    const std::string label = std::string(des::queue_kind_name(queue)) + " shards=" +
+                              std::to_string(shards) + (profiled ? " profiled" : " unprofiled");
+    EXPECT_EQ(r.trace_hash, kGoldenFig1Hash) << label;
+    EXPECT_TRUE(r.invariants_ok) << label;
+    if (!profiled) continue;
+    for (usize k = 0; k < des::kEventKindCount; ++k) {
+      EXPECT_EQ(profiler.dispatch_count(k), r.invariants.dispatched[k])
+          << label << " " << des::event_kind_name(k);
     }
+    // prof.* samples landed in the result's metric snapshot, and
+    // prof.events is the per-kind counts' sum.
+    const obs::MetricSample* events = nullptr;
+    for (const obs::MetricSample& m : r.metrics) {
+      if (m.name == "prof.events") events = &m;
+    }
+    ASSERT_NE(events, nullptr) << label;
+    EXPECT_EQ(events->value, static_cast<f64>(r.events_executed)) << label;
+  }
+}
+
+TEST(Prof, GoldenHashUnchangedProfiledOrNotEveryQueueKindSequential) {
+  for (const des::QueueKind queue : des::kAllQueueKinds) {
+    expect_golden_hash_profiled_or_not(queue, 1);
+  }
+}
+
+// The sharded half is the one the thread sanitizer runs: its shard
+// workers write their own profiler lanes.
+TEST(Prof, GoldenHashUnchangedProfiledOrNotEveryQueueKindSharded) {
+  for (const des::QueueKind queue : des::kAllQueueKinds) {
+    expect_golden_hash_profiled_or_not(queue, 4);
   }
 }
 
@@ -166,8 +176,8 @@ TEST(Prof, SteadyStateChurnAllocationFreeOffAndOnEveryQueueKind) {
       EXPECT_LE(allocs, 64u) << label << ": " << allocs << " allocations over " << kMeasured
                              << " steady-state events";
       if (profiled) {
-        EXPECT_EQ(lane.events, target.fired) << label;
-        EXPECT_GT(lane.dispatch[static_cast<usize>(des::EventKind::kWorkloadOp)].count, 0u)
+        EXPECT_EQ(lane.dispatch[static_cast<usize>(des::EventKind::kWorkloadOp)].count,
+                  target.fired)
             << label;
       }
     }
@@ -245,8 +255,9 @@ TEST(Prof, SnapshotCatalogShapeAndImbalance) {
   prof.lane_ref(1).window.count = 10;
   prof.lane_ref(2).window.ns = 1'000'000'000ull;
   prof.lane_ref(2).window.count = 10;
-  prof.lane_ref(1).events = 100;
-  prof.lane_ref(2).events = 50;
+  prof.lane_ref(1).dispatch[static_cast<usize>(des::EventKind::kMessageHop)].count = 60;
+  prof.lane_ref(1).dispatch[static_cast<usize>(des::EventKind::kWorkloadOp)].count = 40;
+  prof.lane_ref(2).dispatch[static_cast<usize>(des::EventKind::kWorkloadOp)].count = 50;
   // max busy = 2s, mean = 1.5s.
   EXPECT_DOUBLE_EQ(prof.imbalance_ratio(), 2.0 / 1.5);
   const std::vector<obs::MetricSample> samples = prof.snapshot();
@@ -262,6 +273,8 @@ TEST(Prof, SnapshotCatalogShapeAndImbalance) {
   ASSERT_NE(find("prof.imbalance_ratio"), nullptr);
   ASSERT_NE(find("prof.events"), nullptr);
   EXPECT_DOUBLE_EQ(find("prof.events")->value, 150.0);
+  ASSERT_NE(find("prof.shard.0.events"), nullptr);
+  EXPECT_DOUBLE_EQ(find("prof.shard.0.events")->value, 100.0);
   ASSERT_NE(find("prof.dispatch.workload_op.seconds"), nullptr);
   ASSERT_NE(find("prof.queue.push.count"), nullptr);
 }

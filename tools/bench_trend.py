@@ -1,32 +1,27 @@
 #!/usr/bin/env python3
-"""Aggregate BENCH_*.json snapshots into a trend table and gate regressions.
+"""Aggregate BENCH_*.json snapshots into a trend table.
 
 Every perf job in CI writes one small flat-JSON document (kernel_smoke,
 fig_scale, fig_dataplane, the shard sweep). Each has a "benchmark" key
 naming the producer; the rest is scalar metrics. Downloading those
 artifacts across commits leaves a directory of snapshots — this tool
-turns them into something a human can read at a glance and CI can gate
-on:
+turns them into something a human can read at a glance:
 
   * snapshots are grouped by "benchmark" and ordered (oldest first) by
     --order=mtime (default) or the order given on the command line;
   * per group, every numeric key becomes one table row with the value per
-    snapshot plus the relative change from first to last;
-  * if --baseline=FILE is given (the committed bench/kernel_baseline.json),
-    the newest kernel_smoke snapshot's obs_on_off_ratio must stay at or
-    above the floor the baseline records under the same key, mirroring
-    kernel_smoke's own --baseline gate so the check also runs where only
-    the artifacts are at hand.
+    snapshot plus the relative change from first to last.
 
-Exit status: 0 clean, 1 on a gated regression (or unreadable input).
-Usage: tools/bench_trend.py [--baseline=FILE] [--order=mtime|argv] FILE [FILE ...]
+The gates themselves live in the producers (kernel_smoke exits non-zero
+on a failed gate); this tool only reports.
+
+Exit status: 0 clean, 1 on unreadable input.
+Usage: tools/bench_trend.py [--order=mtime|argv] FILE [FILE ...]
 """
 
 import json
 import os
 import sys
-
-GATE_KEY = "obs_on_off_ratio"
 
 
 def load(path):
@@ -79,43 +74,16 @@ def print_group(name, entries):
         print(row)
 
 
-def gate(groups, baseline_path):
-    """Newest kernel_smoke snapshot vs the floor in the committed baseline."""
-    baseline = load(baseline_path)
-    floor = baseline.get(GATE_KEY)
-    if not isinstance(floor, (int, float)):
-        raise ValueError(f"baseline {baseline_path} has no numeric {GATE_KEY!r}")
-    entries = groups.get("kernel_smoke")
-    if not entries:
-        print(f"bench_trend: gate skipped (no kernel_smoke snapshot)")
-        return 0
-    label, newest = entries[-1]
-    got = newest.get(GATE_KEY)
-    if not isinstance(got, (int, float)):
-        print(f"bench_trend: FAIL: {label} has no {GATE_KEY!r}", file=sys.stderr)
-        return 1
-    verdict = "ok" if got >= floor else "REGRESSION"
-    print(f"\nbench_trend: gate {GATE_KEY}: {got:.3f} vs floor {floor:.3f} -> {verdict}")
-    if got < floor:
-        print(
-            f"bench_trend: FAIL: {label}: {GATE_KEY} {got:.3f} dropped below "
-            f"{floor:.3f}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def main(argv):
     paths = [a for a in argv[1:] if not a.startswith("--")]
-    baseline_path = None
     order = "mtime"
+    unknown = False
     for a in argv[1:]:
-        if a.startswith("--baseline="):
-            baseline_path = a.split("=", 1)[1]
-        elif a.startswith("--order="):
+        if a.startswith("--order="):
             order = a.split("=", 1)[1]
-    if not paths or order not in ("mtime", "argv"):
+        elif a.startswith("--"):
+            unknown = True
+    if unknown or not paths or order not in ("mtime", "argv"):
         print(__doc__.strip(), file=sys.stderr)
         return 2
 
@@ -134,12 +102,6 @@ def main(argv):
 
     for name in groups:
         print_group(name, groups[name])
-    if baseline_path is not None:
-        try:
-            return gate(groups, baseline_path)
-        except (OSError, ValueError, json.JSONDecodeError) as e:
-            print(f"bench_trend: {baseline_path}: {e}", file=sys.stderr)
-            return 1
     return 0
 
 
